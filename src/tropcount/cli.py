@@ -21,7 +21,6 @@ import os
 import sys
 from fractions import Fraction
 
-from . import selftest as selftest_mod
 from .curve import canonical_offset, ensure_valid, validate
 from .curvefile import format_rational, load_curve
 from .errors import (ConstraintError, DegeneracyError, InfeasibleError,
@@ -336,7 +335,10 @@ def cmd_plot(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = selftest_mod.run_all(args.seed, args.cases)
+    # imported here so that no other command pays for loading the suites
+    from .selftest import run_all
+
+    results = run_all(args.seed, args.cases)
     for result in results:
         sys.stdout.write(result.line() + "\n")
         if not result.passed:

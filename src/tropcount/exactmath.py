@@ -7,9 +7,9 @@ small toolkit the rest of the package leans on:
 * extended gcd with Bezout certificate,
 * Hermite normal form (row style, with unimodular transform),
 * Smith normal form with both unimodular transforms,
-* rational rank via fraction-free (Bareiss) elimination,
+* one sparse, fraction-free row echelon routine behind rational rank and
+  rational nullspace (rows scaled to integers, kept as {column: int}),
 * exact determinant (Bareiss),
-* rational nullspace,
 * linear Diophantine systems (particular solution + integer kernel basis).
 
 Matrices are plain lists of lists of ints (or Fractions for the rational
@@ -19,6 +19,7 @@ helpers); rows are the outer index.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 IntMatrix = list[list[int]]
@@ -124,6 +125,36 @@ def det_int(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _echelon(a) -> dict[int, dict[int, int]]:
+    """Sparse fraction-free row echelon form: {pivot column: pivot row}.
+
+    Rows are scaled to integers by the lcm of their denominators and kept
+    as {column: nonzero int}.  Each row is reduced at its leading column
+    by integer cross-multiplication with the pivot row there, and divided
+    by its content after every step, so it stays small and primitive.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for raw in a:
+        row = {j: Fraction(x) for j, x in enumerate(raw) if x}
+        den = lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (den // x.denominator)
+               for j, x in row.items()}
+        while row:
+            c = min(row)
+            p = pivots.get(c)
+            if p is None:
+                pivots[c] = row
+                break
+            g = gcd(row[c], p[c])
+            mr, mp = p[c] // g, row[c] // g
+            row = {j: y for j in row.keys() | p.keys()
+                   if (y := row.get(j, 0) * mr - p.get(j, 0) * mp)}
+            g = gcd(*row.values())
+            if g > 1:
+                row = {j: x // g for j, x in row.items()}
+    return pivots
+
+
 def rank_rational(a) -> int:
     """Rank of a matrix with int or Fraction entries, by exact elimination.
 
@@ -134,71 +165,33 @@ def rank_rational(a) -> int:
     >>> rank_rational([])
     0
     """
-    rows = [[Fraction(x) for x in row] for row in a]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < nrows and col < ncols:
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            f = rows[i][col] / pv
-            if f:
-                for j in range(col, ncols):
-                    rows[i][j] -= f * rows[rank][j]
-        rank += 1
-        col += 1
-    return rank
+    return len(_echelon(a))
 
 
 def nullspace_rational(a) -> list[list[Fraction]]:
     """Basis of the right nullspace over the rationals.
 
-    Returns a list of vectors (each of length = #columns).  The basis comes
-    from back-substitution on the reduced echelon form with free variables
-    set to 1 one at a time, so it is deterministic.
+    Returns a list of vectors (each of length = #columns).  Each free
+    column in turn is set to 1 and the other free columns to 0, and the
+    pivot unknowns follow by back-substitution on the echelon form; this
+    is the basis read off the unique reduced echelon form.
 
     >>> nullspace_rational([[1, 2]])
     [[Fraction(-2, 1), Fraction(1, 1)]]
     """
-    rows = [[Fraction(x) for x in row] for row in a]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(nrows):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    free_cols = [j for j in range(ncols) if j not in pivots]
+    ncols = len(a[0]) if a else 0
+    pivots = _echelon(a)
+    order = sorted(pivots, reverse=True)
     basis = []
-    for fc in free_cols:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
+        for pc in order:
+            row = pivots[pc]
+            acc = sum(x * vec[j] for j, x in row.items() if j != pc)
+            vec[pc] = Fraction(-acc) / row[pc]
         basis.append(vec)
     return basis
 
@@ -304,18 +297,22 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     t = 0
     while t < min(nrows, ncols):
-        # Locate the minimal-absolute-value nonzero entry in s[t:, t:].
+        # Locate the first (row-major) minimal-absolute-value nonzero entry
+        # in s[t:, t:]; nothing nonzero is smaller than 1, so a 1 ends the
+        # scan.
         pivot = None
-        best = None
+        best = 0
         for i in range(t, nrows):
-            for j in range(t, ncols):
-                val = abs(s[i][j])
-                if val and (best is None or val < best):
-                    best, pivot = val, (i, j)
+            val = min(map(abs, filter(None, s[i][t:])), default=0)
+            if val and (not best or val < best):
+                best, pivot = val, i
+                if val == 1:
+                    break
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        row = s[pivot]
+        swap_rows(t, pivot)
+        swap_cols(t, next(j for j in range(t, ncols) if abs(row[j]) == best))
         # Clear row and column t by gcd descent.  Quotients round to the
         # nearest integer so every remainder is at most half the pivot, and
         # the smallest remainder is promoted to pivot before retrying; both
@@ -342,20 +339,16 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                     swap_cols(t, min(rest, key=lambda j: abs(s[t][j])))
                 continue
             break
-        # Enforce divisibility d_t | every remaining entry.
+        # Enforce divisibility d_t | every remaining entry (always true for
+        # d_t = 1): fold the first offending row in and redo the pivot step.
         p = s[t][t]
-        fixed = True
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if s[i][j] % p != 0:
-                    # Fold that row in and redo the pivot step.
-                    add_row(i, t, -1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
+        bad = None if p == 1 else next(
+            (i for i in range(t + 1, nrows)
+             if any(x % p for x in s[i][t + 1:])), None)
+        if bad is None:
             t += 1
+        else:
+            add_row(bad, t, -1)
     return u, s, v
 
 

@@ -113,34 +113,36 @@ def dual_flag_space(curve: TropicalCurve):
 def rigidity_check(curve: TropicalCurve, marks: list[MarkedPoint]) -> bool:
     """True when pinning the marked points kills every deformation.
 
-    Evaluation takes a kernel element of F to the normal component of its
+    Evaluation E takes a position assignment to the normal component of its
     value at the tail vertex of each marked edge.  Sliding a 2-valent
     vertex along its edge direction lies in Ker F but does not move the
     image of the curve, and the edge normal annihilates its own direction,
-    so slides always evaluate to zero; rigidity therefore means the
-    evaluation is injective modulo the slide subspace.  On a 3-valent
-    curve there are no slides and this is plain injectivity on Ker F.
+    so slides lie in both Ker F and Ker E.  Rigidity means that E on Ker F
+    has no kernel beyond the slides.  That kernel is the intersection of
+    Ker F and Ker E, whose dimension is 2|V| - rank[F; E] for the stacked
+    rows, so the curve is rigid iff this equals the number of 2-valent
+    vertices (the slides are independent and always in it).
+
+    Raises ConstraintError when a mark names an edge the curve lacks.
     """
     index = {v.id: i for i, v in enumerate(curve.vertices)}
-    kernel = nullspace_rational(build_F(curve))
-    slides = sum(1 for v in curve.vertices if curve.valence(v.id) == 2)
-    if len(kernel) <= slides:
-        return True
-    eval_rows = []
+    edges = {e.id: e for e in curve.edges}
+    valence = dict.fromkeys(index, 0)
+    for e in curve.edges:
+        valence[e.tail] += 1
+        valence[e.head] += 1
+    rows = build_F(curve)
     for mark in marks:
-        e = curve.edge(mark.edge)
-        nx, ny = e.primitive_normal
+        e = edges.get(mark.edge)
+        if e is None:
+            raise ConstraintError(
+                f"marked point on unknown edge {mark.edge!r}")
         ti = index[e.tail]
-        row = [Fraction(0)] * (2 * len(curve.vertices))
-        row[2 * ti] = Fraction(nx)
-        row[2 * ti + 1] = Fraction(ny)
-        eval_rows.append(row)
-    # matrix of the composite Ker F -> Q^marks in the kernel basis
-    composite = [
-        [sum(row[i] * vec[i] for i in range(len(vec))) for vec in kernel]
-        for row in eval_rows
-    ]
-    return rank_rational(composite) == len(kernel) - slides
+        row = [0] * (2 * len(curve.vertices))
+        row[2 * ti], row[2 * ti + 1] = e.primitive_normal
+        rows.append(row)
+    slides = sum(1 for n in valence.values() if n == 2)
+    return 2 * len(curve.vertices) - rank_rational(rows) == slides
 
 
 # --------------------------------------------------------------------------

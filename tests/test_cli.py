@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import shutil
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,8 @@ from tropcount.curvefile import save_curve
 from tropcount.plot import render_svg
 from tropcount.realize import is_realizable
 from tropcount.selftest import tuned_exact_curve
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 @pytest.fixture
@@ -119,6 +123,35 @@ def test_count_wrong_mark_number_exits_5(tmp_path, capsys):
     save_curve(curve, str(path), [MarkedPoint("e1", Fraction(1, 3))])
     assert main(["count", str(path)]) == 5
     assert "error:" in capsys.readouterr().err
+
+
+def test_count_unknown_mark_edge_exits_5(tmp_path, capsys):
+    path = tmp_path / "nope.json"
+    rng = random.Random(59)
+    curve = tuned_exact_curve(rng, catalog.theta(), Fraction(0))
+    save_curve(curve, str(path), [MarkedPoint("nope", Fraction(1, 3)),
+                                  MarkedPoint("e2", Fraction(1, 2))])
+    assert main(["count", str(path)]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'nope'" in err
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["count", "prelog"])
+@pytest.mark.parametrize("name", ["theta", "theta2", "triple"])
+def test_json_output_matches_golden(name, command, tmp_path, monkeypatch,
+                                    capsys):
+    # The prelog assignment and generators are read off the SNF transforms
+    # U and V, and count prints the invariant factors, so any change to
+    # snf's choice of pivots shows here byte for byte.
+    source = os.path.join(GOLDEN, f"{name}_exact.json")
+    shutil.copy(source, tmp_path / f"{name}_exact.json")
+    monkeypatch.chdir(tmp_path)
+    assert main([command, f"{name}_exact.json", "--json"]) == 0
+    with open(os.path.join(GOLDEN, f"{name}_exact.{command}.out"),
+              encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
 
 
 def test_mode_env_and_flag_precedence(theta_file, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from tropcount import catalog
 from tropcount.curve import MarkedPoint, subdivide, transform
 from tropcount.errors import ConstraintError, InfeasibleError
+from tropcount.exactmath import nullspace_rational, rank_rational
 from tropcount.moduli import (INFINITE, build_D, build_F, count_curves,
                               deformation_ranks, dual_flag_space,
                               edge_weight_product, kernel_order_bruteforce,
@@ -73,6 +74,74 @@ def test_rigidity_survives_subdivision():
     marks = catalog.theta_marks()
     finer, _ = subdivide(theta, [MarkedPoint("e3", Fraction(1, 2))])
     assert rigidity_check(finer, marks) is True
+
+
+def test_rigidity_rejects_unknown_edge():
+    with pytest.raises(ConstraintError, match="nope"):
+        rigidity_check(catalog.theta(), [MarkedPoint("nope", Fraction(1, 2)),
+                                         MarkedPoint("e2", Fraction(1, 2))])
+
+
+def _rigidity_reference(curve, marks):
+    """Nullspace-then-composite rigidity: the version the stacked rank of
+    [F; E] replaced, kept as its reference.  Evaluation is restricted to a
+    basis of Ker F and must be injective modulo the slides."""
+    index = {v.id: i for i, v in enumerate(curve.vertices)}
+    kernel = nullspace_rational(build_F(curve))
+    slides = sum(1 for v in curve.vertices if curve.valence(v.id) == 2)
+    if len(kernel) <= slides:
+        return True
+    eval_rows = []
+    for mark in marks:
+        e = curve.edge(mark.edge)
+        nx, ny = e.primitive_normal
+        ti = index[e.tail]
+        row = [Fraction(0)] * (2 * len(curve.vertices))
+        row[2 * ti] = Fraction(nx)
+        row[2 * ti + 1] = Fraction(ny)
+        eval_rows.append(row)
+    composite = [
+        [sum(row[i] * vec[i] for i in range(len(vec))) for vec in kernel]
+        for row in eval_rows
+    ]
+    return rank_rational(composite) == len(kernel) - slides
+
+
+def _random_points(rng, curve, count):
+    points = {}
+    for _ in range(count):
+        e = rng.choice(curve.edges)
+        points[(e.id, Fraction(rng.randrange(1, 12), 12))] = None
+    return [MarkedPoint(eid, t) for eid, t in points]
+
+
+def test_rigidity_matches_composite_reference():
+    rng = random.Random(43)
+    bases = [catalog.theta(), catalog.theta_double(), catalog.triple_vertex(),
+             catalog.wrapping_cycle(2), catalog.wrapping_cycle(4, 3)]
+    cases = [(catalog.theta(), catalog.theta_marks()),
+             (catalog.theta_double(), catalog.theta_marks()),
+             (catalog.triple_vertex(), [MarkedPoint("f1", Fraction(1, 2)),
+                                        MarkedPoint("f2", Fraction(1, 3))]),
+             (catalog.wrapping_cycle(2), [MarkedPoint("s1", Fraction(1, 2))])]
+    for _ in range(600):
+        curve = rng.choice(bases)
+        if rng.random() < 0.5:
+            det = rng.choice((1, -1))
+            curve = transform(curve, random_unimodular(rng, det))
+        if rng.random() < 0.6:
+            # subdividing adds 2-valent vertices and with them slides
+            curve, _ = subdivide(curve, _random_points(rng, curve,
+                                                       rng.randrange(1, 4)))
+        marks = _random_points(rng, curve, rng.randrange(0, curve.genus + 2))
+        cases.append((curve, marks))
+    verdicts = []
+    for curve, marks in cases:
+        verdict = rigidity_check(curve, marks)
+        assert verdict == _rigidity_reference(curve, marks), (curve, marks)
+        verdicts.append(verdict)
+    # both outcomes are exercised, the rigid one well beyond the catalog
+    assert verdicts.count(True) > 40 and verdicts.count(False) > 40
 
 
 def test_build_D_shape():
