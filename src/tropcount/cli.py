@@ -19,10 +19,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .curve import canonical_offset, ensure_valid, validate
-from .curvefile import format_rational, load_curve
+from .curvefile import (format_rational, load_curve, parse_complex,
+                        parse_polar, parse_rational)
 from .errors import (ConstraintError, DegeneracyError, InfeasibleError,
                      ParseError, TropcountError, ValidationError)
 from .moduli import (count_curves, deformation_ranks, dual_flag_space,
@@ -210,19 +210,26 @@ def _flag_key(flag) -> str:
     return f"{flag[0]}|{flag[1]}"
 
 
-def _parse_check_value(raw, index: int, numeric_table: dict):
+def _parse_check_value(raw, index: int, numeric_table: dict, what: str):
     if isinstance(raw, str):
-        return MulValue.rational(Fraction(raw))
+        value = parse_rational(raw, what)
+        if value == 0:
+            raise ParseError(f"{what}: zero is not invertible")
+        return MulValue.rational(value)
     if isinstance(raw, dict):
         if "modulus" in raw:
-            return MulValue.polar(Fraction(raw["modulus"]),
-                                  Fraction(raw["turns"]))
+            return parse_polar(raw, what)
         if "re" in raw:
             name = f"check{index}"
-            numeric_table[name] = complex(raw["re"], raw.get("im", 0.0))
+            numeric_table[name] = parse_complex(
+                raw["re"], raw.get("im", 0.0), what)
             return MulValue.symbol(name)
         if set(raw) <= {"symbols", "primes", "turns"}:
-            return MulValue.from_dict(raw)
+            try:
+                return MulValue.from_dict(raw)
+            except (AttributeError, TypeError, ValueError,
+                    ZeroDivisionError) as exc:
+                raise ParseError(f"{what}: bad group element: {exc}") from exc
     raise ParseError(f"assignment value {raw!r} is not a rational string, "
                      "modulus/turns, re/im, or serialized group element")
 
@@ -251,8 +258,8 @@ def cmd_prelog(args) -> int:
             key = _flag_key(flag)
             if key not in flags_doc:
                 raise ParseError(f"{args.check}: missing flag {key!r}")
-            assignment.append(
-                _parse_check_value(flags_doc[key], i, numeric_table))
+            assignment.append(_parse_check_value(
+                flags_doc[key], i, numeric_table, f"{args.check}: {key}"))
         check_mode = mode
         if len(numeric_table) > len(curve.lattice.numeric_values):
             check_mode = EqualityMode.NUMERIC

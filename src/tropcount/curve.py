@@ -19,11 +19,11 @@ role in the purely combinatorial operations here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegeneracyError, ValidationError
-from .exactmath import ext_gcd, gcd_list
+from .record import Record
 from .valuegroup import EqualityMode, MulValue
 
 Vec2 = tuple[int, int]
@@ -37,14 +37,15 @@ def _frac_pair(value) -> FracVec2:
 
 
 def _int_pair(value) -> Vec2:
+    if type(value[0]) is int and type(value[1]) is int:
+        return (value[0], value[1])
     x, y = int(value[0]), int(value[1])
     if (x, y) != (Fraction(value[0]), Fraction(value[1])):
         raise ValidationError(f"expected an integer vector, got {value!r}")
     return (x, y)
 
 
-@dataclass(frozen=True)
-class PeriodLattice:
+class PeriodLattice(Record):
     """Two integer periods plus the four formal multipliers.
 
     `multipliers` maps alpha11/alpha12/alpha21/alpha22 to MulValues: plain
@@ -55,8 +56,8 @@ class PeriodLattice:
     period1: Vec2
     period2: Vec2
     mode: EqualityMode = EqualityMode.FORMAL
-    multipliers: dict[str, MulValue] = field(default_factory=dict)
-    numeric_values: dict[str, complex] = field(default_factory=dict)
+    multipliers: dict[str, MulValue] = {}
+    numeric_values: dict[str, complex] = {}
 
     def __post_init__(self):
         object.__setattr__(self, "period1", _int_pair(self.period1))
@@ -65,6 +66,7 @@ class PeriodLattice:
         for key in ALPHA_KEYS:
             mults.setdefault(key, MulValue.symbol(key))
         object.__setattr__(self, "multipliers", mults)
+        object.__setattr__(self, "numeric_values", dict(self.numeric_values))
 
     @property
     def det(self) -> int:
@@ -87,8 +89,7 @@ class PeriodLattice:
                 s1 * self.period1[1] + s2 * self.period2[1])
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(Record):
     id: str
     position: FracVec2
 
@@ -96,8 +97,7 @@ class Vertex:
         object.__setattr__(self, "position", _frac_pair(self.position))
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(Record):
     id: str
     tail: str
     head: str
@@ -110,9 +110,9 @@ class Edge:
         object.__setattr__(self, "length", Fraction(self.length))
         object.__setattr__(self, "shift", _int_pair(self.shift))
 
-    @property
+    @cached_property
     def weight(self) -> int:
-        return gcd_list(self.weight_vector)
+        return math.gcd(*self.weight_vector)
 
     @property
     def primitive(self) -> Vec2:
@@ -128,8 +128,7 @@ class Edge:
         return (-q, p)
 
 
-@dataclass(frozen=True)
-class MarkedPoint:
+class MarkedPoint(Record):
     edge: str
     t: Fraction
 
@@ -137,8 +136,7 @@ class MarkedPoint:
         object.__setattr__(self, "t", Fraction(self.t))
 
 
-@dataclass(frozen=True)
-class TropicalCurve:
+class TropicalCurve(Record):
     lattice: PeriodLattice
     vertices: tuple[Vertex, ...]
     edges: tuple[Edge, ...]
@@ -149,17 +147,38 @@ class TropicalCurve:
 
     # -- lookups -----------------------------------------------------------
 
+    @cached_property
+    def _vertex_index(self) -> dict[str, Vertex]:
+        # reversed, so that a duplicated id finds its first vertex
+        return {v.id: v for v in reversed(self.vertices)}
+
+    @cached_property
+    def _edge_index(self) -> dict[str, Edge]:
+        return {e.id: e for e in reversed(self.edges)}
+
+    @cached_property
+    def _flag_index(self) -> dict[str, tuple[Edge, ...]]:
+        flags: dict[str, list[Edge]] = {}
+        for e in self.edges:
+            flags.setdefault(e.tail, []).append(e)
+            flags.setdefault(e.head, []).append(e)
+        return {vid: tuple(edges) for vid, edges in flags.items()}
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return validate(self)
+
     def vertex(self, vid: str) -> Vertex:
-        for v in self.vertices:
-            if v.id == vid:
-                return v
-        raise KeyError(f"no vertex {vid!r}")
+        try:
+            return self._vertex_index[vid]
+        except KeyError:
+            raise KeyError(f"no vertex {vid!r}") from None
 
     def edge(self, eid: str) -> Edge:
-        for e in self.edges:
-            if e.id == eid:
-                return e
-        raise KeyError(f"no edge {eid!r}")
+        try:
+            return self._edge_index[eid]
+        except KeyError:
+            raise KeyError(f"no edge {eid!r}") from None
 
     def incident_edges(self, vid: str) -> list[Edge]:
         return [e for e in self.edges if vid in (e.tail, e.head)]
@@ -173,10 +192,7 @@ class TropicalCurve:
         raise KeyError(f"edge {e.id} is not incident to {vid}")
 
     def valence(self, vid: str) -> int:
-        n = 0
-        for e in self.edges:
-            n += (e.tail == vid) + (e.head == vid)
-        return n
+        return len(self._flag_index.get(vid, ()))
 
     # -- basic invariants ----------------------------------------------------
 
@@ -185,10 +201,10 @@ class TropicalCurve:
         """First Betti number |E| - |V| + 1 of the (connected) graph."""
         return len(self.edges) - len(self.vertices) + 1
 
-    @property
+    @cached_property
     def delta(self) -> int:
         """gcd of all edge weights."""
-        return gcd_list(e.weight for e in self.edges)
+        return math.gcd(*(e.weight for e in self.edges))
 
     def vertex_weight(self, vid: str) -> int:
         """|det| of two outgoing weight vectors at a 3-valent vertex; 1 at
@@ -204,17 +220,12 @@ class TropicalCurve:
 
     def vertex_gcd(self, vid: str) -> int:
         """gcd of the weights of the edges at a vertex."""
-        return gcd_list(e.weight for e in self.incident_edges_flags(vid))
+        return math.gcd(*(e.weight for e in self.incident_edges_flags(vid)))
 
-    def incident_edges_flags(self, vid: str) -> list[Edge]:
-        """Incident edges with multiplicity (loops would appear twice)."""
-        out = []
-        for e in self.edges:
-            if e.tail == vid:
-                out.append(e)
-            if e.head == vid:
-                out.append(e)
-        return out
+    def incident_edges_flags(self, vid: str) -> tuple[Edge, ...]:
+        """Incident edges in edge order, with multiplicity (loops would
+        appear twice)."""
+        return self._flag_index.get(vid, ())
 
     def lift_defect(self, e: Edge) -> FracVec2:
         """lift(head) - lift(tail) - length*m - shift . periods (0 if valid)."""
@@ -228,8 +239,7 @@ class TropicalCurve:
         return (dx, dy)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Record):
     problems: tuple[str, ...]
     warnings: tuple[str, ...]
 
@@ -277,12 +287,11 @@ def validate(curve: TropicalCurve) -> ValidationReport:
     frontier = [curve.vertices[0].id]
     while frontier:
         vid = frontier.pop()
-        for e in curve.edges:
-            for nxt in ((e.head if e.tail == vid else None),
-                        (e.tail if e.head == vid else None)):
-                if nxt is not None and nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+        for e in curve.incident_edges_flags(vid):
+            nxt = e.head if e.tail == vid else e.tail
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
     if len(seen) != len(curve.vertices):
         problems.append("graph is not connected")
 
@@ -331,7 +340,9 @@ def validate(curve: TropicalCurve) -> ValidationReport:
 
 
 def ensure_valid(curve: TropicalCurve) -> ValidationReport:
-    report = validate(curve)
+    """validate(curve), raising ValidationError on a problem.  The curve is
+    immutable, so its report is computed once and kept on it."""
+    report = curve._report
     if not report.ok:
         raise ValidationError("; ".join(report.problems))
     return report
@@ -424,8 +435,8 @@ def relift(curve: TropicalCurve, moves: dict[str, Vec2]) -> TropicalCurve:
     for e in curve.edges:
         mt = moved.get(e.tail, (0, 0))
         mh = moved.get(e.head, (0, 0))
-        edges.append(replace(e, shift=(e.shift[0] + mh[0] - mt[0],
-                                       e.shift[1] + mh[1] - mt[1])))
+        edges.append(e.replace(shift=(e.shift[0] + mh[0] - mt[0],
+                                      e.shift[1] + mh[1] - mt[1])))
     return TropicalCurve(lat, tuple(vertices), tuple(edges))
 
 
@@ -461,7 +472,7 @@ def transform(curve: TropicalCurve, a: list[list[int]]) -> TropicalCurve:
         numeric_values=dict(lat.numeric_values),
     )
     vertices = tuple(Vertex(v.id, apply(v.position)) for v in curve.vertices)
-    edges = tuple(replace(e, weight_vector=apply(e.weight_vector))
+    edges = tuple(e.replace(weight_vector=apply(e.weight_vector))
                   for e in curve.edges)
     return TropicalCurve(new_lat, vertices, edges)
 
@@ -471,8 +482,7 @@ def transform(curve: TropicalCurve, a: list[list[int]]) -> TropicalCurve:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Record):
     """Net transversal crossings of one edge with one family of walls.
 
     side "B1" is the wall crossed when the first lattice coordinate passes

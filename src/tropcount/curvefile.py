@@ -29,6 +29,7 @@ Floats are rejected everywhere except the numeric multiplier form.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .curve import (ALPHA_KEYS, Edge, MarkedPoint, PeriodLattice,
@@ -50,6 +51,40 @@ def parse_rational(value, what: str = "value") -> Fraction:
     raise ParseError(
         f"{what}: expected a rational string, got {type(value).__name__} "
         f"(floats are not accepted; write \"1/3\")")
+
+
+#: numeric values must keep their square inside the normal double range,
+#: so that evaluating powers of them does not overflow at the first step
+NUMERIC_MODULUS_RANGE = (1e-150, 1e150)
+
+
+def parse_complex(re, im, what: str = "value") -> complex:
+    """A complex number from two finite JSON numbers.
+
+    NaN and infinity are refused, and so is a nonzero modulus outside
+    NUMERIC_MODULUS_RANGE.  Zero passes; evaluation refuses it.
+    """
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+               for x in (re, im)):
+        raise ParseError(f"{what}: re/im must be numbers")
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise ParseError(f"{what}: re/im must be finite, got {re!r}, {im!r}")
+    z = complex(re, im)
+    lo, hi = NUMERIC_MODULUS_RANGE
+    if z and not lo <= abs(z) <= hi:
+        raise ParseError(
+            f"{what}: modulus {abs(z):.3e} is outside [{lo:.0e}, {hi:.0e}]")
+    return z
+
+
+def parse_polar(entry, what: str = "value") -> MulValue:
+    """modulus * e^(2 pi i turns) from an object with two rationals."""
+    modulus = parse_rational(_require(entry, "modulus", what),
+                             f"{what}.modulus")
+    turns = parse_rational(_require(entry, "turns", what), f"{what}.turns")
+    if modulus <= 0:
+        raise ParseError(f"{what}: modulus must be positive")
+    return MulValue.polar(modulus, turns)
 
 
 def format_rational(value: Fraction) -> str:
@@ -75,6 +110,14 @@ def _require(mapping, key, what):
     if not isinstance(mapping, dict) or key not in mapping:
         raise ParseError(f"{what}: missing required key {key!r}")
     return mapping[key]
+
+
+def _optional_list(doc: dict, key: str) -> list:
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(
+            f"{key}: expected a list, got {type(value).__name__}")
+    return value
 
 
 def _parse_multipliers(doc) -> tuple[EqualityMode, dict, dict]:
@@ -109,29 +152,15 @@ def _parse_multipliers(doc) -> tuple[EqualityMode, dict, dict]:
     if form == "formal":
         return EqualityMode.FORMAL, {}, {}
     if form == "polar":
-        values = {}
-        for key in ALPHA_KEYS:
-            entry = table[key]
-            modulus = parse_rational(
-                _require(entry, "modulus", f"multipliers.{key}"),
-                f"multipliers.{key}.modulus")
-            turns = parse_rational(
-                _require(entry, "turns", f"multipliers.{key}"),
-                f"multipliers.{key}.turns")
-            if modulus <= 0:
-                raise ParseError(
-                    f"multipliers.{key}: modulus must be positive")
-            values[key] = MulValue.polar(modulus, turns)
+        values = {key: parse_polar(table[key], f"multipliers.{key}")
+                  for key in ALPHA_KEYS}
         return EqualityMode.EXACT, values, {}
     numeric = {}
     for key in ALPHA_KEYS:
         entry = table[key]
         re = _require(entry, "re", f"multipliers.{key}")
         im = _require(entry, "im", f"multipliers.{key}")
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                   for x in (re, im)):
-            raise ParseError(f"multipliers.{key}: re/im must be numbers")
-        numeric[key] = complex(re, im)
+        numeric[key] = parse_complex(re, im, f"multipliers.{key}")
     return EqualityMode.NUMERIC, {}, numeric
 
 
@@ -148,7 +177,7 @@ def curve_from_dict(doc) -> tuple[TropicalCurve, list[MarkedPoint]]:
                             multipliers=multipliers, numeric_values=numeric)
 
     vertices = []
-    for i, vdoc in enumerate(doc.get("vertices", [])):
+    for i, vdoc in enumerate(_optional_list(doc, "vertices")):
         vid = _require(vdoc, "id", f"vertices[{i}]")
         if not isinstance(vid, str):
             raise ParseError(f"vertices[{i}].id: expected a string")
@@ -158,7 +187,7 @@ def curve_from_dict(doc) -> tuple[TropicalCurve, list[MarkedPoint]]:
     positions = {v.id: v.position for v in vertices}
 
     edges = []
-    for i, edoc in enumerate(doc.get("edges", [])):
+    for i, edoc in enumerate(_optional_list(doc, "edges")):
         what = f"edges[{i}]"
         eid = _require(edoc, "id", what)
         tail = _require(edoc, "tail", what)
@@ -177,7 +206,7 @@ def curve_from_dict(doc) -> tuple[TropicalCurve, list[MarkedPoint]]:
         edges.append(Edge(eid, tail, head, wvec, length, shift))
 
     marks = []
-    for i, mdoc in enumerate(doc.get("marked_points", [])):
+    for i, mdoc in enumerate(_optional_list(doc, "marked_points")):
         what = f"marked_points[{i}]"
         edge = _require(mdoc, "edge", what)
         if not isinstance(edge, str):

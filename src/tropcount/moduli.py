@@ -23,7 +23,6 @@ weights of the unsubdivided curve (maximal 2-valent chains count once).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import (Edge, MarkedPoint, TropicalCurve, ensure_valid, subdivide)
@@ -31,6 +30,7 @@ from .errors import ConstraintError, InfeasibleError
 from .exactmath import (IntMatrix, det_int, nullspace_rational, rank_rational,
                         snf)
 from .realize import RealizabilityReport, is_realizable
+from .record import Record
 from .valuegroup import EqualityMode
 
 INFINITE = float("inf")
@@ -126,22 +126,18 @@ def rigidity_check(curve: TropicalCurve, marks: list[MarkedPoint]) -> bool:
     Raises ConstraintError when a mark names an edge the curve lacks.
     """
     index = {v.id: i for i, v in enumerate(curve.vertices)}
-    edges = {e.id: e for e in curve.edges}
-    valence = dict.fromkeys(index, 0)
-    for e in curve.edges:
-        valence[e.tail] += 1
-        valence[e.head] += 1
     rows = build_F(curve)
     for mark in marks:
-        e = edges.get(mark.edge)
-        if e is None:
+        try:
+            e = curve.edge(mark.edge)
+        except KeyError:
             raise ConstraintError(
-                f"marked point on unknown edge {mark.edge!r}")
+                f"marked point on unknown edge {mark.edge!r}") from None
         ti = index[e.tail]
         row = [0] * (2 * len(curve.vertices))
         row[2 * ti], row[2 * ti + 1] = e.primitive_normal
         rows.append(row)
-    slides = sum(1 for n in valence.values() if n == 2)
+    slides = sum(1 for v in curve.vertices if curve.valence(v.id) == 2)
     return 2 * len(curve.vertices) - rank_rational(rows) == slides
 
 
@@ -164,8 +160,7 @@ def build_D(curve: TropicalCurve, marked_vertex_ids: list[str]) -> IntMatrix:
     return rows
 
 
-@dataclass(frozen=True)
-class KernelOrder:
+class KernelOrder(Record):
     order: int | float
     invariant_factors: tuple[int, ...]
     corank: int
@@ -312,8 +307,7 @@ def edge_weight_product(curve: TropicalCurve) -> int:
     return product
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(Record):
     realizability: RealizabilityReport
     kernel: KernelOrder
     edge_weight_product: int

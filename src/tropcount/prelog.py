@@ -31,14 +31,15 @@ plus an explicit root-of-unity correction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .curve import TropicalCurve, ensure_valid
 from .errors import ConstraintError
 from .exactmath import IntMatrix, ext_gcd, snf
 from .realize import chi
-from .valuegroup import (EqualityMode, MulValue, mv_is_one, mv_pow, mv_root)
+from .record import Record
+from .valuegroup import (EqualityMode, MulValue, mv_is_one, mv_pow, mv_prod,
+                         mv_root)
 
 Flag = tuple[str, str]
 
@@ -48,8 +49,7 @@ Flag = tuple[str, str]
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonomialSystem:
+class MonomialSystem(Record):
     """prod_j x_j^exponents[i][j] = rhs[i], one unknown per flag."""
 
     exponents: IntMatrix
@@ -125,8 +125,7 @@ def left_kernel_vector(curve: TropicalCurve) -> list[int]:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A row combination that eliminates every unknown; its value must be 1
     for the system to be solvable."""
 
@@ -136,14 +135,13 @@ class Witness:
     certificate: str
 
 
-@dataclass(frozen=True)
-class MonomialSolution:
+class MonomialSolution(Record):
     feasible: bool | None
     assignment: list[MulValue] | None
     witnesses: list[Witness]
     kernel_free: list[list[int]]
     kernel_torsion: list[list[MulValue]]
-    invariant_factors: tuple[int, ...] = field(default=())
+    invariant_factors: tuple[int, ...] = ()
 
 
 def solve_monomial(
@@ -167,13 +165,7 @@ def solve_monomial(
     diag = [s[i][i] for i in range(min(nrows, ncols))]
     rank = sum(1 for x in diag if x != 0)
 
-    c: list[MulValue] = []
-    for i in range(nrows):
-        acc = MulValue.identity()
-        for j in range(nrows):
-            if u[i][j]:
-                acc = acc * mv_pow(b[j], u[i][j])
-        c.append(acc)
+    c = [mv_prod(zip(b, row)) for row in u]
 
     witnesses = []
     feasible: bool | None = True
@@ -191,13 +183,7 @@ def solve_monomial(
         z[i] = mv_root(c[i], diag[i])
     assignment = None
     if feasible is not False:
-        assignment = []
-        for j in range(ncols):
-            acc = MulValue.identity()
-            for i in range(ncols):
-                if v[j][i]:
-                    acc = acc * mv_pow(z[i], v[j][i])
-            assignment.append(acc)
+        assignment = [mv_prod(zip(z, row)) for row in v]
 
     kernel_free = [[v[j][k] for j in range(ncols)] for k in range(rank, ncols)]
     kernel_torsion = []
@@ -227,11 +213,7 @@ def verify_assignment(
             f"{len(system.flags)} flags")
     failures = []
     for i, row in enumerate(system.exponents):
-        acc = MulValue.identity()
-        for j, exp in enumerate(row):
-            if exp:
-                acc = acc * mv_pow(assignment[j], exp)
-        ratio = acc / system.rhs[i]
+        ratio = mv_prod(zip(assignment, row)) / system.rhs[i]
         verdict, certificate = mv_is_one(
             ratio, mode, numeric_values=numeric_values, tolerance=tolerance)
         if verdict is not True:
@@ -259,8 +241,7 @@ def prelog_exists(
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexModel:
+class VertexModel(Record):
     """A balanced 3-valent vertex given by its outgoing vectors."""
 
     vectors: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]

@@ -22,12 +22,12 @@ this exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import (TropicalCurve, Vec2, canonical_offset, crossings,
                     ensure_valid)
 from .errors import ConstraintError
+from .record import Record
 from .valuegroup import EqualityMode, MulValue, mv_is_one, mv_mul, mv_pow
 
 
@@ -109,8 +109,7 @@ def realizability_target(curve: TropicalCurve) -> MulValue:
     return MulValue.phase_turns(Fraction(parity_exponent(curve), 2))
 
 
-@dataclass(frozen=True)
-class RealizabilityReport:
+class RealizabilityReport(Record):
     sigma: MulValue
     parity: int
     target: MulValue

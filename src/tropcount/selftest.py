@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import catalog
@@ -29,14 +28,14 @@ from .prelog import (VertexModel, assemble_system, left_kernel_vector,
                      verify_assignment)
 from .realize import (is_realizable, parity_exponent, realizability_target,
                       sigma_cocycle, sigma_geometric)
+from .record import Record
 from .valuegroup import (EqualityMode, MulValue, mv_eval_numeric, mv_inv,
                          mv_is_one, mv_pow)
 
 ALPHA_KEYS = ("alpha11", "alpha12", "alpha21", "alpha22")
 
 
-@dataclass
-class SuiteResult:
+class SuiteResult(Record):
     name: str
     checks: int
     failures: list[str]

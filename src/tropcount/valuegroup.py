@@ -26,12 +26,13 @@ representative, so a k-th root has phase in [0, 1/k).
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
 from .errors import ConstraintError
+from .record import Record
 
 
 class EqualityMode(Enum):
@@ -62,8 +63,7 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
-@dataclass(frozen=True)
-class MulValue:
+class MulValue(Record):
     """Canonical form: sorted tuples, no zero exponents, phase in [0, 1)."""
 
     symbols: tuple[tuple[str, Fraction], ...] = ()
@@ -192,6 +192,31 @@ def mv_mul(a: MulValue, b: MulValue) -> MulValue:
     return MulValue._make(symbols, primes, a.phase + b.phase)
 
 
+def mv_prod(pairs) -> MulValue:
+    """Product of a ** e over (a, e) pairs, normalized once.
+
+    Equal to chaining mv_mul and mv_pow for integer (or rational)
+    exponents e, because mv_pow scales the stored phase representative
+    and mv_mul adds phases modulo 1.
+
+    >>> a, b = MulValue.symbol("x"), MulValue.phase_turns(Fraction(1, 3))
+    >>> mv_prod([(a, 2), (b, 0), (b, -1)]) == mv_mul(mv_pow(a, 2), mv_inv(b))
+    True
+    """
+    symbols: dict[str, Fraction] = {}
+    primes: dict[int, Fraction] = {}
+    phase = Fraction(0)
+    for a, e in pairs:
+        if not e:
+            continue
+        for k, v in a.symbols:
+            symbols[k] = symbols.get(k, 0) + v * e
+        for p, v in a.primes:
+            primes[p] = primes.get(p, 0) + v * e
+        phase += a.phase * e
+    return MulValue._make(symbols, primes, phase)
+
+
 def mv_inv(a: MulValue) -> MulValue:
     return mv_pow(a, -1)
 
@@ -261,8 +286,9 @@ def mv_is_one(
     """Decide whether a MulValue is the identity, per mode.
 
     Returns (verdict, certificate).  The verdict is True, False, or
-    UNDECIDED (None); UNDECIDED only occurs in NUMERIC mode when the
-    distance to 1 lands in (tolerance, UNDECIDED_FACTOR * tolerance].
+    UNDECIDED (None); UNDECIDED only occurs in NUMERIC mode, when the
+    distance to 1 lands in (tolerance, UNDECIDED_FACTOR * tolerance] or
+    when the evaluation overflows.
 
     FORMAL mode treats symbols as independent, so it is sound but will
     report False for values that would collapse to 1 under a particular
@@ -282,8 +308,14 @@ def mv_is_one(
             return True, "exact identity after substitution"
         return False, f"exact value differs from 1: {b}"
     if mode is EqualityMode.NUMERIC:
-        val = mv_eval_numeric(a, numeric_values)
-        dist = abs(val - 1.0)
+        try:
+            dist = abs(mv_eval_numeric(a, numeric_values) - 1.0)
+        except OverflowError:
+            dist = math.inf
+        if not math.isfinite(dist):
+            return UNDECIDED, (
+                f"|value - 1| = {dist} is not finite: the numeric "
+                f"evaluation overflowed or met a non-finite value")
         if dist <= tolerance:
             return True, f"|value - 1| = {dist:.3e} <= {tolerance:.1e}"
         if dist <= UNDECIDED_FACTOR * tolerance:

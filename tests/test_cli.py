@@ -138,6 +138,56 @@ def test_count_unknown_mark_edge_exits_5(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _numeric_doc(value: float) -> dict:
+    with open(os.path.join(GOLDEN, "theta_exact.json"),
+              encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["multipliers"] = {key: {"re": value, "im": 0.0}
+                          for key in doc["multipliers"]}
+    return doc
+
+
+def _check_doc(value) -> dict:
+    # flag keys of the theta system: tail and head of e1, e2, e3
+    flags = {f"{v}|{e}": "1" for e in ("e1", "e2", "e3") for v in "uv"}
+    flags["u|e1"] = value
+    return {"flags": flags}
+
+
+def _assert_one_error_line(code: int, capsys) -> None:
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["realizable", "count", "prelog"])
+@pytest.mark.parametrize("doc", [
+    _numeric_doc(float("nan")),
+    _numeric_doc(float("inf")),
+    _numeric_doc(1e308),
+    {**_numeric_doc(0.5), "vertices": 5},
+], ids=["nan", "inf", "1e308", "vertices-int"])
+def test_hostile_curve_exits_1(doc, command, tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    _assert_one_error_line(main([command, str(path)]), capsys)
+
+
+@pytest.mark.parametrize("value", [
+    "abc", "0", {"modulus": "0"}, {"modulus": "0", "turns": "0"},
+    {"re": float("nan")}, {"turns": "x/0"},
+], ids=["abc", "zero", "no-turns", "zero-modulus", "nan", "bad-element"])
+def test_hostile_check_value_exits_1(value, tmp_path, capsys):
+    shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
+    check = tmp_path / "check.json"
+    check.write_text(json.dumps(_check_doc(value)), encoding="utf-8")
+    code = main(["prelog", str(tmp_path / "theta_exact.json"),
+                 "--check", str(check)])
+    _assert_one_error_line(code, capsys)
+
+
 @pytest.mark.parametrize("command", ["count", "prelog"])
 @pytest.mark.parametrize("name", ["theta", "theta2", "triple"])
 def test_json_output_matches_golden(name, command, tmp_path, monkeypatch,

@@ -9,8 +9,11 @@ from tropcount.curve import (Edge, MarkedPoint, PeriodLattice, TropicalCurve,
                              Vertex, canonical_offset, crossings, ensure_valid,
                              offset_sequence, relift, subdivide, transform,
                              validate)
+import tropcount.curve
 from tropcount.errors import DegeneracyError, ValidationError
-from tropcount.selftest import random_relift_moves, random_unimodular
+from tropcount.moduli import count_curves
+from tropcount.selftest import (generated_curves, random_relift_moves,
+                                random_unimodular, tuned_exact_curve)
 
 
 def test_theta_invariants():
@@ -120,6 +123,51 @@ def test_ensure_valid_raises():
     curve = TropicalCurve(lat, (Vertex("a", (0, 0)),), ())
     with pytest.raises(ValidationError):
         ensure_valid(curve)
+
+
+def test_indexed_lookups_match_linear_scans():
+    lat = PeriodLattice((1, 0), (0, 1))
+    # duplicated ids resolve to the first occurrence, as a scan would
+    dup = TropicalCurve(lat, (Vertex("a", (0, 0)), Vertex("a", (1, 1))),
+                        (Edge("e", "a", "a", (1, 0), 1),
+                         Edge("e", "a", "a", (0, 1), 1)))
+    curves = [dup] + [c for _, c, _ in generated_curves(random.Random(5), 12)]
+    for curve in curves:
+        for v in curve.vertices:
+            flags = [e for e in curve.edges for end in (e.tail, e.head)
+                     if end == v.id]
+            assert list(curve.incident_edges_flags(v.id)) == flags
+            assert curve.valence(v.id) == len(flags)
+            assert curve.vertex(v.id) == next(
+                w for w in curve.vertices if w.id == v.id)
+        for e in curve.edges:
+            assert curve.edge(e.id) == next(
+                f for f in curve.edges if f.id == e.id)
+            assert e.weight == math.gcd(*e.weight_vector)
+        assert curve.valence("nowhere") == 0
+        assert curve.incident_edges_flags("nowhere") == ()
+    with pytest.raises(KeyError):
+        dup.vertex("b")
+    with pytest.raises(KeyError):
+        dup.edge("f")
+
+
+def test_validation_runs_once_per_curve(monkeypatch):
+    calls = []
+    validate_once = tropcount.curve.validate
+    monkeypatch.setattr(tropcount.curve, "validate",
+                        lambda curve: calls.append(curve) or
+                        validate_once(curve))
+    curve = tuned_exact_curve(random.Random(3), catalog.theta(), Fraction(0))
+    assert count_curves(curve, catalog.theta_marks()).total == 1
+    ensure_valid(curve)
+    assert len(calls) == 1
+    bad = TropicalCurve(PeriodLattice((1, 0), (0, 1)),
+                        (Vertex("a", (0, 0)),), ())
+    for _ in range(2):
+        with pytest.raises(ValidationError):
+            ensure_valid(bad)
+    assert len(calls) == 2
 
 
 def test_subdivide_structure():

@@ -7,7 +7,7 @@ import pytest
 from tropcount import catalog
 from tropcount.curvefile import (curve_from_dict, curve_to_dict, dumps_curve,
                                  format_rational, load_curve, loads_curve,
-                                 parse_rational, save_curve)
+                                 parse_complex, parse_rational, save_curve)
 from tropcount.errors import ParseError
 from tropcount.selftest import generated_curves
 from tropcount.valuegroup import EqualityMode, MulValue
@@ -100,6 +100,15 @@ def test_multiplier_modes():
     curve, _ = curve_from_dict(doc)
     assert curve.lattice.mode is EqualityMode.NUMERIC
     assert curve.lattice.numeric_values["alpha12"] == 0.5 - 0.25j
+
+
+def test_numeric_values_must_be_finite_and_in_range():
+    assert parse_complex(1e150, -1e-150) == complex(1e150, -1e-150)
+    assert parse_complex(0, 0.0) == 0  # refused later, at evaluation
+    for re, im in ((float("nan"), 0.0), (0.5, float("inf")), (1e151, 0.0),
+                   (1e-151, 0.0), (True, 0.0), ("1", 0.0)):
+        with pytest.raises(ParseError):
+            parse_complex(re, im)
 
 
 def test_mixed_multiplier_forms_rejected():

@@ -1,33 +1,14 @@
 import doctest
+import importlib
+import pkgutil
 
 import pytest
 
-import tropcount.catalog
-import tropcount.cli
-import tropcount.curve
-import tropcount.curvefile
-import tropcount.errors
-import tropcount.exactmath
-import tropcount.moduli
-import tropcount.plot
-import tropcount.prelog
-import tropcount.realize
-import tropcount.selftest
-import tropcount.valuegroup
+import tropcount
 
 MODULES = [
-    tropcount.catalog,
-    tropcount.cli,
-    tropcount.curve,
-    tropcount.curvefile,
-    tropcount.errors,
-    tropcount.exactmath,
-    tropcount.moduli,
-    tropcount.plot,
-    tropcount.prelog,
-    tropcount.realize,
-    tropcount.selftest,
-    tropcount.valuegroup,
+    importlib.import_module(f"tropcount.{info.name}")
+    for info in pkgutil.iter_modules(tropcount.__path__)
 ]
 
 

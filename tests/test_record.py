@@ -1,0 +1,125 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from functools import cached_property
+
+import pytest
+
+import tropcount
+from tropcount.curve import Edge, PeriodLattice
+from tropcount.record import Record
+from tropcount.selftest import SuiteResult
+from tropcount.valuegroup import MulValue
+
+
+class Pair(Record):
+    """Normalizes its first field, defaults its second."""
+
+    left: Fraction
+    right: tuple = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "left", Fraction(self.left))
+
+    @cached_property
+    def doubled(self):
+        return 2 * self.left
+
+
+class Other(Record):
+    left: Fraction
+    right: tuple = ()
+
+
+class Single(Record):
+    only: int
+
+
+def test_construction_defaults_and_normalization():
+    assert Pair(1).right == ()
+    assert Pair("1/2", (3,)).left == Fraction(1, 2)
+    assert Pair(right=(3,), left=2) == Pair(2, (3,))
+    assert type(Pair(2, ()).left) is Fraction  # __post_init__ on the fast path
+    with pytest.raises(TypeError):
+        Pair()
+    with pytest.raises(TypeError):
+        Pair(1, (), 3)
+    with pytest.raises(TypeError):
+        Pair(1, left=2)
+    with pytest.raises(TypeError):
+        Pair(1, middle=2)
+
+
+def test_equality_and_hash():
+    assert Pair(1) == Pair(Fraction(1), ())
+    assert Pair(1) != Pair(2)
+    assert Pair(1) != Other(Fraction(1))  # other class: NotImplemented
+    assert Pair(1).__eq__(Other(Fraction(1))) is NotImplemented
+    assert hash(Pair(1, (2,))) == hash(Pair(1, (2,)))
+    assert len({Pair(1), Pair(1), Pair(2)}) == 2
+    assert Single(1) == Single(1) != Single(2)
+    assert hash(Single(1)) == hash((1,))
+    assert hash(Pair(1, (2,))) == hash((Fraction(1), (2,)))
+    with pytest.raises(TypeError):
+        hash(Pair(1, [2]))
+    with pytest.raises(TypeError):
+        hash(PeriodLattice((1, 0), (0, 1)))
+
+
+def test_repr_matches_dataclass_style():
+    assert repr(Pair(1, (2,))) == "Pair(left=Fraction(1, 1), right=(2,))"
+    assert repr(Single(3)) == "Single(only=3)"
+    assert Single(3).replace(only=4) == Single(4)
+    assert repr(MulValue.symbol("x")) == (
+        "MulValue(symbols=(('x', Fraction(1, 1)),), primes=(), "
+        "phase=Fraction(0, 1))")
+
+
+def test_frozen():
+    p = Pair(1)
+    with pytest.raises(AttributeError):
+        p.left = 2
+    with pytest.raises(AttributeError):
+        p.extra = 2
+    with pytest.raises(AttributeError):
+        del p.left
+    with pytest.raises(AttributeError):
+        SuiteResult("s", 1, []).checks = 2
+    assert p.left == 1
+
+
+def test_cached_values_stay_out_of_equality_hash_and_repr():
+    p, q = Pair(3), Pair(3)
+    assert p.doubled == 6
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+
+
+def test_replace_runs_post_init_and_keeps_the_original():
+    e = Edge("e", "u", "v", (2, 0), 1)
+    f = e.replace(weight_vector=[0, 3], length="1/2")
+    assert (f.weight_vector, f.length, f.weight) == ((0, 3), Fraction(1, 2), 3)
+    assert (e.weight_vector, e.weight) == ((2, 0), 2)
+    assert f.replace() == f
+    with pytest.raises(TypeError):
+        e.replace(colour="red")
+
+
+def test_mutable_defaults_are_per_instance():
+    a, b = PeriodLattice((1, 0), (0, 1)), PeriodLattice((1, 0), (0, 1))
+    assert a.numeric_values is not b.numeric_values
+    assert a.multipliers is not b.multipliers
+    shared = {"alpha11": 2j}
+    assert PeriodLattice((1, 0), (0, 1),
+                         numeric_values=shared).numeric_values is not shared
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site (and any .pth imports) out of the measurement
+    src = os.path.dirname(os.path.dirname(tropcount.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, tropcount.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -5,8 +5,8 @@ import pytest
 
 from tropcount.errors import ConstraintError
 from tropcount.valuegroup import (EqualityMode, MulValue, mv_eval_numeric,
-                                  mv_inv, mv_is_one, mv_mul, mv_pow, mv_root,
-                                  mv_substitute)
+                                  mv_inv, mv_is_one, mv_mul, mv_pow, mv_prod,
+                                  mv_root, mv_substitute)
 
 
 def test_constructors_and_identity():
@@ -110,6 +110,12 @@ def test_is_one_numeric_margins():
     ok, _ = mv_is_one(sym, EqualityMode.NUMERIC,
                       numeric_values={"x": 2.0}, tolerance=1e-9)
     assert ok is False
+    # an evaluation that overflows or meets NaN decides nothing
+    for value, power in ((1e150, 3), (1e-150, -3), (float("nan"), 1)):
+        ok, cert = mv_is_one(MulValue.symbol("x", power),
+                             EqualityMode.NUMERIC,
+                             numeric_values={"x": value})
+        assert ok is None and "not finite" in cert
 
 
 def test_exact_mode_requires_resolvable_symbols():
@@ -133,3 +139,24 @@ def test_serialization_round_trip():
             v = mv_mul(v, MulValue.phase_turns(
                 Fraction(rng.randrange(8), 8)))
         assert MulValue.from_dict(v.to_dict()) == v
+
+
+def _random_value(rng: random.Random) -> MulValue:
+    v = MulValue.symbol(rng.choice("abc"), Fraction(rng.randrange(-6, 7), 2))
+    v = mv_mul(v, MulValue.rational(Fraction(rng.randrange(-20, 21) or 1,
+                                             rng.randrange(1, 20))))
+    return mv_mul(v, MulValue.phase_turns(Fraction(rng.randrange(12), 12)))
+
+
+def test_prod_equals_chained_mul_and_pow():
+    rng = random.Random(17)
+    for _ in range(200):
+        pairs = [(_random_value(rng), rng.randrange(-4, 5))
+                 for _ in range(rng.randrange(0, 6))]
+        chained = MulValue.identity()
+        for value, exponent in pairs:
+            if exponent:
+                chained = chained * mv_pow(value, exponent)
+        product = mv_prod(pairs)
+        assert product == chained
+        assert repr(product) == repr(chained)
