@@ -4,9 +4,10 @@ Commands operate on JSON curve files (see curvefile) and print a report,
 human-readable by default or machine-readable with --json.  Output is
 byte-identical for identical inputs, flags and seeds.
 
-Exit codes: 0 success, 1 I/O or parse error, 2 invalid curve, 3 geometric
-degeneracy (no generic offset found), 4 infeasible or unrealizable,
-5 violated precondition (wrong marks, non-rigid, undecided equality, ...).
+Exit codes: 0 success, 1 I/O or parse error, 2 invalid curve (a marked
+point with t outside (0, 1) included), 3 geometric degeneracy (no generic
+offset found), 4 infeasible or unrealizable, 5 violated precondition
+(wrong number of marks, non-rigid, undecided equality, ...).
 
 The default equality mode comes from the curve file (the form of its
 multipliers); the TROPCOUNT_MODE environment variable and the --mode flag
@@ -215,7 +216,10 @@ def _parse_check_value(raw, index: int, numeric_table: dict, what: str):
         value = parse_rational(raw, what)
         if value == 0:
             raise ParseError(f"{what}: zero is not invertible")
-        return MulValue.rational(value)
+        try:
+            return MulValue.rational(value)
+        except ValueError as exc:
+            raise ParseError(f"{what}: {exc}") from exc
     if isinstance(raw, dict):
         if "modulus" in raw:
             return parse_polar(raw, what)
@@ -246,7 +250,7 @@ def cmd_prelog(args) -> int:
                 doc = json.load(handle)
         except OSError as exc:
             raise ParseError(f"cannot read {args.check}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise ParseError(f"{args.check}: not valid JSON: {exc}") from exc
         flags_doc = doc.get("flags") if isinstance(doc, dict) else None
         if not isinstance(flags_doc, dict):

@@ -168,6 +168,19 @@ class TropicalCurve(Record):
     def _report(self) -> ValidationReport:
         return validate(self)
 
+    @cached_property
+    def _clean_pass(self) -> tuple[FracVec2, list[Crossing]]:
+        # the canonical offset and its crossings (see canonical_offset)
+        last_error: DegeneracyError | None = None
+        for offset in offset_sequence():
+            try:
+                return offset, crossings(self, offset)
+            except DegeneracyError as exc:
+                last_error = exc
+        raise DegeneracyError(
+            f"no usable offset found in the retry sequence; last: "
+            f"{last_error}")
+
     def vertex(self, vid: str) -> Vertex:
         try:
             return self._vertex_index[vid]
@@ -179,9 +192,6 @@ class TropicalCurve(Record):
             return self._edge_index[eid]
         except KeyError:
             raise KeyError(f"no edge {eid!r}") from None
-
-    def incident_edges(self, vid: str) -> list[Edge]:
-        return [e for e in self.edges if vid in (e.tail, e.head)]
 
     def outgoing_vector(self, vid: str, e: Edge) -> Vec2:
         """Weight vector of e oriented away from vertex vid."""
@@ -526,26 +536,25 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
         start = scoords[e.tail]
         disp = lat.to_lattice_coords(
             (e.length * e.weight_vector[0], e.length * e.weight_vector[1]))
-        end = (start[0] + disp[0], start[1] + disp[1])
-        # end is the head lift translated back by the deck shift, so its
-        # fractional parts are the head's: no new degeneracy check needed.
+        # start + disp is the head lift translated back by the deck shift,
+        # so its fractional parts are the head's: no new degeneracy check
+        # needed at the end of the segment.
         for axis, side in ((0, "B1"), (1, "B2")):
-            lo = (start[axis] - (o1, o2)[axis])
-            hi = (end[axis] - (o1, o2)[axis])
+            lo = start[axis] - (o1, o2)[axis]
+            hi = lo + disp[axis]
             net = math.floor(hi) - math.floor(lo)
             if net == 0:
                 continue
-            step = 1 if net > 0 else -1
+            # The walls crossed are the integers w strictly between lo and
+            # hi; at w the other coordinate (less its offset) is
+            # c + k*r with k = w - first.  A corner is an integral value.
             first = math.floor(min(lo, hi)) + 1
-            for k in range(abs(net)):
-                # lattice-coordinate value where the wall is crossed
-                wall = first + k
-                t = (wall - lo) / (hi - lo)
-                other = start[1 - axis] + t * (end[1 - axis] - start[1 - axis])
-                if (other - (o1, o2)[1 - axis]).denominator == 1:
-                    raise DegeneracyError(
-                        f"edge {e.id} crosses a cell corner for offset "
-                        f"({o1}, {o2})")
+            r = disp[1 - axis] / disp[axis]
+            c = start[1 - axis] - (o1, o2)[1 - axis] + (first - lo) * r
+            if _integral_within(c, r, abs(net)):
+                raise DegeneracyError(
+                    f"edge {e.id} crosses a cell corner for offset "
+                    f"({o1}, {o2})")
             sign = 1 if net > 0 else -1
             out.append(Crossing(
                 edge=e.id,
@@ -555,6 +564,28 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
                                 sign * e.weight_vector[1]),
             ))
     return out
+
+
+def _integral_within(c: Fraction, r: Fraction, n: int) -> bool:
+    """Whether c + k*r is an integer for some integer k with 0 <= k < n.
+
+    Over the common denominator L this is the congruence
+    k*R = -C (mod L), solved in closed form.
+
+    >>> _integral_within(Fraction(1, 3), Fraction(1, 3), 3)
+    True
+    >>> _integral_within(Fraction(1, 3), Fraction(1, 3), 2)
+    False
+    """
+    den = math.lcm(c.denominator, r.denominator)
+    cc = c.numerator * (den // c.denominator)
+    rr = r.numerator * (den // r.denominator)
+    g = math.gcd(rr, den)
+    if cc % g:
+        return False
+    m = den // g
+    k = 0 if m == 1 else -cc // g * pow(rr // g, -1, m) % m
+    return k < n
 
 
 def offset_sequence(limit: int = 25):
@@ -571,13 +602,19 @@ def offset_sequence(limit: int = 25):
 
 
 def canonical_offset(curve: TropicalCurve) -> FracVec2:
-    """First offset in the retry sequence that avoids all degeneracies."""
-    last_error: DegeneracyError | None = None
-    for offset in offset_sequence():
-        try:
-            crossings(curve, offset)
-            return offset
-        except DegeneracyError as exc:
-            last_error = exc
-    raise DegeneracyError(
-        f"no usable offset found in the retry sequence; last: {last_error}")
+    """First offset in the retry sequence that avoids all degeneracies.
+
+    The curve is immutable, so it keeps this offset together with its
+    crossings, and offset_crossings hands them out without a second pass.
+    """
+    return curve._clean_pass[0]
+
+
+def offset_crossings(curve: TropicalCurve, offset) -> list[Crossing]:
+    """crossings(curve, offset), reusing the pass canonical_offset made
+    when offset is the canonical one and it was already found."""
+    # the cached property is in the instance dict once it has been found
+    found = vars(curve).get("_clean_pass")
+    if found is not None and found[0] == offset:
+        return list(found[1])
+    return crossings(curve, offset)

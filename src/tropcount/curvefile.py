@@ -30,12 +30,20 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 
 from .curve import (ALPHA_KEYS, Edge, MarkedPoint, PeriodLattice,
                     TropicalCurve, Vertex)
 from .errors import ParseError
 from .valuegroup import EqualityMode, MulValue
+
+
+#: largest decimal exponent accepted in a rational string such as "1e-5";
+#: Fraction would otherwise build 10**exponent, whatever its size
+MAX_DECIMAL_EXPONENT = 1000
+
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
 
 
 def parse_rational(value, what: str = "value") -> Fraction:
@@ -45,6 +53,11 @@ def parse_rational(value, what: str = "value") -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            exponent = _EXPONENT.search(value)
+            if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+                raise ParseError(
+                    f"{what}: decimal exponent outside "
+                    f"[-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{what}: bad rational {value!r}: {exc}") from exc
@@ -84,7 +97,10 @@ def parse_polar(entry, what: str = "value") -> MulValue:
     turns = parse_rational(_require(entry, "turns", what), f"{what}.turns")
     if modulus <= 0:
         raise ParseError(f"{what}: modulus must be positive")
-    return MulValue.polar(modulus, turns)
+    try:
+        return MulValue.polar(modulus, turns)
+    except ValueError as exc:
+        raise ParseError(f"{what}: {exc}") from exc
 
 
 def format_rational(value: Fraction) -> str:
@@ -303,7 +319,7 @@ def _polar_modulus(value: MulValue) -> Fraction:
 def loads_curve(text: str) -> tuple[TropicalCurve, list[MarkedPoint]]:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ParseError(f"not valid JSON: {exc}") from exc
     return curve_from_dict(doc)
 

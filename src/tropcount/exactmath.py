@@ -5,15 +5,14 @@ Everything here works over arbitrary-precision Python ints and
 small toolkit the rest of the package leans on:
 
 * extended gcd with Bezout certificate,
-* Hermite normal form (row style, with unimodular transform),
-* Smith normal form with both unimodular transforms,
+* Smith normal form with both unimodular transforms, computed on sparse
+  rows and columns,
 * one sparse, fraction-free row echelon routine behind rational rank and
   rational nullspace (rows scaled to integers, kept as {column: int}),
-* exact determinant (Bareiss),
-* linear Diophantine systems (particular solution + integer kernel basis).
+* exact determinant (Bareiss).
 
-Matrices are plain lists of lists of ints (or Fractions for the rational
-helpers); rows are the outer index.
+Matrices passed in and returned are plain lists of lists of ints (or
+Fractions for the rational helpers); rows are the outer index.
 """
 
 from __future__ import annotations
@@ -84,10 +83,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                     acc[j] += v * brow[j]
         out.append(acc)
     return out
-
-
-def mat_vec(a: IntMatrix, v: list) -> list:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
 def mat_shape(a: IntMatrix) -> tuple[int, int]:
@@ -196,63 +191,6 @@ def nullspace_rational(a) -> list[list[Fraction]]:
     return basis
 
 
-def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row-style Hermite normal form.
-
-    Returns (U, H) with U unimodular, H = U*A in row echelon form, pivots
-    positive, and entries above each pivot reduced into [0, pivot).
-
-    >>> U, H = hnf([[2, 4], [6, 8]])
-    >>> H
-    [[2, 0], [0, 4]]
-    >>> from tropcount.exactmath import mat_mul
-    >>> mat_mul(U, [[2, 4], [6, 8]]) == H
-    True
-    """
-    h = mat_copy(a)
-    nrows, ncols = mat_shape(h)
-    u = mat_identity(nrows)
-    row = 0
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        # Clear the column below `row` by gcd steps, keeping everything exact.
-        while True:
-            nonzero = [i for i in range(row, nrows) if h[i][col] != 0]
-            if not nonzero:
-                break
-            # Bring the entry of minimal absolute value to the pivot row.
-            best = min(nonzero, key=lambda i: abs(h[i][col]))
-            if best != row:
-                h[row], h[best] = h[best], h[row]
-                u[row], u[best] = u[best], u[row]
-            if all(h[i][col] == 0 for i in range(row + 1, nrows)):
-                break
-            p = h[row][col]
-            if p < 0:
-                h[row] = [-x for x in h[row]]
-                u[row] = [-x for x in u[row]]
-                p = -p
-            for i in range(row + 1, nrows):
-                if h[i][col] != 0:
-                    q = _round_div(h[i][col], p)
-                    if q:
-                        h[i] = [x - q * y for x, y in zip(h[i], h[row])]
-                        u[i] = [x - q * y for x, y in zip(u[i], u[row])]
-        if h[row][col] != 0:
-            if h[row][col] < 0:
-                h[row] = [-x for x in h[row]]
-                u[row] = [-x for x in u[row]]
-            p = h[row][col]
-            for i in range(row):
-                q = h[i][col] // p
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[row])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[row])]
-            row += 1
-    return u, h
-
-
 def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Smith normal form with transforms.
 
@@ -264,11 +202,30 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     >>> U, S, V = snf([[2, 0], [0, 3]])
     >>> [S[i][i] for i in range(2)]
     [1, 6]
+
+    The work is sparse; the result is dense.  S and U are held as rows
+    {column: nonzero int} and V as columns {row: nonzero int}, so a row or
+    column operation costs the nonzeros it touches, and swapping two
+    columns of V swaps two references.  At step t, rows and columns before
+    t are finished (diagonal), so
+
+    * rows t and below hold nonzeros only in columns t and up: the pivot
+      scan and the divisibility check read a row's values directly, and a
+      column swap visits only rows t and below;
+    * the column phase runs once column t is zero below the pivot, so
+      subtracting q times column t from column j changes only s[t][j] in
+      S (and column j of V).
+
+    Ties are broken by the first row, then the first column, in index
+    order, so the operation sequence and the transforms are those of the
+    dense elimination.
     """
-    s = mat_copy(a)
-    nrows, ncols = mat_shape(s)
-    u = mat_identity(nrows)
-    v = mat_identity(ncols)
+    nrows = len(a)
+    ncols = len(a[0]) if a else 0
+    s = [{j: x for j, x in enumerate(row) if x} for row in a]
+    u = [{i: 1} for i in range(nrows)]
+    v = [{j: 1} for j in range(ncols)]
+    t = 0
 
     def swap_rows(i, j):
         if i != j:
@@ -277,25 +234,25 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     def swap_cols(i, j):
         if i != j:
-            for row in s:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            for k in range(t, nrows):
+                row = s[k]
+                x = row.pop(i, 0)
+                y = row.pop(j, 0)
+                if y:
+                    row[i] = y
+                if x:
+                    row[j] = x
+            v[i], v[j] = v[j], v[i]
 
-    def add_row(src, dst, q):
-        # row_dst -= q * row_src
-        if q:
-            s[dst] = [x - q * y for x, y in zip(s[dst], s[src])]
-            u[dst] = [x - q * y for x, y in zip(u[dst], u[src])]
+    def sub(dst, src, q):
+        # dst -= q * src, keeping only nonzeros
+        for j, y in src.items():
+            x = dst.get(j, 0) - q * y
+            if x:
+                dst[j] = x
+            else:
+                del dst[j]
 
-    def add_col(src, dst, q):
-        if q:
-            for row in s:
-                row[dst] -= q * row[src]
-            for row in v:
-                row[dst] -= q * row[src]
-
-    t = 0
     while t < min(nrows, ncols):
         # Locate the first (row-major) minimal-absolute-value nonzero entry
         # in s[t:, t:]; nothing nonzero is smaller than 1, so a 1 ends the
@@ -303,7 +260,7 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         pivot = None
         best = 0
         for i in range(t, nrows):
-            val = min(map(abs, filter(None, s[i][t:])), default=0)
+            val = min(map(abs, s[i].values()), default=0)
             if val and (not best or val < best):
                 best, pivot = val, i
                 if val == 1:
@@ -312,31 +269,43 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             break
         row = s[pivot]
         swap_rows(t, pivot)
-        swap_cols(t, next(j for j in range(t, ncols) if abs(row[j]) == best))
+        swap_cols(t, min(j for j, x in row.items() if abs(x) == best))
         # Clear row and column t by gcd descent.  Quotients round to the
         # nearest integer so every remainder is at most half the pivot, and
         # the smallest remainder is promoted to pivot before retrying; both
         # measures keep intermediate entries from ballooning.
         while True:
-            if s[t][t] < 0:
-                s[t] = [-x for x in s[t]]
-                u[t] = [-x for x in u[t]]
-            p = s[t][t]
-            col = [i for i in range(t + 1, nrows) if s[i][t]]
+            st = s[t]
+            if st[t] < 0:
+                s[t] = st = {j: -x for j, x in st.items()}
+                u[t] = {j: -x for j, x in u[t].items()}
+            p = st[t]
+            col = [i for i in range(t + 1, nrows) if t in s[i]]
             if col:
                 for i in col:
-                    add_row(t, i, _round_div(s[i][t], p))
-                rest = [i for i in range(t + 1, nrows) if s[i][t]]
+                    q = _round_div(s[i][t], p)
+                    if q:
+                        sub(s[i], st, q)
+                        sub(u[i], u[t], q)
+                rest = [i for i in col if t in s[i]]
                 if rest:
                     swap_rows(t, min(rest, key=lambda i: abs(s[i][t])))
                 continue
-            row_ = [j for j in range(t + 1, ncols) if s[t][j]]
+            row_ = sorted(j for j in st if j > t)
             if row_:
                 for j in row_:
-                    add_col(t, j, _round_div(s[t][j], p))
-                rest = [j for j in range(t + 1, ncols) if s[t][j]]
+                    q = _round_div(st[j], p)
+                    if q:
+                        # column t of S is p e_t here
+                        x = st[j] - q * p
+                        if x:
+                            st[j] = x
+                        else:
+                            del st[j]
+                        sub(v[j], v[t], q)
+                rest = [j for j in row_ if j in st]
                 if rest:
-                    swap_cols(t, min(rest, key=lambda j: abs(s[t][j])))
+                    swap_cols(t, min(rest, key=lambda j: abs(st[j])))
                 continue
             break
         # Enforce divisibility d_t | every remaining entry (always true for
@@ -344,97 +313,41 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         p = s[t][t]
         bad = None if p == 1 else next(
             (i for i in range(t + 1, nrows)
-             if any(x % p for x in s[i][t + 1:])), None)
+             if any(x % p for x in s[i].values())), None)
         if bad is None:
             t += 1
         else:
-            add_row(bad, t, -1)
-    return u, s, v
+            sub(s[t], s[bad], -1)
+            sub(u[t], u[bad], -1)
+    # Densify, releasing each sparse row or column once it is copied so
+    # that both forms of a matrix are never held whole at once.
+    return _dense_rows(u, nrows), _dense_rows(s, ncols), _dense_columns(v)
+
+
+def _dense_rows(rows: list[dict[int, int]], width: int) -> IntMatrix:
+    out = []
+    for i, sparse in enumerate(rows):
+        row = [0] * width
+        for j, x in sparse.items():
+            row[j] = x
+        rows[i] = None
+        out.append(row)
+    return out
+
+
+def _dense_columns(cols: list[dict[int, int]]) -> IntMatrix:
+    out = [[0] * len(cols) for _ in cols]
+    for j, sparse in enumerate(cols):
+        for i, x in sparse.items():
+            out[i][j] = x
+        cols[j] = None
+    return out
 
 
 def snf_diagonal(a: IntMatrix) -> list[int]:
     """The invariant factors d_1 | d_2 | ... (nonnegative, zeros trailing)."""
     _, s, _ = snf(a)
     return [s[i][i] for i in range(min(mat_shape(s)))]
-
-
-def linear_diophantine_solve(
-    a: IntMatrix, b: list[int]
-) -> tuple[list[int], list[list[int]]] | None:
-    """Solve A x = b over the integers.
-
-    Returns (x0, kernel_basis) where x0 is one particular solution and
-    kernel_basis spans {x : A x = 0}, or None when no integer solution
-    exists.
-
-    >>> linear_diophantine_solve([[2]], [3]) is None
-    True
-    >>> x0, ker = linear_diophantine_solve([[2, 3]], [1])
-    >>> 2 * x0[0] + 3 * x0[1]
-    1
-    >>> [2 * k[0] + 3 * k[1] for k in ker]
-    [0]
-    """
-    nrows, ncols = mat_shape(a)
-    if nrows != len(b):
-        raise ValueError("dimension mismatch between matrix and right side")
-    u, s, v = snf(a)
-    c = mat_vec(u, b)
-    z = [0] * ncols
-    r = 0
-    for i in range(min(nrows, ncols)):
-        d = s[i][i]
-        if d != 0:
-            if c[i] % d != 0:
-                return None
-            z[i] = c[i] // d
-            r = i + 1
-    for i in range(r, nrows):
-        if c[i] != 0:
-            return None
-    x0 = mat_vec(v, z)
-    kernel = []
-    for j in range(r, ncols):
-        kernel.append([v[i][j] for i in range(ncols)])
-    return x0, kernel
-
-
-def solve_rational(a, b) -> list[Fraction] | None:
-    """Solve A x = b over the rationals (unique-solution or least guess).
-
-    A may be any shape; returns one solution or None when inconsistent.
-    Used for small 2x2 systems (period-coordinate changes), so plain
-    Gauss-Jordan on Fractions is fine.
-    """
-    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(a, b)]
-    nrows = len(rows)
-    ncols = len(a[0]) if a else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(nrows):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, nrows):
-        if rows[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = rows[r][ncols]
-    return x
 
 
 def gcd_list(values) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .curve import (Edge, MarkedPoint, TropicalCurve, ensure_valid, subdivide)
+from .curve import MarkedPoint, TropicalCurve, ensure_valid, subdivide
 from .errors import ConstraintError, InfeasibleError
 from .exactmath import (IntMatrix, det_int, nullspace_rational, rank_rational,
                         snf)
@@ -182,12 +182,21 @@ def kernel_order_gcstar(
     out, so the kernel is finite exactly when the corank of D equals the
     number of such vertices, and the order is the product of the nonzero
     invariant factors of D.
+
+    The pinning rows of D are distinct unit rows, so row operations with
+    them clear the pinned columns of F, and D is equivalent to the
+    identity on those columns next to F with them deleted.  The invariant
+    factors of D are therefore one 1 per pinning row followed by those of
+    the reduced F, which is all the Smith form is computed on.
     """
     gamma, marked_ids = subdivide(curve, marks)
-    d = build_D(gamma, marked_ids)
-    _, s, _ = snf(d)
-    diag = [s[i][i] for i in range(min(len(s), len(s[0]) if s else 0))]
-    nonzero = [x for x in diag if x != 0]
+    index = {v.id: i for i, v in enumerate(gamma.vertices)}
+    pinned = {2 * index[vid] + k for vid in marked_ids for k in (0, 1)}
+    keep = [j for j in range(2 * len(gamma.vertices)) if j not in pinned]
+    f = [[row[j] for j in keep] for row in build_F(gamma)]
+    _, s, _ = snf(f)
+    nonzero = [1] * len(pinned) + [
+        x for x in (s[i][i] for i in range(min(len(f), len(keep)))) if x]
     corank = 2 * len(gamma.vertices) - len(nonzero)
     slides = sum(
         1 for v in gamma.vertices

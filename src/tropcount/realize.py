@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curve import (TropicalCurve, Vec2, canonical_offset, crossings,
-                    ensure_valid)
+from .curve import (TropicalCurve, Vec2, canonical_offset, ensure_valid,
+                    offset_crossings)
 from .errors import ConstraintError
 from .record import Record
 from .valuegroup import EqualityMode, MulValue, mv_is_one, mv_mul, mv_pow
@@ -76,12 +76,13 @@ def sigma_geometric(curve: TropicalCurve, offset=None) -> MulValue:
     Every transversal crossing of a B1 (resp. B2) wall contributes the
     character chi1 (resp. chi2) of the edge's weight vector oriented from
     the inside of the cell to the outside.  The offset defaults to the
-    first non-degenerate one in the deterministic retry sequence.
+    first non-degenerate one in the deterministic retry sequence; the
+    crossings found while choosing it are not walked again.
     """
     if offset is None:
         offset = canonical_offset(curve)
     out = MulValue.identity()
-    for c in crossings(curve, offset):
+    for c in offset_crossings(curve, offset):
         family = 1 if c.side == "B1" else 2
         out = mv_mul(out, mv_pow(chi(curve, family, c.outward_vector),
                                  abs(c.signed_count)))

@@ -17,20 +17,20 @@ from . import catalog
 from .curve import (MarkedPoint, PeriodLattice, TropicalCurve, offset_sequence,
                     relift, subdivide, transform)
 from .curvefile import dumps_curve
-from .errors import ConstraintError, DegeneracyError, ParseError
+from .errors import DegeneracyError, ParseError
 from .exactmath import det_int, mat_mul, rank_rational, snf
 from .moduli import (build_D, count_curves, deformation_ranks,
-                     dual_flag_space, edge_weight_product,
-                     kernel_order_bruteforce, kernel_order_gcstar,
-                     rigidity_check, smallest_maximal_minor)
+                     dual_flag_space, kernel_order_bruteforce,
+                     kernel_order_gcstar, rigidity_check,
+                     smallest_maximal_minor)
 from .prelog import (VertexModel, assemble_system, left_kernel_vector,
                      prelog_exists, solve_monomial, solve_root_congruence,
                      verify_assignment)
-from .realize import (is_realizable, parity_exponent, realizability_target,
-                      sigma_cocycle, sigma_geometric)
+from .realize import (is_realizable, realizability_target, sigma_cocycle,
+                      sigma_geometric)
 from .record import Record
 from .valuegroup import (EqualityMode, MulValue, mv_eval_numeric, mv_inv,
-                         mv_is_one, mv_pow)
+                         mv_pow)
 
 ALPHA_KEYS = ("alpha11", "alpha12", "alpha21", "alpha22")
 

@@ -49,16 +49,58 @@ UNDECIDED_FACTOR = 100
 DEFAULT_TOLERANCE = 1e-9
 
 
+#: trial division runs up to this bound; what is left must be 1 or a prime
+TRIAL_DIVISION_BOUND = 1 << 20
+
+#: Miller-Rabin with the first 13 prime bases is deterministic below this
+#: bound (Sorenson and Webster, Math. Comp. 2017)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin for odd 3 < n < _MILLER_RABIN_BOUND.
+
+    >>> [_is_prime(n) for n in (1000000000000000003, 1000000000000000001)]
+    [True, False]
+    """
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _factorize(n: int) -> dict[int, int]:
-    """Prime factorization of a positive integer by trial division."""
+    """Prime factorization of a positive integer.
+
+    Trial division runs up to TRIAL_DIVISION_BOUND.  A cofactor left
+    beyond that is prime when it is below the bound's square, or when
+    deterministic Miller-Rabin says so; any other cofactor raises
+    ValueError, so the time spent is bounded whatever n is.
+    """
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_DIVISION_BOUND:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
     if n > 1:
+        if d * d <= n and not (n < _MILLER_RABIN_BOUND and _is_prime(n)):
+            raise ValueError(
+                f"cannot factor {n}: no prime factor up to "
+                f"{TRIAL_DIVISION_BOUND}, and it is not a provable prime "
+                f"below {_MILLER_RABIN_BOUND}")
         out[n] = out.get(n, 0) + 1
     return out
 

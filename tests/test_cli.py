@@ -2,10 +2,14 @@ import json
 import os
 import random
 import shutil
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+import tropcount
 from tropcount import catalog
 from tropcount.cli import main
 from tropcount.curve import MarkedPoint, TropicalCurve
@@ -186,6 +190,89 @@ def test_hostile_check_value_exits_1(value, tmp_path, capsys):
     code = main(["prelog", str(tmp_path / "theta_exact.json"),
                  "--check", str(check)])
     _assert_one_error_line(code, capsys)
+
+
+def _golden_doc(**e1_fields) -> dict:
+    """The golden theta_exact.json with fields of edge e1 replaced; a value
+    of None deletes the field."""
+    with open(os.path.join(GOLDEN, "theta_exact.json"),
+              encoding="utf-8") as handle:
+        doc = json.load(handle)
+    e1 = next(e for e in doc["edges"] if e["id"] == "e1")
+    for key, value in e1_fields.items():
+        if value is None:
+            del e1[key]
+        else:
+            e1[key] = value
+    return doc
+
+
+def _run_timed(argv, tmp_path, doc=None, text=None):
+    """Run the CLI in a child process (so that a hang is cut off) and
+    return (exit code, stderr, seconds)."""
+    path = tmp_path / "curve.json"
+    path.write_text(text if text is not None else json.dumps(doc),
+                    encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(tropcount.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "tropcount.cli", *argv, str(path)],
+        env=env, capture_output=True, text=True, timeout=HOSTILE_SECONDS)
+    return proc.returncode, proc.stderr, time.perf_counter() - start
+
+
+#: wall-time bound of one hostile-input run; each used to take minutes
+HOSTILE_SECONDS = 10
+
+
+def _modulus_doc(modulus: str) -> dict:
+    doc = _golden_doc()
+    doc["multipliers"]["alpha11"]["modulus"] = modulus
+    return doc
+
+
+@pytest.mark.parametrize("doc,text", [
+    (_golden_doc(length="1e100000000"), None),
+    (_modulus_doc(str(1048583 * 1048589)), None),
+    (_modulus_doc(str(2 ** 89 - 1)), None),
+    (None, json.dumps(_golden_doc()).replace(
+        '"weight_vector": [1, 0]', '"weight_vector": [1' + "0" * 5000
+        + ', 0]', 1)),
+], ids=["length-1e100000000", "modulus-two-large-primes",
+        "modulus-unprovable-prime", "json-int-5001-digits"])
+def test_hostile_input_refused_in_bounded_time(doc, text, tmp_path):
+    code, err, seconds = _run_timed(["realizable"], tmp_path, doc, text)
+    assert (code, err.count("\n")) == (1, 1), err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert seconds < HOSTILE_SECONDS
+
+
+@pytest.mark.parametrize("command", ["realizable", "count"])
+@pytest.mark.parametrize("doc", [
+    _modulus_doc("1000000000000000003"),
+    _golden_doc(length="1000000", shift=None),
+], ids=["modulus-large-prime", "edge-length-1000000"])
+def test_hostile_input_answered_in_bounded_time(doc, command, tmp_path):
+    # a prime modulus is proven prime instead of trial-divided; a long
+    # edge's wall crossings are counted, not walked one by one
+    code, err, seconds = _run_timed([command], tmp_path, doc)
+    assert code in (0, 4)
+    assert "Traceback" not in err and err.count("\n") <= 1
+    assert seconds < HOSTILE_SECONDS
+
+
+def test_mark_outside_edge_exits_2(tmp_path, capsys):
+    # t must lie in (0, 1); a mark outside makes the subdivided curve
+    # invalid, which is exit code 2 (invalid curve), not 5
+    doc = _golden_doc()
+    doc["marked_points"][0]["t"] = "3/2"
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["count", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "outside (0, 1)" in err
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["count", "prelog"])

@@ -293,3 +293,94 @@ def test_offset_sequence_is_deterministic_and_generic():
     assert first == second
     assert len(first) == 10
     assert len(set(first)) == 10
+
+
+def _crossings_reference(curve, offset):
+    """crossings with its per-wall corner loop: the version the closed-form
+    congruence test replaced, kept as its reference."""
+    lat = curve.lattice
+    o1, o2 = Fraction(offset[0]), Fraction(offset[1])
+    scoords = {}
+    for v in curve.vertices:
+        s1, s2 = lat.to_lattice_coords(v.position)
+        if (s1 - o1).denominator == 1:
+            raise DegeneracyError(
+                f"vertex {v.id} lies on a B1 wall for offset ({o1}, {o2})")
+        if (s2 - o2).denominator == 1:
+            raise DegeneracyError(
+                f"vertex {v.id} lies on a B2 wall for offset ({o1}, {o2})")
+        scoords[v.id] = (s1, s2)
+    out = []
+    for e in curve.edges:
+        start = scoords[e.tail]
+        disp = lat.to_lattice_coords(
+            (e.length * e.weight_vector[0], e.length * e.weight_vector[1]))
+        end = (start[0] + disp[0], start[1] + disp[1])
+        for axis, side in ((0, "B1"), (1, "B2")):
+            lo = (start[axis] - (o1, o2)[axis])
+            hi = (end[axis] - (o1, o2)[axis])
+            net = math.floor(hi) - math.floor(lo)
+            if net == 0:
+                continue
+            first = math.floor(min(lo, hi)) + 1
+            for k in range(abs(net)):
+                wall = first + k
+                t = (wall - lo) / (hi - lo)
+                other = start[1 - axis] + t * (end[1 - axis] - start[1 - axis])
+                if (other - (o1, o2)[1 - axis]).denominator == 1:
+                    raise DegeneracyError(
+                        f"edge {e.id} crosses a cell corner for offset "
+                        f"({o1}, {o2})")
+            sign = 1 if net > 0 else -1
+            out.append(tropcount.curve.Crossing(
+                edge=e.id, side=side, signed_count=net,
+                outward_vector=(sign * e.weight_vector[0],
+                                sign * e.weight_vector[1])))
+    return out
+
+
+def _lengthen(curve, rng):
+    """The curve with one edge made longer by a multiple that keeps the
+    derived deck shift integral, so that it crosses many walls."""
+    e = rng.choice(curve.edges)
+    lat = curve.lattice
+    extra = rng.randrange(1, 12) * abs(lat.det) * e.length.denominator
+    g1, g2 = lat.to_lattice_coords(
+        (extra * e.length * e.weight_vector[0],
+         extra * e.length * e.weight_vector[1]))
+    longer = e.replace(length=(1 + extra) * e.length,
+                       shift=(e.shift[0] - int(g1), e.shift[1] - int(g2)))
+    edges = tuple(longer if x.id == e.id else x for x in curve.edges)
+    return TropicalCurve(lat, curve.vertices, edges)
+
+
+def _outcome(fn, curve, offset):
+    try:
+        return fn(curve, offset)
+    except DegeneracyError as exc:
+        return str(exc)
+
+
+def test_crossings_match_per_wall_reference():
+    # Offsets with small denominators put vertices on walls and walls
+    # through cell corners; the closed-form corner test must raise for
+    # exactly the offsets (and with the message) the wall loop did.
+    rng = random.Random(67)
+    offsets = [(Fraction(a, q), Fraction(b, r))
+               for q in (2, 3, 4, 6) for r in (2, 3, 5)
+               for a in range(1, q) for b in range(1, r)]
+    offsets += list(offset_sequence(8))
+    curves = [curve for _, curve, _ in generated_curves(rng, 20)]
+    curves += [_lengthen(curve, rng) for curve in curves]
+    corners = clean = 0
+    for curve in curves:
+        assert validate(curve).ok
+        for offset in offsets:
+            want = _outcome(_crossings_reference, curve, offset)
+            assert _outcome(crossings, curve, offset) == want, offset
+            if isinstance(want, list):
+                clean += 1
+            elif "corner" in want:
+                corners += 1
+    assert corners >= 50 and clean >= 50
+

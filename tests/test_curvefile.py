@@ -44,6 +44,16 @@ def test_parse_rational():
         parse_rational("abc")
 
 
+def test_parse_rational_bounds_decimal_exponents():
+    assert parse_rational("1e3") == 1000
+    assert parse_rational("25E-1") == Fraction(5, 2)
+    assert parse_rational("1e1000") == 10 ** 1000
+    assert parse_rational("-1.5e-1_000") == Fraction(-3, 2 * 10 ** 1000)
+    for text in ("1e1001", "1e-1001", "2.5E+100000000", "1e" + "9" * 5000):
+        with pytest.raises(ParseError):
+            parse_rational(text)
+
+
 def test_parse_theta_document():
     curve, marks = curve_from_dict(THETA_DOC)
     assert curve.lattice.mode is EqualityMode.FORMAL

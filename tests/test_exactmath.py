@@ -2,11 +2,13 @@ import random
 from fractions import Fraction
 from math import gcd
 
-from tropcount.exactmath import (_round_div, det_int, ext_gcd, gcd_list, hnf,
-                                 linear_diophantine_solve, mat_identity,
-                                 mat_mul, mat_vec, nullspace_rational,
-                                 rank_rational, snf, snf_diagonal,
-                                 solve_rational)
+from tropcount.curve import subdivide
+from tropcount.exactmath import (_round_div, det_int, ext_gcd, gcd_list,
+                                 mat_identity, mat_mul, nullspace_rational,
+                                 rank_rational, snf, snf_diagonal)
+from tropcount.moduli import build_D
+from tropcount.prelog import assemble_system
+from tropcount.selftest import base_instances, generated_curves
 
 
 def is_unimodular(m):
@@ -163,43 +165,6 @@ def test_rank_and_nullspace_match_dense_reference():
         assert all(type(x) is Fraction for vec in got for x in vec)
 
 
-def test_hnf_identity_and_shape():
-    a = [[2, 4], [6, 8]]
-    u, h = hnf(a)
-    assert is_unimodular(u)
-    assert mat_mul(u, a) == h
-    assert h == [[2, 0], [0, 4]]
-
-
-def test_hnf_random_properties():
-    rng = random.Random(5)
-    for _ in range(60):
-        nrows = rng.randrange(1, 6)
-        ncols = rng.randrange(1, 6)
-        a = [[rng.randrange(-9, 10) for _ in range(ncols)]
-             for _ in range(nrows)]
-        u, h = hnf(a)
-        assert is_unimodular(u)
-        assert mat_mul(u, a) == h
-        # echelon with positive pivots and reduced entries above
-        last = -1
-        for row in h:
-            nz = [j for j, x in enumerate(row) if x]
-            if not nz:
-                continue
-            pivot_col = nz[0]
-            assert pivot_col > last
-            last = pivot_col
-            assert row[pivot_col] > 0
-        for i, row in enumerate(h):
-            nz = [j for j, x in enumerate(row) if x]
-            if not nz:
-                continue
-            p = row[nz[0]]
-            for k in range(i):
-                assert 0 <= h[k][nz[0]] < p
-
-
 def test_snf_doc_example():
     u, s, v = snf([[2, 0], [0, 3]])
     assert [s[i][i] for i in range(2)] == [1, 6]
@@ -314,6 +279,27 @@ def test_snf_transforms_match_reference():
         assert snf(a) == _snf_reference(a), a
 
 
+def test_snf_transforms_match_reference_on_pipeline_matrices():
+    # The D matrices of the count and the exponent matrices of the prelog
+    # system, on the catalog curves and on subdivided, relifted and
+    # transformed ones, plus empty, zero, wide and tall shapes.
+    rng = random.Random(79)
+    cases = [[], [[]], [[], []], [[0] * 5 for _ in range(3)],
+             [[0], [0], [0]], [[1, -1, 0, 2, 0, 0, 3, 0, 0]],
+             [[2], [-4], [0], [6], [3], [0], [0], [9]]]
+    for nrows, ncols in ((2, 11), (11, 2), (3, 14), (14, 3)):
+        for _ in range(10):
+            cases.append([[rng.choice((0, 0, 0, 1, -1, 2, -3, 4))
+                           for _ in range(ncols)] for _ in range(nrows)])
+    for name, curve, marks in (base_instances()
+                               + generated_curves(rng, 30, keep_marks=True)):
+        gamma, ids = subdivide(curve, marks)
+        cases.append(build_D(gamma, ids))
+        cases.append(assemble_system(curve).exponents)
+    for a in cases:
+        assert snf(a) == _snf_reference(a), a
+
+
 def test_snf_zero_and_empty():
     assert snf_diagonal([[0, 0], [0, 0]]) == [0, 0]
     u, s, v = snf([[0]])
@@ -374,28 +360,6 @@ def test_snf_square_product_is_abs_det():
         for x in d:
             prod *= x
         assert prod == abs(det_int(a))
-
-
-def test_linear_diophantine_solve():
-    a = [[2, 0], [0, 3]]
-    x0, kernel = linear_diophantine_solve(a, [4, 9])
-    assert mat_vec(a, x0) == [4, 9]
-    assert kernel == []
-    assert linear_diophantine_solve(a, [1, 0]) is None
-    x0, kernel = linear_diophantine_solve([[2, 4]], [6])
-    assert mat_vec([[2, 4]], x0) == [6]
-    assert len(kernel) == 1
-    assert mat_vec([[2, 4]], kernel[0]) == [0]
-    assert linear_diophantine_solve([[2, 4]], [3]) is None
-
-
-def test_solve_rational():
-    a = [[1, 2], [3, 4]]
-    x = solve_rational(a, [5, 6])
-    assert x is not None
-    for row, rhs in zip(a, [5, 6]):
-        assert sum(Fraction(c) * xi for c, xi in zip(row, x)) == rhs
-    assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
 
 
 def test_gcd_list():

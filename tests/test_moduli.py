@@ -6,13 +6,16 @@ import pytest
 from tropcount import catalog
 from tropcount.curve import MarkedPoint, subdivide, transform
 from tropcount.errors import ConstraintError, InfeasibleError
-from tropcount.exactmath import nullspace_rational, rank_rational
+from tropcount.exactmath import (nullspace_rational, rank_rational,
+                                 snf_diagonal)
 from tropcount.moduli import (INFINITE, build_D, build_F, count_curves,
                               deformation_ranks, dual_flag_space,
                               edge_weight_product, kernel_order_bruteforce,
                               kernel_order_gcstar, rigidity_check,
                               smallest_maximal_minor)
-from tropcount.selftest import random_unimodular, tuned_exact_curve
+from tropcount.selftest import (base_instances, generated_curves,
+                                random_subdivision_points, random_unimodular,
+                                tuned_exact_curve)
 
 
 def tuned(curve, seed=4, offset=Fraction(0)):
@@ -184,6 +187,27 @@ def test_kernel_order_matches_bruteforce_on_catalog():
         d = build_D(gamma, ids)
         assert kernel_order_bruteforce(d) == \
             kernel_order_gcstar(curve, marks).order
+
+
+def test_kernel_order_factors_match_snf_of_D():
+    # The Smith form runs on F without the pinned columns; its factors
+    # with one 1 per pinning row must be those of the whole D.  Random
+    # point sets (several per edge, too few or too many) reach infinite
+    # kernels and unmarked 2-valent vertices as well.
+    rng = random.Random(73)
+    cases = base_instances() + generated_curves(rng, 40, keep_marks=True)
+    cases += [(name, curve, random_subdivision_points(rng, curve))
+              for name, curve, _ in generated_curves(rng, 30)]
+    infinite = 0
+    for name, curve, marks in cases:
+        gamma, ids = subdivide(curve, marks)
+        d = build_D(gamma, ids)
+        nonzero = tuple(x for x in snf_diagonal(d) if x)
+        result = kernel_order_gcstar(curve, marks)
+        assert result.invariant_factors == nonzero, name
+        assert result.corank == len(d[0]) - len(nonzero), name
+        infinite += not result.finite
+    assert 0 < infinite < len(cases)
 
 
 def test_kernel_order_slides_are_quotiented():

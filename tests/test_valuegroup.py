@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from tropcount.errors import ConstraintError
-from tropcount.valuegroup import (EqualityMode, MulValue, mv_eval_numeric,
+from tropcount.valuegroup import (TRIAL_DIVISION_BOUND, EqualityMode, MulValue,
+                                  _factorize, mv_eval_numeric,
                                   mv_inv, mv_is_one, mv_mul, mv_pow, mv_prod,
                                   mv_root, mv_substitute)
 
@@ -28,6 +29,43 @@ def test_rational_factorization():
 def test_rational_rejects_zero():
     with pytest.raises(ValueError):
         MulValue.rational(0)
+
+
+def _factorize_reference(n):
+    """Trial division up to the square root: the unbounded version
+    _factorize replaced, kept as its reference."""
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    rng = random.Random(83)
+    big = 1000000000000000003  # prime
+    cases = [1, 2, 3, 4, 97, 2 ** 40, 3 ** 5 * 7 ** 3, 1048583, 1048573 ** 2]
+    cases += [rng.randrange(1, 10 ** 12) for _ in range(60)]
+    cases += [rng.randrange(1, 10 ** 4) * 1048583 for _ in range(10)]
+    for n in cases:
+        assert _factorize(n) == _factorize_reference(n), n
+    assert _factorize(12 * big) == {2: 2, 3: 1, big: 1}
+    assert _factorize(big) == {big: 1}
+
+
+def test_factorize_refuses_what_it_cannot_prove():
+    # two prime factors beyond the trial bound, a square of one, and a
+    # prime past the deterministic Miller-Rabin range
+    assert TRIAL_DIVISION_BOUND < 1048583
+    for n in (1048583 * 1048589, 1000000000000000003 ** 2,
+              2 ** 89 - 1):
+        with pytest.raises(ValueError):
+            _factorize(n)
 
 
 def test_group_laws():
