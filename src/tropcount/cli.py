@@ -7,7 +7,9 @@ byte-identical for identical inputs, flags and seeds.
 Exit codes: 0 success, 1 I/O or parse error, 2 invalid curve (a marked
 point with t outside (0, 1) included), 3 geometric degeneracy (no generic
 offset found), 4 infeasible or unrealizable, 5 violated precondition
-(wrong number of marks, non-rigid, undecided equality, ...).
+(wrong number of marks, non-rigid, undecided equality, a plot over its
+size limit, ...).  Each error class carries its code as exit_code (see
+errors).
 
 The default equality mode comes from the curve file (the form of its
 multipliers); the TROPCOUNT_MODE environment variable and the --mode flag
@@ -24,23 +26,14 @@ import sys
 from .curve import canonical_offset, ensure_valid, validate
 from .curvefile import (format_rational, load_curve, parse_complex,
                         parse_polar, parse_rational)
-from .errors import (ConstraintError, DegeneracyError, InfeasibleError,
-                     ParseError, TropcountError, ValidationError)
-from .moduli import (count_curves, deformation_ranks, dual_flag_space,
+from .errors import ConstraintError, ParseError, TropcountError
+from .moduli import (count_curves, deformation_ranks, dual_flag_dimension,
                      edge_weight_product)
 from .plot import render_svg
 from .prelog import assemble_system, solve_monomial, verify_assignment
 from .realize import is_realizable, parity_exponent, sigma_cocycle, \
     sigma_geometric
 from .valuegroup import (DEFAULT_TOLERANCE, EqualityMode, MulValue)
-
-EXIT_CODES = {
-    ParseError: 1,
-    ValidationError: 2,
-    DegeneracyError: 3,
-    InfeasibleError: 4,
-    ConstraintError: 5,
-}
 
 _MODE_NAMES = {
     "formal": EqualityMode.FORMAL,
@@ -131,7 +124,7 @@ def cmd_analyze(args) -> int:
     curve, marks = load_curve(args.file)
     ensure_valid(curve)
     rank_kernel, rank_cokernel = deformation_ranks(curve)
-    dual_dim, _ = dual_flag_space(curve)
+    dual_dim = dual_flag_dimension(curve)
     report = {
         "command": "analyze",
         "file": args.file,
@@ -429,10 +422,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except TropcountError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        for klass, code in EXIT_CODES.items():
-            if isinstance(exc, klass):
-                return code
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

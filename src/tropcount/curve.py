@@ -169,6 +169,21 @@ class TropicalCurve(Record):
         return validate(self)
 
     @cached_property
+    def _vertex_lattice_coords(self) -> tuple[tuple[str, FracVec2], ...]:
+        # (id, lattice coordinates of the lift) per vertex, in vertex order;
+        # they do not depend on the offset, so every crossings pass reuses them
+        to_coords = self.lattice.to_lattice_coords
+        return tuple((v.id, to_coords(v.position)) for v in self.vertices)
+
+    @cached_property
+    def _edge_lattice_disps(self) -> tuple[FracVec2, ...]:
+        # lattice coordinates of length * weight vector, in edge order
+        to_coords = self.lattice.to_lattice_coords
+        return tuple(to_coords((e.length * e.weight_vector[0],
+                                e.length * e.weight_vector[1]))
+                     for e in self.edges)
+
+    @cached_property
     def _clean_pass(self) -> tuple[FracVec2, list[Crossing]]:
         # the canonical offset and its crossings (see canonical_offset)
         last_error: DegeneracyError | None = None
@@ -363,6 +378,27 @@ def ensure_valid(curve: TropicalCurve) -> ValidationReport:
 # --------------------------------------------------------------------------
 
 
+def marks_by_edge(
+    curve: TropicalCurve, points: list[MarkedPoint]
+) -> dict[str, list[MarkedPoint]]:
+    """The marked points grouped per edge, in the order given.
+
+    Raises ValidationError for a parameter t outside (0, 1) or two points
+    at the same t on one edge, and KeyError for an unknown edge.
+    """
+    per_edge: dict[str, list[MarkedPoint]] = {}
+    for pt in points:
+        if not 0 < pt.t < 1:
+            raise ValidationError(f"marked point t={pt.t} outside (0, 1)")
+        per_edge.setdefault(pt.edge, []).append(pt)
+    for eid, pts in per_edge.items():
+        curve.edge(eid)  # raises KeyError for unknown edges
+        ts = [p.t for p in pts]
+        if len(set(ts)) != len(ts):
+            raise ValidationError(f"duplicate marked points on edge {eid}")
+    return per_edge
+
+
 def subdivide(
     curve: TropicalCurve, points: list[MarkedPoint]
 ) -> tuple[TropicalCurve, list[str]]:
@@ -377,17 +413,7 @@ def subdivide(
     Returns the new curve and the ids of the created vertices in the order
     of `points`.
     """
-    per_edge: dict[str, list[MarkedPoint]] = {}
-    for pt in points:
-        if not 0 < pt.t < 1:
-            raise ValidationError(f"marked point t={pt.t} outside (0, 1)")
-        per_edge.setdefault(pt.edge, []).append(pt)
-    for eid, pts in per_edge.items():
-        curve.edge(eid)  # raises KeyError for unknown edges
-        ts = [p.t for p in pts]
-        if len(set(ts)) != len(ts):
-            raise ValidationError(f"duplicate marked points on edge {eid}")
-
+    per_edge = marks_by_edge(curve, points)
     new_vertices = list(curve.vertices)
     new_edges: list[Edge] = []
     created: dict[tuple[str, Fraction], str] = {}
@@ -519,23 +545,19 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
     both families; a vertex lying on a wall or a crossing through a cell
     corner raises DegeneracyError (callers retry with another offset).
     """
-    lat = curve.lattice
     o1, o2 = Fraction(offset[0]), Fraction(offset[1])
     scoords = {}
-    for v in curve.vertices:
-        s1, s2 = lat.to_lattice_coords(v.position)
+    for vid, (s1, s2) in curve._vertex_lattice_coords:
         if (s1 - o1).denominator == 1:
             raise DegeneracyError(
-                f"vertex {v.id} lies on a B1 wall for offset ({o1}, {o2})")
+                f"vertex {vid} lies on a B1 wall for offset ({o1}, {o2})")
         if (s2 - o2).denominator == 1:
             raise DegeneracyError(
-                f"vertex {v.id} lies on a B2 wall for offset ({o1}, {o2})")
-        scoords[v.id] = (s1, s2)
+                f"vertex {vid} lies on a B2 wall for offset ({o1}, {o2})")
+        scoords[vid] = (s1, s2)
     out: list[Crossing] = []
-    for e in curve.edges:
+    for e, disp in zip(curve.edges, curve._edge_lattice_disps):
         start = scoords[e.tail]
-        disp = lat.to_lattice_coords(
-            (e.length * e.weight_vector[0], e.length * e.weight_vector[1]))
         # start + disp is the head lift translated back by the deck shift,
         # so its fractional parts are the head's: no new degeneracy check
         # needed at the end of the segment.

@@ -123,17 +123,20 @@ def det_int(a: IntMatrix) -> int:
 def _echelon(a) -> dict[int, dict[int, int]]:
     """Sparse fraction-free row echelon form: {pivot column: pivot row}.
 
-    Rows are scaled to integers by the lcm of their denominators and kept
-    as {column: nonzero int}.  Each row is reduced at its leading column
-    by integer cross-multiplication with the pivot row there, and divided
-    by its content after every step, so it stays small and primitive.
+    Rows are kept as {column: nonzero int}; a row holding a non-integer
+    is first scaled to integers by the lcm of its denominators.  Each row
+    is reduced at its leading column by integer cross-multiplication with
+    the pivot row there, and divided by its content after every step, so
+    it stays small and primitive.
     """
     pivots: dict[int, dict[int, int]] = {}
     for raw in a:
-        row = {j: Fraction(x) for j, x in enumerate(raw) if x}
-        den = lcm(*(x.denominator for x in row.values()))
-        row = {j: x.numerator * (den // x.denominator)
-               for j, x in row.items()}
+        row = {j: x for j, x in enumerate(raw) if x}
+        if not all(type(x) is int for x in row.values()):
+            row = {j: Fraction(x) for j, x in row.items()}
+            den = lcm(*(x.denominator for x in row.values()))
+            row = {j: x.numerator * (den // x.denominator)
+                   for j, x in row.items()}
         while row:
             c = min(row)
             p = pivots.get(c)

@@ -23,15 +23,24 @@ weights of the unsubdivided curve (maximal 2-valent chains count once).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
-from .curve import MarkedPoint, TropicalCurve, ensure_valid, subdivide
+from .curve import (MarkedPoint, TropicalCurve, ensure_valid, marks_by_edge,
+                    subdivide)
 from .errors import ConstraintError, InfeasibleError
 from .exactmath import (IntMatrix, det_int, nullspace_rational, rank_rational,
                         snf)
 from .realize import RealizabilityReport, is_realizable
 from .record import Record
 from .valuegroup import EqualityMode
+
+# subdivide is re-exported: build_D is defined on the curve it returns
+__all__ = [
+    "INFINITE", "CountReport", "KernelOrder", "build_D", "build_F",
+    "count_curves", "deformation_ranks", "dual_flag_dimension",
+    "dual_flag_space", "edge_weight_product", "kernel_order_bruteforce",
+    "kernel_order_gcstar", "rigidity_check", "smallest_maximal_minor",
+    "subdivide",
+]
 
 INFINITE = float("inf")
 
@@ -65,6 +74,32 @@ def deformation_ranks(curve: TropicalCurve) -> tuple[int, int]:
     return 2 * len(curve.vertices) - r, len(curve.edges) - r
 
 
+def _dual_flag_rows(curve: TropicalCurve) -> list[list[int]]:
+    """Two integer rows per vertex (the x and y parts of the covector sum)
+    over one unknown per edge; see dual_flag_space."""
+    index = {e.id: j for j, e in enumerate(curve.edges)}
+    rows = []
+    for v in curve.vertices:
+        rx = [0] * len(curve.edges)
+        ry = [0] * len(curve.edges)
+        for e in curve.incident_edges_flags(v.id):
+            w = curve.outgoing_vector(v.id, e)
+            g = e.weight
+            rx[index[e.id]] += -w[1] // g
+            ry[index[e.id]] += w[0] // g
+        rows.append(rx)
+        rows.append(ry)
+    return rows
+
+
+def dual_flag_dimension(curve: TropicalCurve) -> int:
+    """Dimension of the dual flag space: unknowns minus rank of the vertex
+    conditions, without building a basis.  Equals dual_flag_space(curve)[0].
+    """
+    rows = _dual_flag_rows(curve)
+    return (len(rows[0]) if rows else 0) - rank_rational(rows)
+
+
 def dual_flag_space(curve: TropicalCurve):
     """Covector assignments dual to Coker F.
 
@@ -79,26 +114,14 @@ def dual_flag_space(curve: TropicalCurve):
     first nonzero edge coefficient is 1 (generator is None unless the
     dimension is exactly 1).
     """
-    index = {e.id: j for j, e in enumerate(curve.edges)}
-    rows = []
-    for v in curve.vertices:
-        rx = [Fraction(0)] * len(curve.edges)
-        ry = [Fraction(0)] * len(curve.edges)
-        for e in curve.incident_edges_flags(v.id):
-            w = curve.outgoing_vector(v.id, e)
-            g = e.weight
-            nx, ny = (-w[1] // g, w[0] // g)
-            rx[index[e.id]] += nx
-            ry[index[e.id]] += ny
-        rows.append(rx)
-        rows.append(ry)
-    basis = nullspace_rational(rows)
+    basis = nullspace_rational(_dual_flag_rows(curve))
     if len(basis) != 1:
         return len(basis), None
     coeffs = basis[0]
     lead = next((c for c in coeffs if c != 0), None)
     if lead:
         coeffs = [c / lead for c in coeffs]
+    index = {e.id: j for j, e in enumerate(curve.edges)}
     generator = {}
     for v in curve.vertices:
         for e in curve.incident_edges_flags(v.id):
@@ -176,8 +199,8 @@ def kernel_order_gcstar(
 ) -> KernelOrder:
     """Order of the multiplicative kernel after pinning the marked points.
 
-    The curve is subdivided at the marks; D collects the primitive-normal
-    edge conditions and the pinning rows.  Each unmarked 2-valent vertex
+    The curve subdivided at the marks has D: the primitive-normal edge
+    conditions and the pinning rows.  Each unmarked 2-valent vertex
     carries one sliding one-parameter subgroup which the count quotients
     out, so the kernel is finite exactly when the corank of D equals the
     number of such vertices, and the order is the product of the nonzero
@@ -187,21 +210,33 @@ def kernel_order_gcstar(
     them clear the pinned columns of F, and D is equivalent to the
     identity on those columns next to F with them deleted.  The invariant
     factors of D are therefore one 1 per pinning row followed by those of
-    the reduced F, which is all the Smith form is computed on.
+    the reduced F, which is all the Smith form is computed on.  Every
+    vertex the subdivision adds is pinned, so the reduced F is written
+    straight from the original edges: an unmarked edge keeps its row of
+    F; a marked edge leaves one row on its tail's columns (its first
+    piece) and one on its head's (its last piece), and the pieces
+    between two marks leave zero rows, which are omitted.  Hence the
+    corank is 2|V| - rank, and the slides are the original 2-valent
+    vertices.
     """
-    gamma, marked_ids = subdivide(curve, marks)
-    index = {v.id: i for i, v in enumerate(gamma.vertices)}
-    pinned = {2 * index[vid] + k for vid in marked_ids for k in (0, 1)}
-    keep = [j for j in range(2 * len(gamma.vertices)) if j not in pinned]
-    f = [[row[j] for j in keep] for row in build_F(gamma)]
+    marked = marks_by_edge(curve, marks)
+    index = {v.id: i for i, v in enumerate(curve.vertices)}
+    width = 2 * len(curve.vertices)
+    f = []
+    for e, row in zip(curve.edges, build_F(curve)):
+        if e.id in marked:
+            # the first piece keeps the tail's block, the last the head's
+            hi = 2 * index[e.head]
+            head_row = [0] * width
+            head_row[hi:hi + 2] = row[hi:hi + 2]
+            row[hi:hi + 2] = (0, 0)
+            f.append(head_row)
+        f.append(row)
     _, s, _ = snf(f)
-    nonzero = [1] * len(pinned) + [
-        x for x in (s[i][i] for i in range(min(len(f), len(keep)))) if x]
-    corank = 2 * len(gamma.vertices) - len(nonzero)
-    slides = sum(
-        1 for v in gamma.vertices
-        if gamma.valence(v.id) == 2 and v.id not in marked_ids
-    )
+    reduced = [x for x in (s[i][i] for i in range(min(len(f), width))) if x]
+    nonzero = [1] * (2 * len(marks)) + reduced
+    corank = width - len(reduced)
+    slides = sum(1 for v in curve.vertices if curve.valence(v.id) == 2)
     if corank < slides:
         raise AssertionError(
             "slide subgroups exceed the kernel corank; this cannot happen")

@@ -4,7 +4,9 @@ The cell is the parallelogram spanned by the two periods.  Every edge
 segment is cut at the points where it crosses a wall (an integer value of
 either lattice coordinate) and each piece is translated back into the
 cell, so wrapped edges re-enter on the opposite side.  Output is SVG 1.1,
-byte-identical for identical input.
+byte-identical for identical input.  The walls each edge crosses are
+counted in closed form first, and a drawing of more than MAX_PIECES
+pieces is refused, so a very long edge cannot make the output huge.
 """
 
 from __future__ import annotations
@@ -12,10 +14,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .curve import TropicalCurve, ensure_valid
+from .curve import FracVec2, TropicalCurve, ensure_valid
+from .errors import ConstraintError
 
 _SCALE = 120.0
 _PAD = 30.0
+
+#: most pieces a drawing may cut its edges into; a longer drawing is
+#: refused, since each piece is one polyline in the output
+MAX_PIECES = 100_000
 
 
 def _fmt(x: float) -> str:
@@ -31,15 +38,26 @@ def _point(lattice, s1: Fraction, s2: Fraction) -> tuple[float, float]:
     return float(x) * _SCALE, -float(y) * _SCALE
 
 
-def _edge_pieces(curve, edge):
-    """Pieces of the edge segment translated into the unit cell, in
-    lattice coordinates."""
+def _edge_segment(curve, edge) -> tuple[FracVec2, FracVec2]:
+    """Start and displacement of the edge segment in lattice coordinates."""
     lattice = curve.lattice
-    tail = curve.vertex(edge.tail)
-    start = lattice.to_lattice_coords(tail.position)
+    start = lattice.to_lattice_coords(curve.vertex(edge.tail).position)
     disp = lattice.to_lattice_coords(
         (edge.length * edge.weight_vector[0],
          edge.length * edge.weight_vector[1]))
+    return start, disp
+
+
+def _walls_crossed(start: FracVec2, disp: FracVec2) -> int:
+    """Walls the segment crosses, counted per axis as the difference of
+    the floors of its end points (at least the number of cuts)."""
+    return sum(abs(math.floor(start[axis] + disp[axis])
+                   - math.floor(start[axis])) for axis in (0, 1))
+
+
+def _edge_pieces(start: FracVec2, disp: FracVec2):
+    """Pieces of the edge segment translated into the unit cell, in
+    lattice coordinates."""
     cuts = {Fraction(0), Fraction(1)}
     for axis in (0, 1):
         d = disp[axis]
@@ -68,8 +86,23 @@ def _edge_pieces(curve, edge):
 
 
 def render_svg(curve: TropicalCurve) -> str:
+    """The SVG document of the curve.
+
+    Raises ConstraintError before drawing anything when the edges would
+    be cut into more than MAX_PIECES pieces.
+    """
     ensure_valid(curve)
     lattice = curve.lattice
+    segments = [_edge_segment(curve, e) for e in curve.edges]
+    walls = [_walls_crossed(*seg) for seg in segments]
+    bound = len(walls) + sum(walls)
+    if bound > MAX_PIECES:
+        n, eid = max(zip(walls, (e.id for e in curve.edges)),
+                     key=lambda pair: pair[0])
+        raise ConstraintError(
+            f"plot would cut the edges into up to {bound} pieces, over "
+            f"the limit of {MAX_PIECES}; edge {eid} alone crosses {n} "
+            f"walls")
 
     corners = [_point(lattice, Fraction(a), Fraction(b))
                for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))]
@@ -82,9 +115,9 @@ def render_svg(curve: TropicalCurve) -> str:
         f'<polygon class="cell" points="{cell_points}" fill="none" '
         'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>')
 
-    for e in curve.edges:
+    for e, segment in zip(curve.edges, segments):
         group = [f'<g class="edge" id="edge-{e.id}">']
-        pieces = _edge_pieces(curve, e)
+        pieces = _edge_pieces(*segment)
         for a, b in pieces:
             pa = _point(lattice, *a)
             pb = _point(lattice, *b)

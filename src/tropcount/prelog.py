@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain, compress
 
 from .curve import TropicalCurve, ensure_valid
 from .errors import ConstraintError
 from .exactmath import IntMatrix, ext_gcd, snf
-from .realize import chi
+from .realize import chi_product
 from .record import Record
 from .valuegroup import (EqualityMode, MulValue, mv_is_one, mv_pow, mv_prod,
                          mv_root)
@@ -65,8 +66,7 @@ def edge_rhs(curve: TropicalCurve, edge_id: str) -> MulValue:
     e = curve.edge(edge_id)
     m = e.primitive
     g1, g2 = e.shift
-    return (mv_pow(chi(curve, 1, m, reduce_by_delta=False), -g1)
-            * mv_pow(chi(curve, 2, m, reduce_by_delta=False), -g2))
+    return chi_product(curve, ((1, m, -g1), (2, m, -g2)), 1)
 
 
 def vertex_rhs(curve: TropicalCurve, vertex_id: str) -> MulValue:
@@ -165,7 +165,8 @@ def solve_monomial(
     diag = [s[i][i] for i in range(min(nrows, ncols))]
     rank = sum(1 for x in diag if x != 0)
 
-    c = [mv_prod(zip(b, row)) for row in u]
+    # U and V are dense and mostly zero; compress skips the zero entries
+    c = [mv_prod(compress(zip(b, row), row)) for row in u]
 
     witnesses = []
     feasible: bool | None = True
@@ -183,7 +184,7 @@ def solve_monomial(
         z[i] = mv_root(c[i], diag[i])
     assignment = None
     if feasible is not False:
-        assignment = [mv_prod(zip(z, row)) for row in v]
+        assignment = [mv_prod(compress(zip(z, row), row)) for row in v]
 
     kernel_free = [[v[j][k] for j in range(ncols)] for k in range(rank, ncols)]
     kernel_torsion = []
@@ -213,7 +214,8 @@ def verify_assignment(
             f"{len(system.flags)} flags")
     failures = []
     for i, row in enumerate(system.exponents):
-        ratio = mv_prod(zip(assignment, row)) / system.rhs[i]
+        ratio = mv_prod(chain(compress(zip(assignment, row), row),
+                              ((system.rhs[i], -1),)))
         verdict, certificate = mv_is_one(
             ratio, mode, numeric_values=numeric_values, tolerance=tolerance)
         if verdict is not True:

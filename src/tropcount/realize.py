@@ -24,32 +24,41 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curve import (TropicalCurve, Vec2, canonical_offset, ensure_valid,
+from .curve import (TropicalCurve, canonical_offset, ensure_valid,
                     offset_crossings)
 from .errors import ConstraintError
 from .record import Record
-from .valuegroup import EqualityMode, MulValue, mv_is_one, mv_mul, mv_pow
+from .valuegroup import EqualityMode, MulValue, mv_is_one, mv_prod
 
 
-def chi(curve: TropicalCurve, family: int, vector: Vec2,
-        reduce_by_delta: bool = True) -> MulValue:
-    """Character of one wall family applied to an integer vector.
+def chi_product(curve: TropicalCurve, terms, d: int) -> MulValue:
+    """Product of wall characters chi_family(vector) ** power over the
+    (family, vector, power) terms, with every power an integer.
 
     family 1 (walls crossed along the first period):
         (a, b) -> alpha12^(a/d) * alpha11^(-b/d)
     family 2 (walls crossed along the second period):
         (a, b) -> alpha22^(a/d) * alpha21^(-b/d)
 
-    where d is the curve's weight gcd when reduce_by_delta is set, else 1.
+    The exponents of the four multipliers are summed in integers and the
+    product is one mv_prod of four powers.  This equals the product of
+    the characters taken one by one only because each outer power is an
+    integer: an integer power commutes with reducing the phase mod 1.
     """
-    if family not in (1, 2):
-        raise ValueError("wall family must be 1 or 2")
-    a, b = vector
-    d = curve.delta if reduce_by_delta else 1
+    e11 = e12 = e21 = e22 = 0
+    for family, (a, b), power in terms:
+        if family == 1:
+            e12 += a * power
+            e11 -= b * power
+        elif family == 2:
+            e22 += a * power
+            e21 -= b * power
+        else:
+            raise ValueError("wall family must be 1 or 2")
     m = curve.lattice.multipliers
-    pos = m["alpha12"] if family == 1 else m["alpha22"]
-    neg = m["alpha11"] if family == 1 else m["alpha21"]
-    return mv_mul(mv_pow(pos, Fraction(a, d)), mv_pow(neg, Fraction(-b, d)))
+    return mv_prod((m[key], Fraction(e, d) if e % d else e // d)
+                   for key, e in (("alpha11", e11), ("alpha12", e12),
+                                  ("alpha21", e21), ("alpha22", e22)))
 
 
 def sigma_cocycle(curve: TropicalCurve) -> MulValue:
@@ -60,14 +69,12 @@ def sigma_cocycle(curve: TropicalCurve) -> MulValue:
     lifts: a relift changes the shifts by a coboundary that balancing
     cancels.
     """
-    out = MulValue.identity()
+    terms = []
     for e in curve.edges:
         g1, g2 = e.shift
-        if g1:
-            out = mv_mul(out, mv_pow(chi(curve, 1, e.weight_vector), -g1))
-        if g2:
-            out = mv_mul(out, mv_pow(chi(curve, 2, e.weight_vector), -g2))
-    return out
+        terms.append((1, e.weight_vector, -g1))
+        terms.append((2, e.weight_vector, -g2))
+    return chi_product(curve, terms, curve.delta)
 
 
 def sigma_geometric(curve: TropicalCurve, offset=None) -> MulValue:
@@ -77,32 +84,27 @@ def sigma_geometric(curve: TropicalCurve, offset=None) -> MulValue:
     character chi1 (resp. chi2) of the edge's weight vector oriented from
     the inside of the cell to the outside.  The offset defaults to the
     first non-degenerate one in the deterministic retry sequence; the
-    crossings found while choosing it are not walked again.
+    crossings found while choosing it are not walked again.  The shifts
+    are never read, so this stays independent of sigma_cocycle.
     """
     if offset is None:
         offset = canonical_offset(curve)
-    out = MulValue.identity()
-    for c in offset_crossings(curve, offset):
-        family = 1 if c.side == "B1" else 2
-        out = mv_mul(out, mv_pow(chi(curve, family, c.outward_vector),
-                                 abs(c.signed_count)))
-    return out
+    return chi_product(
+        curve,
+        ((1 if c.side == "B1" else 2, c.outward_vector, abs(c.signed_count))
+         for c in offset_crossings(curve, offset)),
+        curve.delta)
 
 
 def parity_exponent(curve: TropicalCurve) -> int:
     """Sum of w_v / delta over the 3-valent vertices, taken mod 2."""
-    d = curve.delta
-    total = 0
-    for v in curve.vertices:
-        if curve.valence(v.id) == 3:
-            w = curve.vertex_weight(v.id)
-            total += Fraction(w, d)
-    total = Fraction(total)
-    if total.denominator != 1:
+    total = sum(curve.vertex_weight(v.id) for v in curve.vertices
+                if curve.valence(v.id) == 3)
+    if total % curve.delta:
         raise ConstraintError(
             "vertex weight not divisible by the weight gcd; curve is not "
             "balanced-immersed")
-    return int(total) % 2
+    return total // curve.delta % 2
 
 
 def realizability_target(curve: TropicalCurve) -> MulValue:

@@ -14,8 +14,8 @@ import random
 from fractions import Fraction
 
 from . import catalog
-from .curve import (MarkedPoint, PeriodLattice, TropicalCurve, offset_sequence,
-                    relift, subdivide, transform)
+from .curve import (ALPHA_KEYS, MarkedPoint, PeriodLattice, TropicalCurve,
+                    offset_sequence, relift, subdivide, transform)
 from .curvefile import dumps_curve
 from .errors import DegeneracyError, ParseError
 from .exactmath import det_int, mat_mul, rank_rational, snf
@@ -31,8 +31,6 @@ from .realize import (is_realizable, realizability_target, sigma_cocycle,
 from .record import Record
 from .valuegroup import (EqualityMode, MulValue, mv_eval_numeric, mv_inv,
                          mv_pow)
-
-ALPHA_KEYS = ("alpha11", "alpha12", "alpha21", "alpha22")
 
 
 class SuiteResult(Record):

@@ -21,6 +21,13 @@ comparison modes:
 All exponent arithmetic is exact.  Powers use the principal branch: the
 stored phase representative lies in [0, 1) and mv_pow scales that
 representative, so a k-th root has phase in [0, 1/k).
+
+Products of many powers go through mv_prod, which sums integer
+numerators per (component, denominator) and builds the Fractions and
+the canonical form once.  A nested product such as (x^a * y^b)^n may be
+flattened into x^(a*n) * y^(b*n) only when the outer power n is an
+integer: an integer multiple of a phase reduced mod 1 is the reduced
+multiple, while a fractional power of the reduced phase picks a branch.
 """
 
 from __future__ import annotations
@@ -237,26 +244,63 @@ def mv_mul(a: MulValue, b: MulValue) -> MulValue:
 def mv_prod(pairs) -> MulValue:
     """Product of a ** e over (a, e) pairs, normalized once.
 
-    Equal to chaining mv_mul and mv_pow for integer (or rational)
-    exponents e, because mv_pow scales the stored phase representative
-    and mv_mul adds phases modulo 1.
+    Every exponent and the phase are summed as integer numerators per
+    (component, denominator); one Fraction per component and denominator
+    is built at the end and the result is normalized by one _make.  An
+    integer e keeps the stored denominators, so no Fraction is made per
+    term; a Fraction e is allowed and takes the slower path.
+
+    Equal to chaining mv_mul and mv_pow for any rational exponents e,
+    because mv_pow scales the stored phase representative, mv_mul adds
+    phases, and reducing modulo 1 once at the end of an exact sum gives
+    the same representative as reducing after every step.
 
     >>> a, b = MulValue.symbol("x"), MulValue.phase_turns(Fraction(1, 3))
     >>> mv_prod([(a, 2), (b, 0), (b, -1)]) == mv_mul(mv_pow(a, 2), mv_inv(b))
     True
     """
-    symbols: dict[str, Fraction] = {}
-    primes: dict[int, Fraction] = {}
-    phase = Fraction(0)
+    symbols: dict[tuple[str, int], int] = {}
+    primes: dict[tuple[int, int], int] = {}
+    phases: dict[int, int] = {}
     for a, e in pairs:
         if not e:
             continue
+        if isinstance(e, int):
+            for k, v in a.symbols:
+                key = (k, v.denominator)
+                symbols[key] = symbols.get(key, 0) + v.numerator * e
+            for p, v in a.primes:
+                key = (p, v.denominator)
+                primes[key] = primes.get(key, 0) + v.numerator * e
+            v = a.phase
+            if v:
+                phases[v.denominator] = (phases.get(v.denominator, 0)
+                                         + v.numerator * e)
+            continue
+        q = Fraction(e)
         for k, v in a.symbols:
-            symbols[k] = symbols.get(k, 0) + v * e
+            v *= q
+            key = (k, v.denominator)
+            symbols[key] = symbols.get(key, 0) + v.numerator
         for p, v in a.primes:
-            primes[p] = primes.get(p, 0) + v * e
-        phase += a.phase * e
-    return MulValue._make(symbols, primes, phase)
+            v *= q
+            key = (p, v.denominator)
+            primes[key] = primes.get(key, 0) + v.numerator
+        v = a.phase * q
+        if v:
+            phases[v.denominator] = phases.get(v.denominator, 0) + v.numerator
+    return MulValue._make(_collect(symbols), _collect(primes),
+                          sum((Fraction(n, d) for d, n in phases.items()),
+                              Fraction(0)))
+
+
+def _collect(sums: dict) -> dict:
+    """{(key, denominator): numerator sum} -> {key: Fraction}."""
+    out: dict = {}
+    for (k, d), n in sums.items():
+        if n:
+            out[k] = out.get(k, 0) + Fraction(n, d)
+    return out
 
 
 def mv_inv(a: MulValue) -> MulValue:

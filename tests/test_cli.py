@@ -14,6 +14,8 @@ from tropcount import catalog
 from tropcount.cli import main
 from tropcount.curve import MarkedPoint, TropicalCurve
 from tropcount.curvefile import save_curve
+from tropcount.errors import (ConstraintError, DegeneracyError, InfeasibleError,
+                              ParseError, TropcountError, ValidationError)
 from tropcount.plot import render_svg
 from tropcount.realize import is_realizable
 from tropcount.selftest import tuned_exact_curve
@@ -262,6 +264,22 @@ def test_hostile_input_answered_in_bounded_time(doc, command, tmp_path):
     assert seconds < HOSTILE_SECONDS
 
 
+def test_plot_of_very_long_edge_refused_in_bounded_time(tmp_path):
+    # a million-unit edge would be drawn as about a million polylines
+    code, err, seconds = _run_timed(
+        ["plot"], tmp_path, _golden_doc(length="1000000", shift=None))
+    assert (code, err.count("\n")) == (5, 1), err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "edge e1" in err and "999999 walls" in err
+    assert seconds < HOSTILE_SECONDS
+
+
+def test_exit_codes_live_on_the_error_classes():
+    assert [cls.exit_code for cls in (
+        TropcountError, ParseError, ValidationError, DegeneracyError,
+        InfeasibleError, ConstraintError)] == [1, 1, 2, 3, 4, 5]
+
+
 def test_mark_outside_edge_exits_2(tmp_path, capsys):
     # t must lie in (0, 1); a mark outside makes the subdivided curve
     # invalid, which is exit code 2 (invalid curve), not 5
@@ -275,13 +293,15 @@ def test_mark_outside_edge_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["count", "prelog"])
+@pytest.mark.parametrize("command", ["count", "prelog", "realizable",
+                                     "analyze"])
 @pytest.mark.parametrize("name", ["theta", "theta2", "triple"])
 def test_json_output_matches_golden(name, command, tmp_path, monkeypatch,
                                     capsys):
     # The prelog assignment and generators are read off the SNF transforms
     # U and V, and count prints the invariant factors, so any change to
-    # snf's choice of pivots shows here byte for byte.
+    # snf's choice of pivots shows here byte for byte; realizable prints
+    # both sigmas and analyze the ranks and the dual flag dimension.
     source = os.path.join(GOLDEN, f"{name}_exact.json")
     shutil.copy(source, tmp_path / f"{name}_exact.json")
     monkeypatch.chdir(tmp_path)

@@ -3,7 +3,8 @@ from fractions import Fraction
 from math import gcd
 
 from tropcount.curve import subdivide
-from tropcount.exactmath import (_round_div, det_int, ext_gcd, gcd_list,
+from tropcount.exactmath import (_echelon, _round_div, det_int, ext_gcd,
+                                 gcd_list,
                                  mat_identity, mat_mul, nullspace_rational,
                                  rank_rational, snf, snf_diagonal)
 from tropcount.moduli import build_D
@@ -163,6 +164,25 @@ def test_rank_and_nullspace_match_dense_reference():
         got = nullspace_rational(a)
         assert got == _nullspace_reference(a), a
         assert all(type(x) is Fraction for vec in got for x in vec)
+
+
+def test_echelon_keeps_int_rows_as_their_fraction_twins():
+    # all-int rows skip the Fraction scaling; the pivots must be the ones
+    # the same rows give as Fractions, and mixed rows still scale
+    rng = random.Random(43)
+    mats = [_random_matrix(rng, n, m, False)
+            for n, m in [(1, 1), (3, 5), (6, 6), (9, 4), (12, 12)]
+            for _ in range(20)]
+    mats += [assemble_system(curve).exponents
+             for _, curve, _ in base_instances()]
+    for a in mats:
+        as_fractions = [[Fraction(x) for x in row] for row in a]
+        assert _echelon(a) == _echelon(as_fractions), a
+        mixed = [[Fraction(x) if (i + j) % 2 else x
+                  for j, x in enumerate(row)] for i, row in enumerate(a)]
+        assert _echelon(mixed) == _echelon(a), a
+    assert _echelon([[2, 4], [Fraction(1, 2), 3]]) == {0: {0: 2, 1: 4},
+                                                       1: {1: 1}}
 
 
 def test_snf_doc_example():

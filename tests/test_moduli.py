@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from equivalence_cases import cases
 from tropcount import catalog
 from tropcount.curve import MarkedPoint, subdivide, transform
 from tropcount.errors import ConstraintError, InfeasibleError
 from tropcount.exactmath import (nullspace_rational, rank_rational,
                                  snf_diagonal)
 from tropcount.moduli import (INFINITE, build_D, build_F, count_curves,
-                              deformation_ranks, dual_flag_space,
+                              deformation_ranks, dual_flag_dimension,
+                              dual_flag_space,
                               edge_weight_product, kernel_order_bruteforce,
                               kernel_order_gcstar, rigidity_check,
                               smallest_maximal_minor)
@@ -54,6 +56,15 @@ def test_dual_flag_space_one_dimensional():
         assert dim == 1
         assert gen is not None
         assert any(coeff != 0 for pair in gen.values() for coeff in pair)
+
+
+def test_dual_flag_dimension_is_the_space_dimension():
+    dims = set()
+    for name, curve, _ in cases(seed=67):
+        dim = dual_flag_dimension(curve)
+        assert dim == dual_flag_space(curve)[0], name
+        dims.add(dim)
+    assert dims == {1}
 
 
 def test_rigidity():
@@ -208,6 +219,67 @@ def test_kernel_order_factors_match_snf_of_D():
         assert result.corank == len(d[0]) - len(nonzero), name
         infinite += not result.finite
     assert 0 < infinite < len(cases)
+
+
+def _kernel_order_subdivided(curve, marks):
+    """(factors, corank, slides, order) from the Smith form of F of the
+    curve subdivided at the marks, with the marked vertices' columns
+    deleted."""
+    gamma, marked_ids = subdivide(curve, marks)
+    index = {v.id: i for i, v in enumerate(gamma.vertices)}
+    pinned = {2 * index[vid] + k for vid in marked_ids for k in (0, 1)}
+    keep = [j for j in range(2 * len(gamma.vertices)) if j not in pinned]
+    f = [[row[j] for j in keep] for row in build_F(gamma)]
+    nonzero = [1] * len(pinned) + [x for x in snf_diagonal(f) if x]
+    corank = 2 * len(gamma.vertices) - len(nonzero)
+    slides = sum(1 for v in gamma.vertices
+                 if gamma.valence(v.id) == 2 and v.id not in marked_ids)
+    order = INFINITE
+    if corank == slides:
+        order = 1
+        for x in nonzero:
+            order *= x
+    return tuple(nonzero), corank, slides, order
+
+
+def _random_marks(rng, curve):
+    """Zero to three marks on about half of the edges, shuffled."""
+    marks = []
+    for e in curve.edges:
+        if rng.random() < 0.5:
+            ts = rng.sample(range(1, 12), rng.randrange(1, 4))
+            marks += [MarkedPoint(e.id, Fraction(t, 12)) for t in ts]
+    rng.shuffle(marks)
+    return marks
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # both routes must fail the same way
+        return type(exc), str(exc)
+
+
+def test_kernel_order_matches_subdivided_route():
+    rng = random.Random(59)
+    bad = [MarkedPoint("e1", Fraction(3, 2)), MarkedPoint("e1", Fraction(0)),
+           MarkedPoint("nope", Fraction(1, 2))]
+    finite = infinite = failed = 0
+    for name, curve, marks in cases(seed=61):
+        if name.endswith("+exact"):
+            continue  # the multipliers play no part here
+        for mk in (marks, _random_marks(rng, curve), _random_marks(rng, curve),
+                   marks + marks[:1], marks + [rng.choice(bad)]):
+            new = _outcome(kernel_order_gcstar, curve, mk)
+            if isinstance(new, tuple):
+                failed += 1
+            else:
+                new = (new.invariant_factors, new.corank, new.slide_rank,
+                       new.order)
+                finite += new[3] != INFINITE
+                infinite += new[3] == INFINITE
+            assert new == _outcome(_kernel_order_subdivided, curve, mk), name
+    assert min(finite, infinite, failed) > 20
 
 
 def test_kernel_order_slides_are_quotiented():

@@ -5,7 +5,8 @@ import pytest
 
 from tropcount import catalog
 from tropcount.curve import Edge, PeriodLattice, TropicalCurve, Vertex, validate
-from tropcount.errors import ValidationError
+from tropcount import plot
+from tropcount.errors import ConstraintError, ValidationError
 from tropcount.plot import render_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -104,3 +105,17 @@ def test_rendering_rejects_invalid_curves():
     broken = TropicalCurve(curve.lattice, curve.vertices, curve.edges[:2])
     with pytest.raises(ValidationError):
         render_svg(broken)
+
+
+def test_drawing_over_the_piece_limit_is_refused(monkeypatch):
+    # the wall count bounds the pieces from above, so a limit below the
+    # number of polylines drawn must refuse, naming the longest edge
+    curve = off_axis_cycle()
+    svg = render_svg(curve)
+    drawn = len(list(ET.fromstring(svg).iter(f"{SVG}polyline")))
+    assert drawn == 3
+    monkeypatch.setattr(plot, "MAX_PIECES", drawn - 1)
+    with pytest.raises(ConstraintError, match="edge c2 alone crosses 1 walls"):
+        render_svg(curve)
+    monkeypatch.setattr(plot, "MAX_PIECES", drawn)
+    assert render_svg(curve) == svg

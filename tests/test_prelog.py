@@ -4,17 +4,19 @@ from fractions import Fraction
 
 import pytest
 
+from equivalence_cases import cases, chi_reference
 from tropcount import catalog
 from tropcount.errors import ConstraintError
-from tropcount.prelog import (VertexModel, assemble_system,
+from tropcount.exactmath import snf
+from tropcount.prelog import (VertexModel, assemble_system, edge_rhs,
                               left_kernel_vector, prelog_exists,
                               solve_monomial, solve_root_congruence,
                               verify_assignment)
 from tropcount.realize import (is_realizable, realizability_target,
                                sigma_cocycle)
 from tropcount.selftest import random_exact_curve, tuned_exact_curve
-from tropcount.valuegroup import (EqualityMode, MulValue, mv_inv, mv_mul,
-                                  mv_pow)
+from tropcount.valuegroup import (EqualityMode, MulValue, mv_inv, mv_is_one,
+                                  mv_mul, mv_pow, mv_root)
 
 
 def product(values):
@@ -188,3 +190,76 @@ def test_solve_root_congruence():
         n = rng.randrange(-6, 7)
         l, m = solve_root_congruence(w1, w2, w3, g, sign, n)
         assert (l * w1 - m * w2 + sign * n * g) % w3 == 0
+
+
+# --------------------------------------------------------------------------
+# one-pass products against the chained mv_mul / mv_pow they replaced
+# --------------------------------------------------------------------------
+
+
+def _edge_rhs_reference(curve, edge_id):
+    e = curve.edge(edge_id)
+    m = e.primitive
+    g1, g2 = e.shift
+    return (mv_pow(chi_reference(curve, 1, m, reduce_by_delta=False), -g1)
+            * mv_pow(chi_reference(curve, 2, m, reduce_by_delta=False), -g2))
+
+
+def _chained(pairs):
+    acc = MulValue.identity()
+    for value, exponent in pairs:
+        if exponent:
+            acc = mv_mul(acc, mv_pow(value, exponent))
+    return acc
+
+
+def _verify_reference(system, assignment, mode):
+    failures = []
+    for i, row in enumerate(system.exponents):
+        ratio = _chained(zip(assignment, row)) / system.rhs[i]
+        verdict, certificate = mv_is_one(ratio, mode)
+        if verdict is not True:
+            failures.append((system.row_labels[i], certificate))
+    return failures
+
+
+def test_edge_rhs_matches_chained_characters():
+    for name, curve, _ in cases(seed=43):
+        for e in curve.edges:
+            new = edge_rhs(curve, e.id)
+            old = _edge_rhs_reference(curve, e.id)
+            assert (new, repr(new)) == (old, repr(old)), name
+
+
+def test_solve_and_verify_match_chained_products():
+    # the realizable (tuned) copies take the assignment path
+    rng = random.Random(53)
+    instances = [(name, curve) for name, curve, _ in cases(47, generated=10)]
+    instances += [(f"{name}+tuned", tuned)
+                  for name, curve in instances
+                  if (tuned := tuned_exact_curve(rng, curve, Fraction(0)))]
+    solved = 0
+    for name, curve in instances:
+        mode = curve.lattice.mode
+        system = assemble_system(curve)
+        solution = solve_monomial(system, mode)
+        u, s, v = snf(system.exponents)
+        rank = sum(1 for i in range(min(len(s), len(s[0]))) if s[i][i])
+        c = [_chained(zip(system.rhs, row)) for row in u]
+        assert [w.value for w in solution.witnesses] == c[rank:], name
+        if solution.assignment is not None:
+            z = [mv_root(c[i], s[i][i]) for i in range(rank)]
+            z += [MulValue.identity()] * (len(v) - rank)
+            want = [_chained(zip(z, row)) for row in v]
+            assert [repr(x) for x in solution.assignment] == \
+                [repr(x) for x in want], name
+            assert verify_assignment(system, solution.assignment, mode) \
+                == _verify_reference(system, solution.assignment, mode) \
+                == [], name
+            solved += 1
+        guess = [MulValue.polar(Fraction(j % 3 + 1, 2), Fraction(j, 5))
+                 for j in range(len(system.flags))]
+        failures = verify_assignment(system, guess, mode)
+        assert failures, name
+        assert failures == _verify_reference(system, guess, mode), name
+    assert solved >= len(instances) // 3

@@ -4,14 +4,16 @@ from fractions import Fraction
 import pytest
 
 from tropcount import catalog
-from tropcount.curve import canonical_offset, relift, transform
+from equivalence_cases import cases, chi_reference
+from tropcount.curve import canonical_offset, crossings, relift, transform
 from tropcount.errors import ConstraintError, DegeneracyError
-from tropcount.realize import (is_realizable, parity_exponent,
+from tropcount.realize import (chi_product, is_realizable, parity_exponent,
                                realizability_target, sigma_cocycle,
                                sigma_geometric)
 from tropcount.selftest import (random_relift_moves, random_unimodular,
                                 tuned_exact_curve, with_multipliers)
-from tropcount.valuegroup import EqualityMode, MulValue, mv_inv, mv_mul
+from tropcount.valuegroup import (EqualityMode, MulValue, mv_inv, mv_mul,
+                                  mv_pow)
 
 
 def test_theta_sigma_formal_value():
@@ -125,3 +127,69 @@ def test_numeric_verdicts_and_undecided():
 def test_exact_mode_on_formal_curve_raises():
     with pytest.raises(ConstraintError):
         is_realizable(catalog.theta(), EqualityMode.EXACT)
+
+
+# --------------------------------------------------------------------------
+# one product per character monomial, against the chained powers
+# --------------------------------------------------------------------------
+
+
+def _sigma_cocycle_reference(curve):
+    out = MulValue.identity()
+    for e in curve.edges:
+        g1, g2 = e.shift
+        if g1:
+            out = mv_mul(out, mv_pow(chi_reference(curve, 1, e.weight_vector),
+                                     -g1))
+        if g2:
+            out = mv_mul(out, mv_pow(chi_reference(curve, 2, e.weight_vector),
+                                     -g2))
+    return out
+
+
+def _sigma_geometric_reference(curve):
+    out = MulValue.identity()
+    for c in crossings(curve, canonical_offset(curve)):
+        family = 1 if c.side == "B1" else 2
+        out = mv_mul(out, mv_pow(chi_reference(curve, family,
+                                               c.outward_vector),
+                                 abs(c.signed_count)))
+    return out
+
+
+def _parity_reference(curve):
+    total = Fraction(0)
+    for v in curve.vertices:
+        if curve.valence(v.id) == 3:
+            total += Fraction(curve.vertex_weight(v.id), curve.delta)
+    assert total.denominator == 1
+    return int(total) % 2
+
+
+def test_sigma_matches_chained_characters():
+    for name, curve, _ in cases(seed=29):
+        for new, old in ((sigma_cocycle(curve),
+                          _sigma_cocycle_reference(curve)),
+                         (sigma_geometric(curve),
+                          _sigma_geometric_reference(curve))):
+            assert new == old, name
+            assert repr(new) == repr(old), name
+        assert parity_exponent(curve) == _parity_reference(curve), name
+
+
+def test_chi_product_of_one_term_is_the_character():
+    rng = random.Random(31)
+    for name, curve, _ in cases(seed=37, generated=10):
+        for _ in range(3):
+            family = rng.choice((1, 2))
+            vector = (rng.randrange(-5, 6), rng.randrange(-5, 6))
+            power = rng.randrange(-4, 5)
+            for reduce in (True, False):
+                d = curve.delta if reduce else 1
+                old = mv_pow(chi_reference(curve, family, vector, reduce),
+                             power)
+                new = chi_product(curve, [(family, vector, power)], d)
+                assert (new, repr(new)) == (old, repr(old)), name
+    with pytest.raises(ValueError, match="wall family"):
+        chi_product(catalog.theta(), [(3, (1, 0), 1)], 1)
+

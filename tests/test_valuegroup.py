@@ -186,10 +186,17 @@ def _random_value(rng: random.Random) -> MulValue:
     return mv_mul(v, MulValue.phase_turns(Fraction(rng.randrange(12), 12)))
 
 
+def _random_exponent(rng: random.Random):
+    if rng.random() < 0.5:
+        return rng.randrange(-4, 5)
+    return Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
+
+
 def test_prod_equals_chained_mul_and_pow():
+    # integer and Fraction exponents, mixed in one product
     rng = random.Random(17)
-    for _ in range(200):
-        pairs = [(_random_value(rng), rng.randrange(-4, 5))
+    for _ in range(400):
+        pairs = [(_random_value(rng), _random_exponent(rng))
                  for _ in range(rng.randrange(0, 6))]
         chained = MulValue.identity()
         for value, exponent in pairs:
@@ -198,3 +205,29 @@ def test_prod_equals_chained_mul_and_pow():
         product = mv_prod(pairs)
         assert product == chained
         assert repr(product) == repr(chained)
+
+
+def test_prod_phases_wrap_and_terms_cancel():
+    third = MulValue.phase_turns(Fraction(2, 3))
+    half = MulValue.phase_turns(Fraction(1, 2))
+    # 2/3 * 2 + 1/2 * 3 = 17/6 turns, stored as 5/6
+    product = mv_prod([(third, 2), (half, 3)])
+    assert product.phase == Fraction(5, 6)
+    assert product == third * third * half * half * half
+    # a term and its inverse cancel to the identity, with the identity's
+    # exact representation
+    rng = random.Random(19)
+    for _ in range(50):
+        value = _random_value(rng)
+        e = _random_exponent(rng) or 1
+        for pairs in ([(value, e), (value, -e)],
+                      [(value, e), (mv_pow(value, e), -1)],
+                      [(value, 2), (mv_inv(value), 1), (value, -1)]):
+            product = mv_prod(pairs)
+            assert product.is_identity
+            assert repr(product) == repr(MulValue.identity())
+    # exponents with different denominators on one symbol sum exactly
+    x = MulValue.symbol("x", Fraction(1, 2))
+    y = MulValue.symbol("x", Fraction(1, 3))
+    assert mv_prod([(x, 1), (y, 1)]).symbols == (("x", Fraction(5, 6)),)
+    assert mv_prod([(x, 2), (y, -3)]).is_identity
