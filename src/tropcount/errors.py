@@ -20,8 +20,6 @@ class TropcountError(Exception):
 class ParseError(TropcountError):
     """Malformed input document."""
 
-    exit_code = 1
-
 
 class ValidationError(TropcountError):
     """The curve data violates a structural invariant."""

@@ -38,16 +38,6 @@ def _point(lattice, s1: Fraction, s2: Fraction) -> tuple[float, float]:
     return float(x) * _SCALE, -float(y) * _SCALE
 
 
-def _edge_segment(curve, edge) -> tuple[FracVec2, FracVec2]:
-    """Start and displacement of the edge segment in lattice coordinates."""
-    lattice = curve.lattice
-    start = lattice.to_lattice_coords(curve.vertex(edge.tail).position)
-    disp = lattice.to_lattice_coords(
-        (edge.length * edge.weight_vector[0],
-         edge.length * edge.weight_vector[1]))
-    return start, disp
-
-
 def _walls_crossed(start: FracVec2, disp: FracVec2) -> int:
     """Walls the segment crosses, counted per axis as the difference of
     the floors of its end points (at least the number of cuts)."""
@@ -93,7 +83,10 @@ def render_svg(curve: TropicalCurve) -> str:
     """
     ensure_valid(curve)
     lattice = curve.lattice
-    segments = [_edge_segment(curve, e) for e in curve.edges]
+    # the first vertex of a duplicated id wins, as in curve.vertex
+    starts = dict(reversed(curve._vertex_lattice_coords))
+    segments = [(starts[e.tail], disp)
+                for e, disp in zip(curve.edges, curve._edge_lattice_disps)]
     walls = [_walls_crossed(*seg) for seg in segments]
     bound = len(walls) + sum(walls)
     if bound > MAX_PIECES:

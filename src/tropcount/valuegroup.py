@@ -244,11 +244,12 @@ def mv_mul(a: MulValue, b: MulValue) -> MulValue:
 def mv_prod(pairs) -> MulValue:
     """Product of a ** e over (a, e) pairs, normalized once.
 
-    Every exponent and the phase are summed as integer numerators per
-    (component, denominator); one Fraction per component and denominator
-    is built at the end and the result is normalized by one _make.  An
-    integer e keeps the stored denominators, so no Fraction is made per
-    term; a Fraction e is allowed and takes the slower path.
+    Each exponent e (an int or a Fraction) scales a stored exponent v
+    as the integer numerator v.numerator * e.numerator over the
+    denominator v.denominator * e.denominator; the numerators are summed
+    per (component, denominator), one Fraction per component and
+    denominator is built at the end, and the result is normalized by one
+    _make.  No Fraction is made per term.
 
     Equal to chaining mv_mul and mv_pow for any rational exponents e,
     because mv_pow scales the stored phase representative, mv_mul adds
@@ -265,30 +266,17 @@ def mv_prod(pairs) -> MulValue:
     for a, e in pairs:
         if not e:
             continue
-        if isinstance(e, int):
-            for k, v in a.symbols:
-                key = (k, v.denominator)
-                symbols[key] = symbols.get(key, 0) + v.numerator * e
-            for p, v in a.primes:
-                key = (p, v.denominator)
-                primes[key] = primes.get(key, 0) + v.numerator * e
-            v = a.phase
-            if v:
-                phases[v.denominator] = (phases.get(v.denominator, 0)
-                                         + v.numerator * e)
-            continue
-        q = Fraction(e)
+        en, ed = e.numerator, e.denominator
         for k, v in a.symbols:
-            v *= q
-            key = (k, v.denominator)
-            symbols[key] = symbols.get(key, 0) + v.numerator
+            key = (k, v.denominator * ed)
+            symbols[key] = symbols.get(key, 0) + v.numerator * en
         for p, v in a.primes:
-            v *= q
-            key = (p, v.denominator)
-            primes[key] = primes.get(key, 0) + v.numerator
-        v = a.phase * q
+            key = (p, v.denominator * ed)
+            primes[key] = primes.get(key, 0) + v.numerator * en
+        v = a.phase
         if v:
-            phases[v.denominator] = phases.get(v.denominator, 0) + v.numerator
+            d = v.denominator * ed
+            phases[d] = phases.get(d, 0) + v.numerator * en
     return MulValue._make(_collect(symbols), _collect(primes),
                           sum((Fraction(n, d) for d, n in phases.items()),
                               Fraction(0)))
