@@ -14,14 +14,19 @@ errors).
 The default equality mode comes from the curve file (the form of its
 multipliers); the TROPCOUNT_MODE environment variable and the --mode flag
 override it, in that order.
+
+One command table (COMMANDS) holds the grammar.  A well-formed command
+line is read from it directly; argparse is loaded only for help and usage
+errors, so that their text and exit code are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import math
 import os
 import sys
+from types import SimpleNamespace
 
 from .curve import canonical_offset, ensure_valid, validate
 from .curvefile import (format_rational, load_curve, parse_complex,
@@ -29,11 +34,11 @@ from .curvefile import (format_rational, load_curve, parse_complex,
 from .errors import ConstraintError, ParseError, TropcountError
 from .moduli import (count_curves, deformation_ranks, dual_flag_dimension,
                      edge_weight_product)
-from .plot import render_svg
 from .prelog import assemble_system, solve_monomial, verify_assignment
 from .realize import is_realizable, parity_exponent, sigma_cocycle, \
     sigma_geometric
-from .valuegroup import (DEFAULT_TOLERANCE, EqualityMode, MulValue)
+from .valuegroup import (DEFAULT_TOLERANCE, UNDECIDED_FACTOR, EqualityMode,
+                         MulValue)
 
 _MODE_NAMES = {
     "formal": EqualityMode.FORMAL,
@@ -325,6 +330,9 @@ def cmd_prelog(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    # imported here, as selftest is, so that no other command loads it
+    from .plot import render_svg
+
     curve, _ = load_curve(args.file)
     svg = render_svg(curve)
     if args.out:
@@ -359,66 +367,125 @@ def cmd_selftest(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_common(parser, mode: bool = True) -> None:
-    parser.add_argument("file", help="curve file (JSON)")
-    parser.add_argument("--json", action="store_true",
-                        help="machine-readable report")
-    if mode:
-        parser.add_argument("--mode", choices=sorted(_MODE_NAMES),
-                            help="equality mode override")
-        parser.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
-                            help="numeric tolerance (default 1e-9)")
+_FILE = ("file", {"help": "curve file (JSON)"})
+_JSON = ("--json", {"action": "store_true", "help": "machine-readable report"})
+_MODE = ("--mode", {"choices": sorted(_MODE_NAMES),
+                    "help": "equality mode override"})
+_TOL = ("--tol", {"type": float, "default": DEFAULT_TOLERANCE,
+                  "help": "numeric tolerance (default 1e-9)"})
+
+#: The command-line grammar: command -> (handler name, help, arguments in
+#: help order), an argument being (name, add_argument keywords) and the
+#: one name without a leading "-" the positional.  build_parser spells it
+#: out for argparse; _read_argv reads well-formed command lines from it.
+#: Handlers are named, not held, so that main calls whatever function the
+#: module attribute holds at the time (a wrapper, under tracing).
+COMMANDS = {
+    "validate": ("cmd_validate", "check curve well-formedness",
+                 (_FILE, _JSON)),
+    "analyze": ("cmd_analyze", "combinatorial invariants and ranks",
+                (_FILE, _JSON)),
+    "realizable": ("cmd_realizable", "decide realizability",
+                   (_FILE, _JSON, _MODE, _TOL)),
+    "count": ("cmd_count", "count algebraic curves through the marked points",
+              (_FILE, _JSON, _MODE, _TOL)),
+    "prelog": ("cmd_prelog", "solve the multiplicative gluing system",
+               (_FILE, _JSON, _MODE, _TOL,
+                ("--check", {"metavar": "FILE", "help": "verify a flag "
+                             "assignment instead of solving"}))),
+    "plot": ("cmd_plot", "render the curve as SVG",
+             (_FILE, ("--out", {"metavar": "FILE", "default": "",
+                                "help": "output path (default: stdout)"}))),
+    "selftest": ("cmd_selftest", "run the property suites",
+                 (("--seed", {"type": int, "default": 0}),
+                  ("--cases", {"type": int, "default": None,
+                               "help": "cases per suite (default: per-suite "
+                                       "minimum)"}))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="tropcount",
         description="Realizability and counting for tropical curves on a "
                     "two-dimensional torus quotient.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check curve well-formedness")
-    _add_common(p, mode=False)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("analyze", help="combinatorial invariants and ranks")
-    _add_common(p, mode=False)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("realizable", help="decide realizability")
-    _add_common(p)
-    p.set_defaults(func=cmd_realizable)
-
-    p = sub.add_parser("count", help="count algebraic curves through the "
-                                     "marked points")
-    _add_common(p)
-    p.set_defaults(func=cmd_count)
-
-    p = sub.add_parser("prelog", help="solve the multiplicative gluing "
-                                      "system")
-    _add_common(p)
-    p.add_argument("--check", metavar="FILE",
-                   help="verify a flag assignment instead of solving")
-    p.set_defaults(func=cmd_prelog)
-
-    p = sub.add_parser("plot", help="render the curve as SVG")
-    p.add_argument("file", help="curve file (JSON)")
-    p.add_argument("--out", metavar="FILE", default="",
-                   help="output path (default: stdout)")
-    p.set_defaults(func=cmd_plot)
-
-    p = sub.add_parser("selftest", help="run the property suites")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cases", type=int, default=None,
-                   help="cases per suite (default: per-suite minimum)")
-    p.set_defaults(func=cmd_selftest)
-
+    for command, (handler, text, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=globals()[handler])
     return parser
 
 
+def _read_argv(argv):
+    """The namespace build_parser().parse_args(argv) returns, read in one
+    pass, when argv is a command, its positional and exact option names,
+    each valued option followed by a value that does not start with "-",
+    converts with the option's type and is one of its choices.  None for
+    anything else (help, --opt=value, abbreviations, "--", negative
+    numbers, usage errors), which argparse then answers."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    handler, _, arguments = COMMANDS[argv[0]]
+    values = {"command": argv[0], "func": globals()[handler]}
+    options, positionals, given = {}, [], []
+    for name, keywords in arguments:
+        if name.startswith("-"):
+            options[name] = keywords
+            values[name[2:]] = (False if keywords.get("action") == "store_true"
+                                else keywords.get("default"))
+        else:
+            positionals.append(name)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        keywords = options.get(token)
+        if keywords is None:
+            return None
+        if keywords.get("action") == "store_true":
+            values[token[2:]] = True
+            continue
+        raw = next(tokens, "-")  # a missing value is refused like a flag
+        if raw.startswith("-"):
+            return None
+        try:
+            value = keywords.get("type", str)(raw)
+        except ValueError:
+            return None
+        if value not in keywords.get("choices", (value,)):
+            return None
+        values[token[2:]] = value
+    if len(given) != len(positionals):
+        return None
+    values.update(zip(positionals, given))
+    return SimpleNamespace(**values)
+
+
+def _check_numbers(args) -> None:
+    """Refuse a --tol that is not finite and > 0, or whose undecided band
+    UNDECIDED_FACTOR * tol overflows, and a --cases below 1."""
+    tol = getattr(args, "tol", DEFAULT_TOLERANCE)
+    if not (tol > 0 and math.isfinite(UNDECIDED_FACTOR * tol)):
+        raise ParseError(f"--tol {tol!r}: a tolerance must be finite and > 0, "
+                         f"and {UNDECIDED_FACTOR} * tol finite")
+    cases = getattr(args, "cases", None)
+    if cases is not None and cases < 1:
+        raise ParseError(f"--cases {cases} is below 1")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except TropcountError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -58,9 +58,6 @@ class MonomialSystem(Record):
     row_labels: list[str]
     flags: list[Flag]
 
-    def flag_index(self, vertex_id: str, edge_id: str) -> int:
-        return self.flags.index((vertex_id, edge_id))
-
 
 def edge_rhs(curve: TropicalCurve, edge_id: str) -> MulValue:
     e = curve.edge(edge_id)

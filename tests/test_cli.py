@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -10,8 +11,8 @@ from fractions import Fraction
 import pytest
 
 import tropcount
-from tropcount import catalog
-from tropcount.cli import main
+from tropcount import catalog, cli
+from tropcount.cli import _read_argv, build_parser, main
 from tropcount.curve import MarkedPoint, TropicalCurve
 from tropcount.curvefile import save_curve
 from tropcount.errors import (ConstraintError, DegeneracyError, InfeasibleError,
@@ -19,6 +20,7 @@ from tropcount.errors import (ConstraintError, DegeneracyError, InfeasibleError,
 from tropcount.plot import render_svg
 from tropcount.realize import is_realizable
 from tropcount.selftest import tuned_exact_curve
+from tropcount.valuegroup import DEFAULT_TOLERANCE
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -394,3 +396,196 @@ def test_selftest_command(capsys):
     suite_lines = out[:-1]
     assert len(suite_lines) == 9
     assert all(line.startswith("PASS ") for line in suite_lines)
+
+
+@pytest.mark.parametrize("command", ["realizable", "count", "prelog"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "0", "1e308"])
+def test_tolerance_not_finite_and_positive_exits_1(tol, command, capsys):
+    # 1e308 is finite, but its undecided band 100 * tol is not
+    path = os.path.join(GOLDEN, "theta_exact.json")
+    forms = [[f"--tol={tol}"]]  # the argparse path
+    if not tol.startswith("-"):
+        forms.append(["--tol", tol])  # the command-table path
+    for form in forms:
+        code = main([command, path, "--mode", "numeric", *form, "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(f"error: --tol {float(tol)!r}: ")
+        assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("cases", ["0", "-3"])
+def test_selftest_cases_below_1_exits_1(cases, capsys):
+    code = main(["selftest", f"--cases={cases}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == f"error: --cases {cases} is below 1\n"
+
+
+# --------------------------------------------------------------------------
+# the command table against argparse
+# --------------------------------------------------------------------------
+
+
+def _reference_add_common(parser, mode: bool = True) -> None:
+    parser.add_argument("file", help="curve file (JSON)")
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable report")
+    if mode:
+        parser.add_argument("--mode", choices=["exact", "formal", "numeric"],
+                            help="equality mode override")
+        parser.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE,
+                            help="numeric tolerance (default 1e-9)")
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    """The parser as written out by hand before the command table
+    replaced it, kept as its reference."""
+    parser = argparse.ArgumentParser(
+        prog="tropcount",
+        description="Realizability and counting for tropical curves on a "
+                    "two-dimensional torus quotient.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("validate", help="check curve well-formedness")
+    _reference_add_common(p, mode=False)
+    p.set_defaults(func=cli.cmd_validate)
+
+    p = sub.add_parser("analyze", help="combinatorial invariants and ranks")
+    _reference_add_common(p, mode=False)
+    p.set_defaults(func=cli.cmd_analyze)
+
+    p = sub.add_parser("realizable", help="decide realizability")
+    _reference_add_common(p)
+    p.set_defaults(func=cli.cmd_realizable)
+
+    p = sub.add_parser("count", help="count algebraic curves through the "
+                                     "marked points")
+    _reference_add_common(p)
+    p.set_defaults(func=cli.cmd_count)
+
+    p = sub.add_parser("prelog", help="solve the multiplicative gluing "
+                                      "system")
+    _reference_add_common(p)
+    p.add_argument("--check", metavar="FILE",
+                   help="verify a flag assignment instead of solving")
+    p.set_defaults(func=cli.cmd_prelog)
+
+    p = sub.add_parser("plot", help="render the curve as SVG")
+    p.add_argument("file", help="curve file (JSON)")
+    p.add_argument("--out", metavar="FILE", default="",
+                   help="output path (default: stdout)")
+    p.set_defaults(func=cli.cmd_plot)
+
+    p = sub.add_parser("selftest", help="run the property suites")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--cases", type=int, default=None,
+                   help="cases per suite (default: per-suite minimum)")
+    p.set_defaults(func=cli.cmd_selftest)
+
+    return parser
+
+
+def _subcommands(parser) -> dict:
+    return parser._subparsers._group_actions[0].choices
+
+
+def test_help_text_matches_reference():
+    got, want = build_parser(), _reference_parser()
+    assert got.format_help() == want.format_help()
+    assert list(_subcommands(got)) == list(_subcommands(want))
+    for name, sub in _subcommands(want).items():
+        assert _subcommands(got)[name].format_help() == sub.format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["count"], ["bogus", "f.json"], ["count", "f.json", "--mode", "bogus"],
+    ["count", "f.json", "--tol", "x"], ["count", "f.json", "g.json"],
+    ["count", "f.json", "--mode"], ["-h"], ["count", "-h"],
+], ids=["no-command", "missing-file", "unknown-command", "mode-bogus",
+        "tol-x", "extra-positional", "mode-without-value", "help",
+        "count-help"])
+def test_usage_errors_and_help_are_argparse_own(argv, capsys):
+    with pytest.raises(SystemExit) as want:
+        _reference_parser().parse_args(argv)
+    want_output = capsys.readouterr()
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert (got.value.code, capsys.readouterr()) == \
+        (want.value.code, want_output)
+
+
+def test_abbreviated_option_still_accepted(theta_exact_file, capsys):
+    assert main(["count", theta_exact_file, "--json"]) == 0
+    full = capsys.readouterr()
+    assert main(["count", theta_exact_file, "--js"]) == 0
+    assert capsys.readouterr() == full
+
+
+def _plain(namespace) -> dict:
+    # NaN is not equal to itself
+    return {key: repr(value) if isinstance(value, float) else value
+            for key, value in vars(namespace).items()}
+
+
+def _assert_read_like_argparse(argv, parser) -> None:
+    read = _read_argv(argv)
+    assert read is not None, argv
+    assert _plain(read) == _plain(parser.parse_args(argv)), argv
+
+
+def test_reader_agrees_with_argparse_on_random_argvs():
+    commands = [*cli.COMMANDS, "bogus"]
+    values = ["exact", "bogus", "1e-3", "-1", "nan", "1_0", " 2 ", "3", "-3"]
+    vocabulary = [
+        *commands,
+        "f.json", "", "-", "a b.json", "--",
+        "--json", "--mode", "--tol", "--check", "--out", "--seed", "--cases",
+        "--js", "--mo", "-h", "--help", "--tol=1e-3",
+        *values,
+    ]
+    parser = build_parser()
+    rng = random.Random(61)
+    read = set()
+    for _ in range(6000):
+        length = rng.randint(0, 6)
+        argv = [rng.choice(commands)] if length and rng.random() < 0.9 else []
+        # half of the picks are the command's own options with a value, so
+        # that long command lines are read too, not only refused
+        own = [name for name, _ in
+               cli.COMMANDS.get(argv[0] if argv else "", ("", "", ()))[2]
+               if name.startswith("-")]
+        while len(argv) < length:
+            if own and rng.random() < 0.5:
+                argv += [rng.choice(own), rng.choice(values)]
+            else:
+                argv.append(rng.choice(vocabulary))
+        argv = argv[:length]
+        if _read_argv(argv) is None:
+            continue
+        read.add(tuple(argv))
+        try:
+            _assert_read_like_argparse(argv, parser)
+        except SystemExit:
+            pytest.fail(f"{argv!r} was read, but argparse refuses it")
+    assert len(read) > 200
+    assert {argv[0] for argv in read} == set(cli.COMMANDS)
+
+
+def test_reader_reads_every_benchmark_and_readme_command_line():
+    # the job shapes of tropbench/workloads.py, then the README's
+    argvs = [[command, "f.json", "--json"]
+             for command in ("validate", "analyze", "realizable", "count",
+                             "prelog")]
+    argvs += [["prelog", "f.json", "--check", "a.json", "--json"],
+              ["plot", "f.json"]]
+    argvs += [[command, "f.json"]
+              for command in ("validate", "analyze", "realizable", "count",
+                              "prelog")]
+    argvs += [["prelog", "f.json", "--check", "a.json"],
+              ["plot", "f.json", "--out", "f.svg"],
+              ["selftest"], ["selftest", "--seed", "3", "--cases", "6"],
+              ["count", "f.json", "--mode", "numeric", "--tol", "1e-6"]]
+    parser = build_parser()
+    for argv in argvs:
+        _assert_read_like_argparse(argv, parser)

@@ -100,7 +100,7 @@ def test_verify_assignment_names_failing_rows():
     system = assemble_system(curve)
     solution = solve_monomial(system, EqualityMode.EXACT)
     tweaked = list(solution.assignment)
-    i = system.flag_index("u", "e2")
+    i = system.flags.index(("u", "e2"))
     tweaked[i] = mv_mul(tweaked[i], MulValue.phase_turns(Fraction(1, 3)))
     failures = verify_assignment(system, tweaked, EqualityMode.EXACT)
     assert sorted(label for label, _ in failures) == ["edge e2", "vertex u"]

@@ -115,11 +115,20 @@ def test_mutable_defaults_are_per_instance():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site (and any .pth imports) out of the measurement
+    # -S keeps site (and any .pth imports) out of the measurement.  A
+    # well-formed count then loads neither argparse (nor its gettext and
+    # locale) nor the plot and selftest modules.
     src = os.path.dirname(os.path.dirname(tropcount.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, tropcount.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "theta_exact.json")
+    code = ("import sys, tropcount.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), "
+            "file=sys.stderr)\n"
+            f"code = tropcount.cli.main(['count', {golden!r}, '--json'])\n"
+            "print(code, sorted({'argparse', 'gettext', 'locale', "
+            "'tropcount.plot', 'tropcount.selftest'} & set(sys.modules)), "
+            "file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr == "[]\n0 []\n"
