@@ -18,6 +18,11 @@ override it, in that order.
 One command table (COMMANDS) holds the grammar.  A well-formed command
 line is read from it directly; argparse is loaded only for help and usage
 errors, so that their text and exit code are argparse's own.
+
+A --json report is the text json.dumps(report, indent=2) would write, but
+built by a small writer (_json_text) that formats string and integer
+leaves with the C string encoder and int.__repr__ and joins each map or
+list in one pass; with an indent, json.dumps runs its pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -87,9 +92,58 @@ def _human_lines(obj, indent: str = "") -> list[str]:
     return lines
 
 
+#: the C string encoder behind json.dumps (ensure_ascii is on by default)
+_json_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(obj, pad: str = "") -> str:
+    """json.dumps(obj, indent=2), for a value nested at indentation pad.
+
+    Python's encoder runs in pure Python whenever an indent is given.
+    This writer builds the same layout itself: str and int leaves are
+    formatted as json.dumps formats them (the C string encoder and
+    int.__repr__), and each dict or list is joined in one comprehension,
+    so a dict of leaves costs one pass.  Anything else (floats, keys that
+    are not strings, other types) is left to json.dumps, indented to fit.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _json_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if kind is dict or kind is list:
+        if not obj:
+            return "{}" if kind is dict else "[]"
+        inner = pad + "  "
+        try:
+            if kind is dict:
+                items = [_json_str(k) + ": " + (
+                    _json_str(v) if type(v) is str else
+                    int.__repr__(v) if type(v) is int else
+                    _json_text(v, inner)) for k, v in obj.items()]
+                ends = "{}"
+            else:
+                items = [_json_str(v) if type(v) is str else
+                         int.__repr__(v) if type(v) is int else
+                         _json_text(v, inner) for v in obj]
+                ends = "[]"
+        except TypeError:  # a key that is not a string
+            pass
+        else:
+            return (ends[0] + "\n" + inner + (",\n" + inner).join(items)
+                    + "\n" + pad + ends[1])
+    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        sys.stdout.write(_json_text(report) + "\n")
     else:
         sys.stdout.write("\n".join(_human_lines(report)) + "\n")
 
@@ -250,6 +304,9 @@ def cmd_prelog(args) -> int:
             raise ParseError(f"cannot read {args.check}: {exc}") from exc
         except ValueError as exc:  # JSONDecodeError, or an over-long integer
             raise ParseError(f"{args.check}: not valid JSON: {exc}") from exc
+        except RecursionError as exc:  # nested deeper than json recurses
+            raise ParseError(
+                f"{args.check}: not valid JSON: nested too deeply") from exc
         flags_doc = doc.get("flags") if isinstance(doc, dict) else None
         if not isinstance(flags_doc, dict):
             raise ParseError(
@@ -311,18 +368,16 @@ def cmd_prelog(args) -> int:
             raise ConstraintError(
                 f"internal: solved assignment fails rows {verification}")
         report["verification"] = "pass" if not verification else "undecided"
+        keys = [_flag_key(flag) for flag in system.flags]
         report["assignment"] = {
-            _flag_key(flag): (value.to_dict() if args.json else str(value))
-            for flag, value in zip(system.flags, solution.assignment)
+            key: (value.to_dict() if args.json else str(value))
+            for key, value in zip(keys, solution.assignment)
         }
         report["kernel_free_generators"] = [
-            {_flag_key(flag): exponent
-             for flag, exponent in zip(system.flags, generator)}
-            for generator in solution.kernel_free
+            dict(zip(keys, generator)) for generator in solution.kernel_free
         ]
         report["kernel_torsion_generators"] = [
-            {_flag_key(flag): str(value)
-             for flag, value in zip(system.flags, generator)}
+            dict(zip(keys, map(str, generator)))
             for generator in solution.kernel_torsion
         ]
     _emit(report, args.json)

@@ -32,8 +32,12 @@ FracVec2 = tuple[Fraction, Fraction]
 ALPHA_KEYS = ("alpha11", "alpha12", "alpha21", "alpha22")
 
 
+def _frac(value) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def _frac_pair(value) -> FracVec2:
-    return (Fraction(value[0]), Fraction(value[1]))
+    return (_frac(value[0]), _frac(value[1]))
 
 
 def _int_pair(value) -> Vec2:
@@ -107,7 +111,7 @@ class Edge(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "weight_vector", _int_pair(self.weight_vector))
-        object.__setattr__(self, "length", Fraction(self.length))
+        object.__setattr__(self, "length", _frac(self.length))
         object.__setattr__(self, "shift", _int_pair(self.shift))
 
     @cached_property
@@ -133,7 +137,7 @@ class MarkedPoint(Record):
     t: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "t", Fraction(self.t))
+        object.__setattr__(self, "t", _frac(self.t))
 
 
 class TropicalCurve(Record):
@@ -169,19 +173,38 @@ class TropicalCurve(Record):
         return validate(self)
 
     @cached_property
-    def _vertex_lattice_coords(self) -> tuple[tuple[str, FracVec2], ...]:
-        # (id, lattice coordinates of the lift) per vertex, in vertex order;
-        # they do not depend on the offset, so every crossings pass reuses them
-        to_coords = self.lattice.to_lattice_coords
-        return tuple((v.id, to_coords(v.position)) for v in self.vertices)
+    def _scaled_lattice_coords(self) -> tuple[
+            int, tuple[tuple[str, Vec2], ...], tuple[Vec2, ...]]:
+        # (N, (id, N * lattice coordinates of the lift) per vertex,
+        #  N * lattice coordinates of length * weight vector per edge)
+        # with N = |det| times the lcm of the position and length
+        # denominators, so that every entry is an integer; they do not
+        # depend on the offset, so every crossings pass reuses them
+        lat = self.lattice
+        d = lat.det
+        if d == 0 and (self.vertices or self.edges):
+            raise ValidationError("degenerate period lattice")
+        q = math.lcm(*(x.denominator for v in self.vertices
+                       for x in v.position),
+                     *(e.length.denominator for e in self.edges))
+        (p1x, p1y), (p2x, p2y) = lat.period1, lat.period2
+        sign = 1 if d > 0 else -1
 
-    @cached_property
-    def _edge_lattice_disps(self) -> tuple[FracVec2, ...]:
-        # lattice coordinates of length * weight vector, in edge order
-        to_coords = self.lattice.to_lattice_coords
-        return tuple(to_coords((e.length * e.weight_vector[0],
-                                e.length * e.weight_vector[1]))
-                     for e in self.edges)
+        def scaled(x, y):
+            # N * (s1, s2) for the point (x, y) / q, with x, y integers
+            return (sign * (x * p2y - y * p2x), sign * (y * p1x - x * p1y))
+
+        coords = []
+        for v in self.vertices:
+            x, y = v.position
+            coords.append((v.id, scaled(x.numerator * (q // x.denominator),
+                                        y.numerator * (q // y.denominator))))
+        disps = []
+        for e in self.edges:
+            n = e.length.numerator * (q // e.length.denominator)
+            disps.append(scaled(n * e.weight_vector[0],
+                                n * e.weight_vector[1]))
+        return q * abs(d), tuple(coords), tuple(disps)
 
     @cached_property
     def _clean_pass(self) -> tuple[FracVec2, list[Crossing]]:
@@ -253,15 +276,20 @@ class TropicalCurve(Record):
         return self._flag_index.get(vid, ())
 
     def lift_defect(self, e: Edge) -> FracVec2:
-        """lift(head) - lift(tail) - length*m - shift . periods (0 if valid)."""
+        """lift(head) - lift(tail) - length*m - shift . periods (0 if valid).
+
+        Worked out on integer numerators over the lcm q of the five
+        denominators (q is 1 when positions and length are integers)."""
         tail = self.vertex(e.tail).position
         head = self.vertex(e.head).position
-        lat = self.lattice
-        dx = head[0] - tail[0] - e.length * e.weight_vector[0] \
-            - e.shift[0] * lat.period1[0] - e.shift[1] * lat.period2[0]
-        dy = head[1] - tail[1] - e.length * e.weight_vector[1] \
-            - e.shift[0] * lat.period1[1] - e.shift[1] * lat.period2[1]
-        return (dx, dy)
+        terms = (*tail, *head, e.length)
+        q = math.lcm(*(x.denominator for x in terms))
+        tx, ty, hx, hy, length = (x.numerator * (q // x.denominator)
+                                  for x in terms)
+        (wx, wy), (g1, g2) = e.weight_vector, e.shift
+        (p1x, p1y), (p2x, p2y) = self.lattice.period1, self.lattice.period2
+        return (Fraction(hx - tx - length * wx - q * (g1 * p1x + g2 * p2x), q),
+                Fraction(hy - ty - length * wy - q * (g1 * p1y + g2 * p2y), q))
 
 
 class ValidationReport(Record):
@@ -544,36 +572,52 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
     segment from lift(tail) to lift(tail) + length*m is intersected with
     both families; a vertex lying on a wall or a crossing through a cell
     corner raises DegeneracyError (callers retry with another offset).
+
+    Lattice coordinates are exact rationals over one common denominator
+    N, so the work is done on their integer numerators.
     """
     o1, o2 = Fraction(offset[0]), Fraction(offset[1])
-    scoords = {}
-    for vid, (s1, s2) in curve._vertex_lattice_coords:
-        if (s1 - o1).denominator == 1:
+    n0, coords, disps = curve._scaled_lattice_coords
+    q = math.lcm(o1.denominator, o2.denominator)
+    n = n0 * q
+    shift = (o1.numerator * (n // o1.denominator),
+             o2.numerator * (n // o2.denominator))
+    # N * (lattice coordinates - offset) per vertex
+    starts = {}
+    for vid, (s1, s2) in coords:
+        a1, a2 = s1 * q - shift[0], s2 * q - shift[1]
+        if a1 % n == 0:
             raise DegeneracyError(
                 f"vertex {vid} lies on a B1 wall for offset ({o1}, {o2})")
-        if (s2 - o2).denominator == 1:
+        if a2 % n == 0:
             raise DegeneracyError(
                 f"vertex {vid} lies on a B2 wall for offset ({o1}, {o2})")
-        scoords[vid] = (s1, s2)
+        starts[vid] = (a1, a2)
     out: list[Crossing] = []
-    for e, disp in zip(curve.edges, curve._edge_lattice_disps):
-        start = scoords[e.tail]
+    for e, (d1, d2) in zip(curve.edges, disps):
+        start = starts[e.tail]
+        disp = (d1 * q, d2 * q)
         # start + disp is the head lift translated back by the deck shift,
         # so its fractional parts are the head's: no new degeneracy check
         # needed at the end of the segment.
         for axis, side in ((0, "B1"), (1, "B2")):
-            lo = start[axis] - (o1, o2)[axis]
+            lo = start[axis]
             hi = lo + disp[axis]
-            net = math.floor(hi) - math.floor(lo)
+            net = hi // n - lo // n
             if net == 0:
                 continue
-            # The walls crossed are the integers w strictly between lo and
-            # hi; at w the other coordinate (less its offset) is
-            # c + k*r with k = w - first.  A corner is an integral value.
-            first = math.floor(min(lo, hi)) + 1
-            r = disp[1 - axis] / disp[axis]
-            c = start[1 - axis] - (o1, o2)[1 - axis] + (first - lo) * r
-            if _integral_within(c, r, abs(net)):
+            # The walls crossed are the integers w strictly between lo/N
+            # and hi/N; at w the other coordinate (less its offset) is
+            # c + k*r with k = w - first and r = disp[other] / disp[axis].
+            # A corner is an integral value.  Over the denominator
+            # N * disp[axis], c and r have the numerators below.
+            first = min(lo, hi) // n + 1
+            da, db = disp[axis], disp[1 - axis]
+            cn = start[1 - axis] * da + (first * n - lo) * db
+            rn, den = db * n, n * da
+            if den < 0:
+                cn, rn, den = -cn, -rn, -den
+            if _integral_within(cn, rn, den, abs(net)):
                 raise DegeneracyError(
                     f"edge {e.id} crosses a cell corner for offset "
                     f"({o1}, {o2})")
@@ -588,25 +632,22 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
     return out
 
 
-def _integral_within(c: Fraction, r: Fraction, n: int) -> bool:
-    """Whether c + k*r is an integer for some integer k with 0 <= k < n.
+def _integral_within(c: int, r: int, den: int, n: int) -> bool:
+    """Whether (c + k*r) / den is an integer for some integer k with
+    0 <= k < n (den > 0).
 
-    Over the common denominator L this is the congruence
-    k*R = -C (mod L), solved in closed form.
+    That is the congruence k*r = -c (mod den), solved in closed form.
 
-    >>> _integral_within(Fraction(1, 3), Fraction(1, 3), 3)
+    >>> _integral_within(1, 1, 3, 3)
     True
-    >>> _integral_within(Fraction(1, 3), Fraction(1, 3), 2)
+    >>> _integral_within(1, 1, 3, 2)
     False
     """
-    den = math.lcm(c.denominator, r.denominator)
-    cc = c.numerator * (den // c.denominator)
-    rr = r.numerator * (den // r.denominator)
-    g = math.gcd(rr, den)
-    if cc % g:
+    g = math.gcd(r, den)
+    if c % g:
         return False
     m = den // g
-    k = 0 if m == 1 else -cc // g * pow(rr // g, -1, m) % m
+    k = 0 if m == 1 else -c // g * pow(r // g, -1, m) % m
     return k < n
 
 

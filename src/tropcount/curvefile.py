@@ -53,6 +53,13 @@ def parse_rational(value, what: str = "value") -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
+            if value.isascii():
+                # most rationals in a file are integers; a string int()
+                # refuses goes on to Fraction, which gives the refusal
+                try:
+                    return Fraction(int(value))
+                except ValueError:
+                    pass
             exponent = _EXPONENT.search(value)
             if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
                 raise ParseError(
@@ -321,6 +328,8 @@ def loads_curve(text: str) -> tuple[TropicalCurve, list[MarkedPoint]]:
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # nested deeper than the decoder recurses
+        raise ParseError("not valid JSON: nested too deeply") from exc
     return curve_from_dict(doc)
 
 
@@ -328,7 +337,7 @@ def load_curve(path: str) -> tuple[TropicalCurve, list[MarkedPoint]]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return loads_curve(text)
 

@@ -208,13 +208,15 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     The work is sparse; the result is dense.  S and U are held as rows
     {column: nonzero int} and V as columns {row: nonzero int}, so a row or
-    column operation costs the nonzeros it touches, and swapping two
-    columns of V swaps two references.  At step t, rows and columns before
-    t are finished (diagonal), so
+    column operation costs the nonzeros it touches.  The rows of S are
+    keyed by column label, the column's index in A, and two lists map
+    labels to positions and back; swapping two columns of S swaps two
+    entries of each list, and swapping two columns of V swaps two
+    references.  At step t, rows and columns before t are finished
+    (diagonal), so
 
     * rows t and below hold nonzeros only in columns t and up: the pivot
-      scan and the divisibility check read a row's values directly, and a
-      column swap visits only rows t and below;
+      scan and the divisibility check read a row's values directly;
     * the column phase runs once column t is zero below the pivot, so
       subtracting q times column t from column j changes only s[t][j] in
       S (and column j of V).
@@ -228,6 +230,8 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     s = [{j: x for j, x in enumerate(row) if x} for row in a]
     u = [{i: 1} for i in range(nrows)]
     v = [{j: 1} for j in range(ncols)]
+    pos = list(range(ncols))  # column label -> position
+    label = list(range(ncols))  # position -> column label
     t = 0
 
     def swap_rows(i, j):
@@ -237,14 +241,9 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     def swap_cols(i, j):
         if i != j:
-            for k in range(t, nrows):
-                row = s[k]
-                x = row.pop(i, 0)
-                y = row.pop(j, 0)
-                if y:
-                    row[i] = y
-                if x:
-                    row[j] = x
+            li, lj = label[i], label[j]
+            label[i], label[j] = lj, li
+            pos[li], pos[lj] = j, i
             v[i], v[j] = v[j], v[i]
 
     def sub(dst, src, q):
@@ -272,31 +271,33 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             break
         row = s[pivot]
         swap_rows(t, pivot)
-        swap_cols(t, min(j for j, x in row.items() if abs(x) == best))
+        swap_cols(t, min(pos[j] for j, x in row.items() if abs(x) == best))
         # Clear row and column t by gcd descent.  Quotients round to the
         # nearest integer so every remainder is at most half the pivot, and
         # the smallest remainder is promoted to pivot before retrying; both
         # measures keep intermediate entries from ballooning.
         while True:
+            lt = label[t]
             st = s[t]
-            if st[t] < 0:
+            if st[lt] < 0:
                 s[t] = st = {j: -x for j, x in st.items()}
                 u[t] = {j: -x for j, x in u[t].items()}
-            p = st[t]
-            col = [i for i in range(t + 1, nrows) if t in s[i]]
+            p = st[lt]
+            col = [i for i in range(t + 1, nrows) if lt in s[i]]
             if col:
                 for i in col:
-                    q = _round_div(s[i][t], p)
+                    q = _round_div(s[i][lt], p)
                     if q:
                         sub(s[i], st, q)
                         sub(u[i], u[t], q)
-                rest = [i for i in col if t in s[i]]
+                rest = [i for i in col if lt in s[i]]
                 if rest:
-                    swap_rows(t, min(rest, key=lambda i: abs(s[i][t])))
+                    swap_rows(t, min(rest, key=lambda i: abs(s[i][lt])))
                 continue
-            row_ = sorted(j for j in st if j > t)
+            # the other nonzeros of row t, in position order
+            row_ = sorted((pos[j], j) for j in st if j != lt)
             if row_:
-                for j in row_:
+                for k, j in row_:
                     q = _round_div(st[j], p)
                     if q:
                         # column t of S is p e_t here
@@ -305,15 +306,15 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
                             st[j] = x
                         else:
                             del st[j]
-                        sub(v[j], v[t], q)
-                rest = [j for j in row_ if j in st]
+                        sub(v[k], v[t], q)
+                rest = [k for k, j in row_ if j in st]
                 if rest:
-                    swap_cols(t, min(rest, key=lambda j: abs(st[j])))
+                    swap_cols(t, min(rest, key=lambda k: abs(st[label[k]])))
                 continue
             break
         # Enforce divisibility d_t | every remaining entry (always true for
         # d_t = 1): fold the first offending row in and redo the pivot step.
-        p = s[t][t]
+        p = s[t][label[t]]
         bad = None if p == 1 else next(
             (i for i in range(t + 1, nrows)
              if any(x % p for x in s[i].values())), None)
@@ -324,15 +325,17 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             sub(u[t], u[bad], -1)
     # Densify, releasing each sparse row or column once it is copied so
     # that both forms of a matrix are never held whole at once.
-    return _dense_rows(u, nrows), _dense_rows(s, ncols), _dense_columns(v)
+    return (_dense_rows(u, nrows, range(nrows)), _dense_rows(s, ncols, pos),
+            _dense_columns(v))
 
 
-def _dense_rows(rows: list[dict[int, int]], width: int) -> IntMatrix:
+def _dense_rows(rows: list[dict[int, int]], width: int, pos) -> IntMatrix:
+    # pos maps the keys of the sparse rows to columns of the dense ones
     out = []
     for i, sparse in enumerate(rows):
         row = [0] * width
         for j, x in sparse.items():
-            row[j] = x
+            row[pos[j]] = x
         rows[i] = None
         out.append(row)
     return out

@@ -83,10 +83,13 @@ def render_svg(curve: TropicalCurve) -> str:
     """
     ensure_valid(curve)
     lattice = curve.lattice
-    # the first vertex of a duplicated id wins, as in curve.vertex
-    starts = dict(reversed(curve._vertex_lattice_coords))
-    segments = [(starts[e.tail], disp)
-                for e, disp in zip(curve.edges, curve._edge_lattice_disps)]
+    # lattice coordinates of the lifts and of the edge displacements; the
+    # first vertex of a duplicated id wins, as in curve.vertex
+    n, coords, disps = curve._scaled_lattice_coords
+    starts = {vid: (Fraction(a, n), Fraction(b, n))
+              for vid, (a, b) in reversed(coords)}
+    segments = [(starts[e.tail], (Fraction(a, n), Fraction(b, n)))
+                for e, (a, b) in zip(curve.edges, disps)]
     walls = [_walls_crossed(*seg) for seg in segments]
     bound = len(walls) + sum(walls)
     if bound > MAX_PIECES:

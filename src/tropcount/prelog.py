@@ -176,9 +176,10 @@ def solve_monomial(
         elif verdict is None and feasible is True:
             feasible = None
 
+    # a first root of a canonical value is the value itself
     z = [MulValue.identity()] * ncols
     for i in range(rank):
-        z[i] = mv_root(c[i], diag[i])
+        z[i] = c[i] if diag[i] == 1 else mv_root(c[i], diag[i])
     assignment = None
     if feasible is not False:
         assignment = [mv_prod(compress(zip(z, row), row)) for row in v]

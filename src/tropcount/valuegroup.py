@@ -22,12 +22,16 @@ All exponent arithmetic is exact.  Powers use the principal branch: the
 stored phase representative lies in [0, 1) and mv_pow scales that
 representative, so a k-th root has phase in [0, 1/k).
 
-Products of many powers go through mv_prod, which sums integer
-numerators per (component, denominator) and builds the Fractions and
-the canonical form once.  A nested product such as (x^a * y^b)^n may be
-flattened into x^(a*n) * y^(b*n) only when the outer power n is an
-integer: an integer multiple of a phase reduced mod 1 is the reduced
-multiple, while a fractional power of the reduced phase picks a branch.
+Products of many powers go through mv_prod, which works in integers
+from its factors to its result.  Every value keeps its exponents as
+integer (kind, key, denominator, numerator) terms; mv_prod sums the
+scaled numerators per (component, denominator), combines each component
+over the lcm of its denominators, reduces the phase modulo that lcm, and
+builds one Fraction per component of the result, none per term.  A
+nested product such as (x^a * y^b)^n may be flattened into
+x^(a*n) * y^(b*n) only when the outer power n is an integer: an integer
+multiple of a phase reduced mod 1 is the reduced multiple, while a
+fractional power of the reduced phase picks a branch.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import cmath
 import math
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping
 
 from .errors import ConstraintError
@@ -47,6 +52,8 @@ class EqualityMode(Enum):
     EXACT = "exact"
     NUMERIC = "numeric"
 
+
+_ZERO = Fraction(0)
 
 UNDECIDED = None  # three-valued verdicts are True / False / UNDECIDED
 
@@ -192,6 +199,17 @@ class MulValue(Record):
     def has_symbols(self) -> bool:
         return bool(self.symbols)
 
+    @cached_property
+    def _terms(self) -> tuple[tuple[int, object, int, int], ...]:
+        # (kind, key, denominator, numerator) per exponent, kind 0 for a
+        # symbol, 1 for a prime and 2 for the phase; mv_prod reads these
+        # integers instead of the Fractions.  Cached, so not a field.
+        out = [(0, k, v.denominator, v.numerator) for k, v in self.symbols]
+        out += [(1, p, v.denominator, v.numerator) for p, v in self.primes]
+        if self.phase:
+            out.append((2, None, self.phase.denominator, self.phase.numerator))
+        return tuple(out)
+
     # -- operators ---------------------------------------------------------
 
     def __mul__(self, other: "MulValue") -> "MulValue":
@@ -244,12 +262,13 @@ def mv_mul(a: MulValue, b: MulValue) -> MulValue:
 def mv_prod(pairs) -> MulValue:
     """Product of a ** e over (a, e) pairs, normalized once.
 
-    Each exponent e (an int or a Fraction) scales a stored exponent v
-    as the integer numerator v.numerator * e.numerator over the
-    denominator v.denominator * e.denominator; the numerators are summed
-    per (component, denominator), one Fraction per component and
-    denominator is built at the end, and the result is normalized by one
-    _make.  No Fraction is made per term.
+    Each exponent e (an int or a Fraction) scales a stored exponent
+    n/d of a factor to the integer numerator n * e.numerator over the
+    denominator d * e.denominator; the numerators are summed per
+    (component, denominator).  Each component is then combined over the
+    lcm of its denominators, the phase is reduced modulo that lcm, and
+    one Fraction is built per nonzero component.  No Fraction is made
+    per term.
 
     Equal to chaining mv_mul and mv_pow for any rational exponents e,
     because mv_pow scales the stored phase representative, mv_mul adds
@@ -260,35 +279,42 @@ def mv_prod(pairs) -> MulValue:
     >>> mv_prod([(a, 2), (b, 0), (b, -1)]) == mv_mul(mv_pow(a, 2), mv_inv(b))
     True
     """
-    symbols: dict[tuple[str, int], int] = {}
-    primes: dict[tuple[int, int], int] = {}
-    phases: dict[int, int] = {}
+    sums: dict[tuple, int] = {}
     for a, e in pairs:
         if not e:
             continue
-        en, ed = e.numerator, e.denominator
-        for k, v in a.symbols:
-            key = (k, v.denominator * ed)
-            symbols[key] = symbols.get(key, 0) + v.numerator * en
-        for p, v in a.primes:
-            key = (p, v.denominator * ed)
-            primes[key] = primes.get(key, 0) + v.numerator * en
-        v = a.phase
-        if v:
-            d = v.denominator * ed
-            phases[d] = phases.get(d, 0) + v.numerator * en
-    return MulValue._make(_collect(symbols), _collect(primes),
-                          sum((Fraction(n, d) for d, n in phases.items()),
-                              Fraction(0)))
-
-
-def _collect(sums: dict) -> dict:
-    """{(key, denominator): numerator sum} -> {key: Fraction}."""
-    out: dict = {}
-    for (k, d), n in sums.items():
+        if type(e) is int:
+            for kind, key, d, n in a._terms:
+                k = (kind, key, d)
+                sums[k] = sums.get(k, 0) + n * e
+        else:
+            en, ed = e.numerator, e.denominator
+            for kind, key, d, n in a._terms:
+                k = (kind, key, d * ed)
+                sums[k] = sums.get(k, 0) + n * en
+    # {(kind, key): [denominator, numerator]}, over the lcm of the
+    # denominators met
+    parts: dict[tuple, list[int]] = {}
+    for (kind, key, d), n in sums.items():
         if n:
-            out[k] = out.get(k, 0) + Fraction(n, d)
-    return out
+            part = parts.get((kind, key))
+            if part is None:
+                parts[(kind, key)] = [d, n]
+            else:
+                pd, pn = part
+                m = math.lcm(pd, d)
+                part[0], part[1] = m, pn * (m // pd) + n * (m // d)
+    symbols, primes, phase = [], [], _ZERO
+    for (kind, key), (d, n) in parts.items():
+        if kind == 2:
+            n %= d
+            if n:
+                phase = Fraction(n, d)
+        elif n:
+            (symbols if kind == 0 else primes).append((key, Fraction(n, d)))
+    symbols.sort()
+    primes.sort()
+    return MulValue(tuple(symbols), tuple(primes), phase)
 
 
 def mv_inv(a: MulValue) -> MulValue:

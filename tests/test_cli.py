@@ -12,7 +12,7 @@ import pytest
 
 import tropcount
 from tropcount import catalog, cli
-from tropcount.cli import _read_argv, build_parser, main
+from tropcount.cli import _json_text, _read_argv, build_parser, main
 from tropcount.curve import MarkedPoint, TropicalCurve
 from tropcount.curvefile import save_curve
 from tropcount.errors import (ConstraintError, DegeneracyError, InfeasibleError,
@@ -266,6 +266,39 @@ def test_hostile_input_answered_in_bounded_time(doc, command, tmp_path):
     assert seconds < HOSTILE_SECONDS
 
 
+_DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("command", ["validate", "count", "prelog"])
+def test_deeply_nested_curve_file_exits_1(command, tmp_path):
+    code, err, seconds = _run_timed([command], tmp_path, text=_DEEP)
+    assert (code, err.count("\n")) == (1, 1), err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "nested too deeply" in err
+    assert seconds < HOSTILE_SECONDS
+
+
+def test_deeply_nested_check_file_exits_1(tmp_path):
+    curve = shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
+    code, err, seconds = _run_timed(["prelog", curve, "--check"], tmp_path,
+                                    text=_DEEP)
+    assert (code, err.count("\n")) == (1, 1), err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "nested too deeply" in err
+    assert seconds < HOSTILE_SECONDS
+
+
+def test_curve_file_that_is_not_utf8_exits_1(tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    with open(os.path.join(GOLDEN, "theta_exact.json"),
+              encoding="utf-8") as handle:
+        path.write_bytes(handle.read().encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    for command in ("validate", "count", "prelog"):
+        code = main([command, str(path)])
+        _assert_one_error_line(code, capsys)
+
+
 def test_plot_of_very_long_edge_refused_in_bounded_time(tmp_path):
     # a million-unit edge would be drawn as about a million polylines
     code, err, seconds = _run_timed(
@@ -311,6 +344,82 @@ def test_json_output_matches_golden(name, command, tmp_path, monkeypatch,
     with open(os.path.join(GOLDEN, f"{name}_exact.{command}.out"),
               encoding="utf-8") as handle:
         assert capsys.readouterr().out == handle.read()
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "human"])
+@pytest.mark.parametrize("name,code", [
+    ("theta_cover9_exact", 0), ("triple_cover9_exact", 0),
+    ("triple_cover9_formal", 4),
+])
+def test_prelog_of_genus_9_covers_matches_golden(name, code, as_json,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+    # exact covers: feasible, with an assignment and kernel generators;
+    # the formal cover: infeasible, with its witness
+    shutil.copy(os.path.join(GOLDEN, f"{name}.json"), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = ["prelog", f"{name}.json"] + (["--json"] if as_json else [])
+    assert main(argv) == code
+    suffix = "prelog.out" if as_json else "prelog.human.out"
+    with open(os.path.join(GOLDEN, f"{name}.{suffix}"),
+              encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
+
+
+class _Code(int):
+    """An int subclass, which json.dumps writes with int.__repr__."""
+
+    def __repr__(self):
+        return "not this"
+
+
+_LEAVES = [
+    "", "plain", 'quote " and \\ backslash', "tab\t nl\n cr\r nul\x00",
+    "\x1f\x7f", "caf\u00e9", "\u2028\u2029", "\U0001f600", "\ud800",
+    0, 1, -1, 2 ** 64, -(3 ** 80), True, False, None, _Code(5),
+    0.0, -0.0, 0.1, 1e300, -2.5e-300, float("nan"), float("inf"),
+    float("-inf"),
+]
+_KEYS = ["k", "", "a b", 'q"k', "\\", "\u00fc", "\U0001f600", "\n"]
+_ODD_KEYS = [7, -2 ** 70, 1.5, True, None]
+
+
+def _random_report(rng: random.Random, depth: int = 0):
+    roll = rng.random()
+    if depth >= 4 or roll < 0.3:
+        return rng.choice(_LEAVES)
+    size = rng.choice((0, 1, 2, 3, 5, 8))
+    if roll < 0.65:
+        return [_random_report(rng, depth + 1) for _ in range(size)]
+    keys = _KEYS + _ODD_KEYS if rng.random() < 0.2 else _KEYS
+    out = {}
+    for i in range(size):
+        key = rng.choice(keys)
+        if type(key) is str and rng.random() < 0.5:
+            key += str(i)
+        out[key] = _random_report(rng, depth + 1)
+    return out
+
+
+def test_json_writer_equals_json_dumps_indent_2():
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(3000):
+        report = _random_report(rng)
+        seen.add(type(report))
+        assert _json_text(report) == json.dumps(report, indent=2)
+        assert _json_text({"report": report, "n": [report, 3]}) == \
+            json.dumps({"report": report, "n": [report, 3]}, indent=2)
+    assert {dict, list} <= seen
+    # flat maps of leaves, the shape of kernel generators and weights
+    flat = {f"v_{i}|e_{i}": rng.randrange(-3, 4) for i in range(500)}
+    assert _json_text([flat, {}, []]) == json.dumps([flat, {}, []], indent=2)
+    # keys that are not strings go to json.dumps, nested or not
+    odd = {1: "a", "b": {2.5: [None], None: True}}
+    assert _json_text(odd) == json.dumps(odd, indent=2)
+    assert _json_text([[odd]]) == json.dumps([[odd]], indent=2)
+    with pytest.raises(TypeError):
+        _json_text({"x": object()})
 
 
 def test_mode_env_and_flag_precedence(theta_file, capsys, monkeypatch):

@@ -384,3 +384,142 @@ def test_crossings_match_per_wall_reference():
                 corners += 1
     assert corners >= 50 and clean >= 50
 
+
+
+def _lift_defect_reference(curve, e):
+    """lift_defect in Fraction arithmetic: the version the integer one
+    replaced, kept as its reference."""
+    tail = curve.vertex(e.tail).position
+    head = curve.vertex(e.head).position
+    lat = curve.lattice
+    dx = head[0] - tail[0] - e.length * e.weight_vector[0] \
+        - e.shift[0] * lat.period1[0] - e.shift[1] * lat.period2[0]
+    dy = head[1] - tail[1] - e.length * e.weight_vector[1] \
+        - e.shift[0] * lat.period1[1] - e.shift[1] * lat.period2[1]
+    return (dx, dy)
+
+
+def _integral_within_reference(c, r, n):
+    den = math.lcm(c.denominator, r.denominator)
+    cc = c.numerator * (den // c.denominator)
+    rr = r.numerator * (den // r.denominator)
+    g = math.gcd(rr, den)
+    if cc % g:
+        return False
+    m = den // g
+    k = 0 if m == 1 else -cc // g * pow(rr // g, -1, m) % m
+    return k < n
+
+
+def _fraction_crossings_reference(curve, offset):
+    """crossings on Fraction lattice coordinates: the version the integer
+    one replaced, kept as its reference."""
+    lat = curve.lattice
+    o1, o2 = Fraction(offset[0]), Fraction(offset[1])
+    scoords = {}
+    for v in curve.vertices:
+        s1, s2 = lat.to_lattice_coords(v.position)
+        if (s1 - o1).denominator == 1:
+            raise DegeneracyError(
+                f"vertex {v.id} lies on a B1 wall for offset ({o1}, {o2})")
+        if (s2 - o2).denominator == 1:
+            raise DegeneracyError(
+                f"vertex {v.id} lies on a B2 wall for offset ({o1}, {o2})")
+        scoords[v.id] = (s1, s2)
+    out = []
+    for e in curve.edges:
+        start = scoords[e.tail]
+        disp = lat.to_lattice_coords((e.length * e.weight_vector[0],
+                                      e.length * e.weight_vector[1]))
+        for axis, side in ((0, "B1"), (1, "B2")):
+            lo = start[axis] - (o1, o2)[axis]
+            hi = lo + disp[axis]
+            net = math.floor(hi) - math.floor(lo)
+            if net == 0:
+                continue
+            first = math.floor(min(lo, hi)) + 1
+            r = disp[1 - axis] / disp[axis]
+            c = start[1 - axis] - (o1, o2)[1 - axis] + (first - lo) * r
+            if _integral_within_reference(c, r, abs(net)):
+                raise DegeneracyError(
+                    f"edge {e.id} crosses a cell corner for offset "
+                    f"({o1}, {o2})")
+            sign = 1 if net > 0 else -1
+            out.append(tropcount.curve.Crossing(
+                edge=e.id, side=side, signed_count=net,
+                outward_vector=(sign * e.weight_vector[0],
+                                sign * e.weight_vector[1])))
+    return out
+
+
+def _rational(rng, dens=(1, 1, 1, 2, 3, 4, 6, 7)):
+    return Fraction(rng.randrange(-40, 41), rng.choice(dens))
+
+
+def _moved_curves(rng, curve):
+    """The curve translated by a rational vector (still valid), and with
+    random positions, lengths and steep weight vectors (lift relation
+    broken), integral or not."""
+    t = (_rational(rng), _rational(rng))
+    moved = TropicalCurve(curve.lattice, tuple(
+        Vertex(v.id, (v.position[0] + t[0], v.position[1] + t[1]))
+        for v in curve.vertices), curve.edges)
+    out = [curve, moved]
+    for dens in ((1,), (1, 2, 3, 5, 12)):
+        vertices = tuple(Vertex(v.id, (_rational(rng, dens),
+                                       _rational(rng, dens)))
+                         for v in curve.vertices)
+        edges = tuple(e.replace(length=abs(_rational(rng, dens)) + 1,
+                                weight_vector=(rng.randrange(-9, 10),
+                                               rng.choice((-7, -5, 3, 8))))
+                      for e in curve.edges)
+        out.append(TropicalCurve(curve.lattice, vertices, edges))
+    return out
+
+
+def test_integer_lift_defect_and_crossings_match_fraction_versions():
+    rng = random.Random(71)
+    bases = [curve for _, curve, _ in generated_curves(rng, 12)]
+    bases += [catalog.theta_double(), catalog.triple_vertex(),
+              catalog.wrapping_cycle(3, 2)]
+    # long edges cross many walls, some of them through corners
+    bases += [_lengthen(curve, rng) for curve in bases]
+    offsets = [(Fraction(a, q), Fraction(b, r))
+               for q in (2, 3) for r in (2, 5)
+               for a in range(1, q) for b in range(1, r)]
+    offsets += list(offset_sequence(6))
+    kinds = {"integral": 0, "fractional": 0, "defect": 0, "crossed": 0,
+             "corner": 0}
+    for base in bases:
+        for curve in _moved_curves(rng, base):
+            for e in curve.edges:
+                got = curve.lift_defect(e)
+                want = _lift_defect_reference(curve, e)
+                assert got == want and repr(got) == repr(want)
+                terms = (*curve.vertex(e.tail).position,
+                         *curve.vertex(e.head).position, e.length)
+                kinds["integral" if all(x.denominator == 1 for x in terms)
+                      else "fractional"] += 1
+                kinds["defect"] += want != (0, 0)
+            for offset in offsets:
+                want = _outcome(_fraction_crossings_reference, curve, offset)
+                assert _outcome(crossings, curve, offset) == want, offset
+                kinds["crossed"] += isinstance(want, list) and bool(want)
+                kinds["corner"] += "corner" in want
+    # one steep edge walking backwards across several walls, on a grid of
+    # tails and lengths: some corners sit at walls after the first
+    lattice = PeriodLattice((2, 1), (1, 3))
+    for x in range(-21, 1, 3):
+        for y in range(-21, 1, 3):
+            tail = Vertex("u", (Fraction(x, 7), Fraction(y, 7)))
+            for n in range(1, 16):
+                edge = Edge("e", "u", "u", (-2, 3), Fraction(n, 3))
+                curve = TropicalCurve(lattice, (tail,), (edge,))
+                for offset in ((Fraction(1, 2), Fraction(1, 3)),
+                               (Fraction(1, 2), Fraction(2, 3)),
+                               (Fraction(1, 5), Fraction(2, 5))):
+                    want = _outcome(_fraction_crossings_reference, curve,
+                                    offset)
+                    assert _outcome(crossings, curve, offset) == want
+                    kinds["corner"] += "corner" in want
+    assert min(kinds.values()) >= 50, kinds

@@ -1,13 +1,15 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from tropcount import catalog
-from tropcount.curvefile import (curve_from_dict, curve_to_dict, dumps_curve,
-                                 format_rational, load_curve, loads_curve,
-                                 parse_complex, parse_rational, save_curve)
+from tropcount.curvefile import (MAX_DECIMAL_EXPONENT, curve_from_dict,
+                                 curve_to_dict, dumps_curve, format_rational,
+                                 load_curve, loads_curve, parse_complex,
+                                 parse_rational, save_curve)
 from tropcount.errors import ParseError
 from tropcount.selftest import generated_curves
 from tropcount.valuegroup import EqualityMode, MulValue
@@ -42,6 +44,50 @@ def test_parse_rational():
         parse_rational(True)
     with pytest.raises(ParseError):
         parse_rational("abc")
+
+
+def _parse_rational_reference(value, what: str = "value") -> Fraction:
+    """parse_rational before its int() path, kept as its reference."""
+    if isinstance(value, bool):
+        raise ParseError(f"{what}: expected a rational, got {value!r}")
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            exponent = re.search(r"[eE]([-+]?[0-9_]+)", value)
+            if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
+                raise ParseError(
+                    f"{what}: decimal exponent outside "
+                    f"[-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]")
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"{what}: bad rational {value!r}: {exc}") from exc
+    raise ParseError(
+        f"{what}: expected a rational string, got {type(value).__name__} "
+        f"(floats are not accepted; write \"1/3\")")
+
+
+def _parsed(parse, value):
+    try:
+        result = parse(value, "x")
+    except ParseError as exc:
+        return "refused", str(exc)
+    return type(result), result
+
+
+@pytest.mark.parametrize("value", [
+    "007", "-0", "+3", " 3 ", "\t-12\n", "\u0663", "\u00b2", "1_000",
+    "1__000", "_1", "", "-", "3.0", "1e3", "1/3", " -4/6 ", "1/0", "0x10",
+    "5" * 5000, "-" + "5" * 4300, "5" * 4301, "\x1c3", "\u00a07", "3 4",
+    12, -7, True, 0.5, None,
+], ids=repr)
+def test_parse_rational_returns_or_refuses_as_before(value):
+    # int() takes the integer strings; every other string, and every
+    # refusal with its message, is still Fraction's
+    got = _parsed(parse_rational, value)
+    assert got == _parsed(_parse_rational_reference, value)
+    if got[0] != "refused":
+        assert got[0] is Fraction
 
 
 def test_parse_rational_bounds_decimal_exponents():
@@ -197,3 +243,16 @@ def test_serialized_document_has_no_floats():
                 walk(v)
 
     walk(json.loads(text))
+
+
+def test_file_that_is_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "curve.json"
+    path.write_bytes(json.dumps(THETA_DOC).encode("utf-16"))
+    assert path.read_bytes()[:2] == b"\xff\xfe"
+    with pytest.raises(ParseError, match="cannot read"):
+        load_curve(str(path))
+
+
+def test_deeply_nested_json_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        loads_curve("[" * 100000 + "]" * 100000)

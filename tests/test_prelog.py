@@ -8,8 +8,8 @@ from equivalence_cases import cases, chi_reference
 from tropcount import catalog
 from tropcount.errors import ConstraintError
 from tropcount.exactmath import snf
-from tropcount.prelog import (VertexModel, assemble_system, edge_rhs,
-                              left_kernel_vector, prelog_exists,
+from tropcount.prelog import (MonomialSystem, VertexModel, assemble_system,
+                              edge_rhs, left_kernel_vector, prelog_exists,
                               solve_monomial, solve_root_congruence,
                               verify_assignment)
 from tropcount.realize import (is_realizable, realizability_target,
@@ -263,3 +263,37 @@ def test_solve_and_verify_match_chained_products():
         assert failures, name
         assert failures == _verify_reference(system, guess, mode), name
     assert solved >= len(instances) // 3
+
+
+def test_solve_takes_roots_only_of_non_unit_invariant_factors():
+    # A unit diagonal entry keeps the value itself as its first root;
+    # every other entry still takes the principal root.  Curve systems
+    # have unit invariant factors only, so these systems are random.
+    rng = random.Random(37)
+    non_unit = 0
+    for _ in range(80):
+        nrows = rng.randrange(1, 4)
+        ncols = rng.randrange(nrows, 5)
+        a = [[rng.randrange(-4, 5) for _ in range(ncols)]
+             for _ in range(nrows)]
+        rhs = [MulValue.polar(Fraction(rng.randrange(1, 30),
+                                       rng.randrange(1, 30)),
+                              Fraction(rng.randrange(12), 12))
+               for _ in range(nrows)]
+        system = MonomialSystem(a, rhs, [f"r{i}" for i in range(nrows)],
+                                [("v", f"e{j}") for j in range(ncols)])
+        solution = solve_monomial(system, EqualityMode.EXACT)
+        u, s, v = snf(a)
+        diag = [s[i][i] for i in range(nrows)]
+        if not all(diag):
+            continue
+        c = [product(mv_pow(b, x) for b, x in zip(rhs, row)) for row in u]
+        z = [mv_root(c[i], diag[i]) for i in range(nrows)]
+        z += [MulValue.identity()] * (ncols - nrows)
+        assert solution.feasible is True
+        assert solution.assignment == [
+            product(mv_pow(zk, x) for zk, x in zip(z, row)) for row in v]
+        assert verify_assignment(system, solution.assignment,
+                                 EqualityMode.EXACT) == []
+        non_unit += max(diag) > 1
+    assert non_unit >= 10

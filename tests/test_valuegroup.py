@@ -231,3 +231,55 @@ def test_prod_phases_wrap_and_terms_cancel():
     y = MulValue.symbol("x", Fraction(1, 3))
     assert mv_prod([(x, 1), (y, 1)]).symbols == (("x", Fraction(5, 6)),)
     assert mv_prod([(x, 2), (y, -3)]).is_identity
+
+
+def _mixed_value(rng: random.Random) -> MulValue:
+    """A value whose symbol, prime and phase exponents have unrelated
+    denominators, so that one product meets many per component."""
+    def q():
+        return Fraction(rng.randrange(-12, 13), rng.choice((1, 2, 3, 4, 5, 6,
+                                                            7, 12, 35)))
+    symbols = {name: q() for name in rng.sample("abcd", rng.randrange(4))}
+    primes = {p: q() for p in rng.sample((2, 3, 5, 7, 101), rng.randrange(4))}
+    return MulValue._make(symbols, primes, q())
+
+
+def test_prod_with_mixed_denominators_equals_chained_mul_and_pow():
+    rng = random.Random(23)
+    for _ in range(300):
+        pairs = [(_mixed_value(rng), _random_exponent(rng))
+                 for _ in range(rng.randrange(0, 8))]
+        chained = MulValue.identity()
+        for value, exponent in pairs:
+            chained = mv_mul(chained, mv_pow(value, exponent))
+        product = mv_prod(pairs)
+        assert product == chained
+        assert repr(product) == repr(chained)
+        assert product.to_dict() == chained.to_dict()
+        assert all(type(x) is Fraction for _, x in
+                   product.symbols + product.primes + ((0, product.phase),))
+
+
+def test_term_cache_is_not_part_of_the_value():
+    rng = random.Random(29)
+    for _ in range(50):
+        value = _mixed_value(rng)
+        twin = MulValue(value.symbols, value.primes, value.phase)
+        before = (repr(value), hash(value), value.to_dict(), str(value))
+        terms = value._terms
+        assert (repr(value), hash(value), value.to_dict(),
+                str(value)) == before
+        assert "_terms" not in repr(value)
+        # the twin has no cache yet and is still equal, with one hash
+        assert "_terms" not in vars(twin)
+        assert value == twin and hash(value) == hash(twin)
+        assert twin._terms == terms
+        assert value.replace(phase=value.phase) == value
+        # the terms are the exponents as integers
+        rebuilt = {}
+        for kind, key, d, n in terms:
+            rebuilt[(kind, key)] = Fraction(n, d)
+        assert rebuilt == {
+            **{(0, k): v for k, v in value.symbols},
+            **{(1, p): v for p, v in value.primes},
+            **({(2, None): value.phase} if value.phase else {})}
