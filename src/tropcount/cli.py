@@ -35,7 +35,7 @@ from types import SimpleNamespace
 
 from .curve import canonical_offset, ensure_valid, validate
 from .curvefile import (format_rational, load_curve, parse_complex,
-                        parse_polar, parse_rational)
+                        parse_polar, parse_rational, read_json)
 from .errors import ConstraintError, ParseError, TropcountError
 from .moduli import (count_curves, deformation_ranks, dual_flag_dimension,
                      edge_weight_product)
@@ -297,16 +297,7 @@ def cmd_prelog(args) -> int:
     system = assemble_system(curve)
 
     if args.check:
-        try:
-            with open(args.check, "r", encoding="utf-8") as handle:
-                doc = json.load(handle)
-        except OSError as exc:
-            raise ParseError(f"cannot read {args.check}: {exc}") from exc
-        except ValueError as exc:  # JSONDecodeError, or an over-long integer
-            raise ParseError(f"{args.check}: not valid JSON: {exc}") from exc
-        except RecursionError as exc:  # nested deeper than json recurses
-            raise ParseError(
-                f"{args.check}: not valid JSON: nested too deeply") from exc
+        doc = read_json(args.check, args.check)
         flags_doc = doc.get("flags") if isinstance(doc, dict) else None
         if not isinstance(flags_doc, dict):
             raise ParseError(

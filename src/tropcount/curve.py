@@ -79,13 +79,23 @@ class PeriodLattice(Record):
 
     def to_lattice_coords(self, point: FracVec2) -> FracVec2:
         """Coordinates (s1, s2) with point = s1*period1 + s2*period2."""
+        x, y = Fraction(point[0]), Fraction(point[1])
+        q = math.lcm(x.denominator, y.denominator)
+        a, b = self.lattice_numerators(x.numerator * (q // x.denominator),
+                                       y.numerator * (q // y.denominator))
+        n = q * abs(self.det)
+        return (Fraction(a, n), Fraction(b, n))
+
+    def lattice_numerators(self, x: int, y: int) -> Vec2:
+        """|det| * (s1, s2) for the integer point (x, y) = s1*period1 +
+        s2*period2: its lattice coordinates' numerators over |det|."""
         d = self.det
         if d == 0:
             raise ValidationError("degenerate period lattice")
-        x, y = Fraction(point[0]), Fraction(point[1])
-        s1 = (x * self.period2[1] - y * self.period2[0]) / d
-        s2 = (y * self.period1[0] - x * self.period1[1]) / d
-        return (s1, s2)
+        (p1x, p1y), (p2x, p2y) = self.period1, self.period2
+        if d < 0:
+            return (y * p2x - x * p2y, x * p1y - y * p1x)
+        return (x * p2y - y * p2x, y * p1x - x * p1y)
 
     def from_lattice_coords(self, coords: FracVec2) -> FracVec2:
         s1, s2 = Fraction(coords[0]), Fraction(coords[1])
@@ -180,20 +190,10 @@ class TropicalCurve(Record):
         # with N = |det| times the lcm of the position and length
         # denominators, so that every entry is an integer; they do not
         # depend on the offset, so every crossings pass reuses them
-        lat = self.lattice
-        d = lat.det
-        if d == 0 and (self.vertices or self.edges):
-            raise ValidationError("degenerate period lattice")
+        scaled = self.lattice.lattice_numerators
         q = math.lcm(*(x.denominator for v in self.vertices
                        for x in v.position),
                      *(e.length.denominator for e in self.edges))
-        (p1x, p1y), (p2x, p2y) = lat.period1, lat.period2
-        sign = 1 if d > 0 else -1
-
-        def scaled(x, y):
-            # N * (s1, s2) for the point (x, y) / q, with x, y integers
-            return (sign * (x * p2y - y * p2x), sign * (y * p1x - x * p1y))
-
         coords = []
         for v in self.vertices:
             x, y = v.position
@@ -204,7 +204,7 @@ class TropicalCurve(Record):
             n = e.length.numerator * (q // e.length.denominator)
             disps.append(scaled(n * e.weight_vector[0],
                                 n * e.weight_vector[1]))
-        return q * abs(d), tuple(coords), tuple(disps)
+        return q * abs(self.lattice.det), tuple(coords), tuple(disps)
 
     @cached_property
     def _clean_pass(self) -> tuple[FracVec2, list[Crossing]]:

@@ -53,9 +53,11 @@ def parse_rational(value, what: str = "value") -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            if value.isascii():
+            if value.isascii() and "_" not in value:
                 # most rationals in a file are integers; a string int()
-                # refuses goes on to Fraction, which gives the refusal
+                # refuses goes on to Fraction, which gives the refusal.
+                # Underscores are left to Fraction, which accepts them
+                # only from Python 3.11 on, while int() always does.
                 try:
                     return Fraction(int(value))
                 except ValueError:
@@ -323,23 +325,39 @@ def _polar_modulus(value: MulValue) -> Fraction:
     return acc
 
 
-def loads_curve(text: str) -> tuple[TropicalCurve, list[MarkedPoint]]:
+def _decode_json(source, what: str):
+    prefix = f"{what}: " if what else ""
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer
-        raise ParseError(f"not valid JSON: {exc}") from exc
+        if isinstance(source, str):
+            return json.loads(source)
+        return json.load(source)
+    except ValueError as exc:  # not UTF-8, JSONDecodeError, over-long integer
+        raise ParseError(f"{prefix}not valid JSON: {exc}") from exc
     except RecursionError as exc:  # nested deeper than the decoder recurses
-        raise ParseError("not valid JSON: nested too deeply") from exc
-    return curve_from_dict(doc)
+        raise ParseError(f"{prefix}not valid JSON: nested too deeply") from exc
+
+
+def read_json(path: str, what: str = ""):
+    """The JSON document in the UTF-8 file at path.
+
+    A file that cannot be opened or read gives ParseError "cannot read
+    PATH: ..."; one that is not UTF-8, not JSON, or nested deeper than
+    the decoder recurses gives "WHAT: not valid JSON: ..." (without the
+    "WHAT: " when what is empty).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return _decode_json(handle, what)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def loads_curve(text: str) -> tuple[TropicalCurve, list[MarkedPoint]]:
+    return curve_from_dict(_decode_json(text, ""))
 
 
 def load_curve(path: str) -> tuple[TropicalCurve, list[MarkedPoint]]:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return loads_curve(text)
+    return curve_from_dict(read_json(path))
 
 
 def dumps_curve(

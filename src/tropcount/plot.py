@@ -93,11 +93,11 @@ def render_svg(curve: TropicalCurve) -> str:
     walls = [_walls_crossed(*seg) for seg in segments]
     bound = len(walls) + sum(walls)
     if bound > MAX_PIECES:
-        n, eid = max(zip(walls, (e.id for e in curve.edges)),
-                     key=lambda pair: pair[0])
+        most, eid = max(zip(walls, (e.id for e in curve.edges)),
+                        key=lambda pair: pair[0])
         raise ConstraintError(
             f"plot would cut the edges into up to {bound} pieces, over "
-            f"the limit of {MAX_PIECES}; edge {eid} alone crosses {n} "
+            f"the limit of {MAX_PIECES}; edge {eid} alone crosses {most} "
             f"walls")
 
     corners = [_point(lattice, Fraction(a), Fraction(b))
@@ -134,19 +134,17 @@ def render_svg(curve: TropicalCurve) -> str:
         group.append("</g>")
         body.append("".join(group))
 
-    for v in curve.vertices:
-        s1, s2 = lattice.to_lattice_coords(v.position)
-        s1 -= math.floor(s1)
-        s2 -= math.floor(s2)
-        px, py = _point(lattice, s1, s2)
+    for vid, (a, b) in coords:
+        # the lift's lattice coordinates, less their integer parts
+        px, py = _point(lattice, Fraction(a % n, n), Fraction(b % n, n))
         xs.append(px)
         ys.append(py)
         body.append(
-            f'<g class="vertex" id="vertex-{v.id}">'
+            f'<g class="vertex" id="vertex-{vid}">'
             f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" '
             'fill="#AA2222"/>'
             f'<text x="{_fmt(px + 6)}" y="{_fmt(py + 12)}" font-size="12" '
-            f'fill="#AA2222">{v.id}</text></g>')
+            f'fill="#AA2222">{vid}</text></g>')
 
     min_x, max_x = min(xs) - _PAD, max(xs) + _PAD
     min_y, max_y = min(ys) - _PAD, max(ys) + _PAD

@@ -283,15 +283,10 @@ def mv_prod(pairs) -> MulValue:
     for a, e in pairs:
         if not e:
             continue
-        if type(e) is int:
-            for kind, key, d, n in a._terms:
-                k = (kind, key, d)
-                sums[k] = sums.get(k, 0) + n * e
-        else:
-            en, ed = e.numerator, e.denominator
-            for kind, key, d, n in a._terms:
-                k = (kind, key, d * ed)
-                sums[k] = sums.get(k, 0) + n * en
+        en, ed = e.numerator, e.denominator
+        for kind, key, d, n in a._terms:
+            k = (kind, key, d * ed)
+            sums[k] = sums.get(k, 0) + n * en
     # {(kind, key): [denominator, numerator]}, over the lcm of the
     # denominators met
     parts: dict[tuple, list[int]] = {}

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropcount import catalog
+from tropcount import catalog, curvefile
 from tropcount.curvefile import (MAX_DECIMAL_EXPONENT, curve_from_dict,
                                  curve_to_dict, dumps_curve, format_rational,
                                  load_curve, loads_curve, parse_complex,
@@ -88,6 +88,22 @@ def test_parse_rational_returns_or_refuses_as_before(value):
     assert got == _parsed(_parse_rational_reference, value)
     if got[0] != "refused":
         assert got[0] is Fraction
+
+
+def test_parse_rational_leaves_underscores_to_fraction(monkeypatch):
+    # Fraction reads "1_000" only from Python 3.11 on, int() on every
+    # version; with a Fraction that refuses underscores, as 3.10's does,
+    # the string must still be refused
+    class NoUnderscores(Fraction):
+        def __new__(cls, value=0, denominator=None):
+            if isinstance(value, str) and "_" in value:
+                raise ValueError(f"Invalid literal for Fraction: {value!r}")
+            return Fraction(value, denominator)
+
+    monkeypatch.setattr(curvefile, "Fraction", NoUnderscores)
+    assert parse_rational("1000") == 1000
+    with pytest.raises(ParseError, match="bad rational '1_000'"):
+        parse_rational("1_000")
 
 
 def test_parse_rational_bounds_decimal_exponents():
@@ -249,7 +265,7 @@ def test_file_that_is_not_utf8_is_a_parse_error(tmp_path):
     path = tmp_path / "curve.json"
     path.write_bytes(json.dumps(THETA_DOC).encode("utf-16"))
     assert path.read_bytes()[:2] == b"\xff\xfe"
-    with pytest.raises(ParseError, match="cannot read"):
+    with pytest.raises(ParseError, match="not valid JSON: 'utf-8' codec"):
         load_curve(str(path))
 
 
