@@ -19,6 +19,11 @@ One command table (COMMANDS) holds the grammar.  A well-formed command
 line is read from it directly; argparse is loaded only for help and usage
 errors, so that their text and exit code are argparse's own.
 
+The program runs through run() (`python -m tropcount.cli` and the
+installed `tropcount` script), which freezes the import-time heap out of
+the cyclic garbage collector and exits with main()'s code; main() called
+from Python returns the code and leaves the collector as it is.
+
 A --json report is the text json.dumps(report, indent=2) would write, but
 built by a small writer (_json_text) that formats string and integer
 leaves with the C string encoder and int.__repr__ and joins each map or
@@ -27,6 +32,7 @@ list in one pass; with an indent, json.dumps runs its pure-Python encoder.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -36,7 +42,7 @@ from types import SimpleNamespace
 from .curve import canonical_offset, ensure_valid, validate
 from .curvefile import (format_rational, load_curve, parse_complex,
                         parse_polar, parse_rational, read_json)
-from .errors import ConstraintError, ParseError, TropcountError
+from .errors import ConstraintError, ParseError, TropcountError, clip
 from .moduli import (count_curves, deformation_ranks, dual_flag_dimension,
                      edge_weight_product)
 from .prelog import assemble_system, solve_monomial, verify_assignment
@@ -286,8 +292,9 @@ def _parse_check_value(raw, index: int, numeric_table: dict, what: str):
             except (AttributeError, TypeError, ValueError,
                     ZeroDivisionError) as exc:
                 raise ParseError(f"{what}: bad group element: {exc}") from exc
-    raise ParseError(f"assignment value {raw!r} is not a rational string, "
-                     "modulus/turns, re/im, or serialized group element")
+    raise ParseError(f"assignment value {clip(repr(raw))} is not a rational "
+                     "string, modulus/turns, re/im, or serialized group "
+                     "element")
 
 
 def cmd_prelog(args) -> int:
@@ -538,5 +545,17 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The program: main() on sys.argv, then exit with its code.
+
+    By now the package is imported, and its modules, functions and
+    classes live until exit.  They are frozen out of the cyclic collector
+    first, so that neither the full collections during the job nor the
+    ones at interpreter shutdown walk them again.  main() called from
+    Python leaves the collector as it is."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .curve import (ALPHA_KEYS, Edge, MarkedPoint, PeriodLattice,
                     TropicalCurve, Vertex)
-from .errors import ParseError
+from .errors import ECHO_LIMIT, ParseError, clip
 from .valuegroup import EqualityMode, MulValue
 
 
@@ -69,7 +69,11 @@ def parse_rational(value, what: str = "value") -> Fraction:
                     f"[-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{what}: bad rational {value!r}: {exc}") from exc
+            # the reason may quote the value (or its exponent) once more,
+            # after at most 40 characters of its own
+            raise ParseError(
+                f"{what}: bad rational {clip(repr(value))}: "
+                f"{clip(str(exc), ECHO_LIMIT + 40)}") from exc
     raise ParseError(
         f"{what}: expected a rational string, got {type(value).__name__} "
         f"(floats are not accepted; write \"1/3\")")
@@ -89,9 +93,13 @@ def parse_complex(re, im, what: str = "value") -> complex:
     if not all(isinstance(x, (int, float)) and not isinstance(x, bool)
                for x in (re, im)):
         raise ParseError(f"{what}: re/im must be numbers")
-    if not (math.isfinite(re) and math.isfinite(im)):
-        raise ParseError(f"{what}: re/im must be finite, got {re!r}, {im!r}")
-    z = complex(re, im)
+    try:
+        z = complex(re, im)
+    except OverflowError:  # an integer beyond the double range
+        z = complex(math.inf)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ParseError(f"{what}: re/im must be finite, got "
+                         f"{clip(repr(re))}, {clip(repr(im))}")
     lo, hi = NUMERIC_MODULUS_RANGE
     if z and not lo <= abs(z) <= hi:
         raise ParseError(
@@ -120,13 +128,14 @@ def _int_pair(value, what: str) -> tuple[int, int]:
     if (not isinstance(value, list) or len(value) != 2
             or not all(isinstance(x, int) and not isinstance(x, bool)
                        for x in value)):
-        raise ParseError(f"{what}: expected a pair of integers, got {value!r}")
+        raise ParseError(
+            f"{what}: expected a pair of integers, got {clip(repr(value))}")
     return value[0], value[1]
 
 
 def _rational_pair(value, what: str) -> tuple[Fraction, Fraction]:
     if not isinstance(value, list) or len(value) != 2:
-        raise ParseError(f"{what}: expected a pair, got {value!r}")
+        raise ParseError(f"{what}: expected a pair, got {clip(repr(value))}")
     return (parse_rational(value[0], what),
             parse_rational(value[1], what))
 

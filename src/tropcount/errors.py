@@ -8,7 +8,21 @@ Each class carries the CLI exit code it maps to:
 * 4 - InfeasibleError: infeasible or unrealizable input,
 * 5 - ConstraintError: violated precondition, such as a wrong number of
   marked points.
+
+Messages that quote an input value pass its repr through clip, so that
+a huge value gives a short line.
 """
+
+#: longest quotation of an input value that an error message shows whole
+ECHO_LIMIT = 80
+
+
+def clip(text: str, limit: int = ECHO_LIMIT) -> str:
+    """text whole when at most limit characters long, else its first
+    limit characters and its length."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
 
 
 class TropcountError(Exception):

@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 import os
 import random
@@ -309,6 +310,53 @@ def test_plot_of_very_long_edge_refused_in_bounded_time(tmp_path):
     assert seconds < HOSTILE_SECONDS
 
 
+def _lattice_text(value_text: str) -> str:
+    """The golden curve file with lattice.lambda1 written as value_text
+    (json.dumps would recurse once per level of a deep list)."""
+    doc = _golden_doc()
+    doc["lattice"]["lambda1"] = "LAMBDA1"
+    return json.dumps(doc).replace('"LAMBDA1"', value_text, 1)
+
+
+def _vertex_pos_text(value: str) -> str:
+    doc = _golden_doc()
+    doc["vertices"][0]["pos"][0] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("command", ["validate", "count"])
+@pytest.mark.parametrize("text", [
+    _lattice_text(json.dumps([0] * 200000)),
+    _lattice_text("[" * 970 + "]" * 970),
+    _vertex_pos_text("1" * 100000),
+    _vertex_pos_text("x" * 100000),
+    json.dumps({**_golden_doc(), "multipliers": {
+        key: {"re": 10 ** 400, "im": 0}
+        for key in ("alpha11", "alpha12", "alpha21", "alpha22")}}),
+], ids=["pair-of-200000-zeros", "list-970-deep", "rational-100000-digits",
+        "rational-100000-letters", "numeric-re-401-digits"])
+def test_huge_input_value_gives_a_short_error_line(text, command, tmp_path):
+    # the offending value was echoed whole (a 600 KB line for the zeros),
+    # and an integer re beyond the double range was a traceback
+    code, err, seconds = _run_timed([command], tmp_path, text=text)
+    assert (code, err.count("\n")) == (1, 1), err[:300]
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.encode()) < 300, err
+    assert seconds < HOSTILE_SECONDS
+
+
+def test_huge_check_value_gives_a_short_error_line(tmp_path, capsys):
+    shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
+    check = tmp_path / "check.json"
+    check.write_text(json.dumps(_check_doc([0] * 200000)), encoding="utf-8")
+    code = main(["prelog", str(tmp_path / "theta_exact.json"),
+                 "--check", str(check)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: assignment value [0, 0, ")
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+
+
 def test_exit_codes_live_on_the_error_classes():
     assert [cls.exit_code for cls in (
         TropcountError, ParseError, ValidationError, DegeneracyError,
@@ -420,6 +468,48 @@ def test_json_writer_equals_json_dumps_indent_2():
     assert _json_text([[odd]]) == json.dumps([[odd]], indent=2)
     with pytest.raises(TypeError):
         _json_text({"x": object()})
+
+
+#: runs the program as `python -m tropcount.cli` does, and writes the
+#: collector's frozen count to stderr at exit
+_MAIN_WITH_FREEZE_REPORT = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: sys.stderr.write(\n"
+    "    f'frozen {gc.get_freeze_count()}\\n'))\n"
+    "runpy.run_module('tropcount.cli', run_name='__main__')\n")
+
+
+def test_program_freezes_the_import_time_heap(tmp_path):
+    shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
+    src = os.path.dirname(os.path.dirname(tropcount.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAIN_WITH_FREEZE_REPORT, "count",
+         "theta_exact.json", "--json"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=60)
+    with open(os.path.join(GOLDEN, "theta_exact.count.out"),
+              encoding="utf-8") as handle:
+        assert (proc.returncode, proc.stdout) == (0, handle.read())
+    label, count = proc.stderr.split()
+    assert label == "frozen" and int(count) > 0
+
+
+def test_main_leaves_the_collector_as_it_is(theta_exact_file, capsys):
+    before = gc.get_freeze_count()
+    assert main(["count", theta_exact_file]) == 0
+    assert main(["validate", theta_exact_file, "--json"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_installed_script_runs_the_program():
+    # a plain text read: tomllib is not in Python 3.10
+    path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                        "pyproject.toml")
+    with open(path, encoding="utf-8") as handle:
+        lines = [line.strip() for line in handle]
+    scripts = lines[lines.index("[project.scripts]") + 1:]
+    scripts = scripts[:scripts.index("")]
+    assert scripts == ['tropcount = "tropcount.cli:run"']
 
 
 def test_mode_env_and_flag_precedence(theta_file, capsys, monkeypatch):

@@ -10,7 +10,7 @@ from tropcount.curvefile import (MAX_DECIMAL_EXPONENT, curve_from_dict,
                                  curve_to_dict, dumps_curve, format_rational,
                                  load_curve, loads_curve, parse_complex,
                                  parse_rational, save_curve)
-from tropcount.errors import ParseError
+from tropcount.errors import ECHO_LIMIT, ParseError, clip
 from tropcount.selftest import generated_curves
 from tropcount.valuegroup import EqualityMode, MulValue
 
@@ -47,7 +47,8 @@ def test_parse_rational():
 
 
 def _parse_rational_reference(value, what: str = "value") -> Fraction:
-    """parse_rational before its int() path, kept as its reference."""
+    """parse_rational before its int() path, kept as its reference; its
+    messages quote the value through clip, as parse_rational's do."""
     if isinstance(value, bool):
         raise ParseError(f"{what}: expected a rational, got {value!r}")
     if isinstance(value, int):
@@ -61,7 +62,8 @@ def _parse_rational_reference(value, what: str = "value") -> Fraction:
                     f"[-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{what}: bad rational {value!r}: {exc}") from exc
+            raise ParseError(f"{what}: bad rational {clip(repr(value))}: "
+                             f"{clip(str(exc), ECHO_LIMIT + 40)}") from exc
     raise ParseError(
         f"{what}: expected a rational string, got {type(value).__name__} "
         f"(floats are not accepted; write \"1/3\")")
@@ -104,6 +106,41 @@ def test_parse_rational_leaves_underscores_to_fraction(monkeypatch):
     assert parse_rational("1000") == 1000
     with pytest.raises(ParseError, match="bad rational '1_000'"):
         parse_rational("1_000")
+
+
+@pytest.mark.parametrize("value,whole", [
+    ([1] * 26, True), ([1] * 27, False), ("1" * 78, True), ("1" * 79, False),
+], ids=["list-78", "list-81", "str-80", "str-81"])
+def test_parse_errors_quote_a_value_whole_up_to_the_limit(value, whole):
+    # the repr is whole up to ECHO_LIMIT characters, as before, and cut
+    # beyond it
+    for parse, text in ((curvefile._int_pair, "a pair of integers"),
+                        (curvefile._rational_pair, "a pair")):
+        with pytest.raises(ParseError) as caught:
+            parse(value, "x")
+        assert str(caught.value) == f"x: expected {text}, got " + (
+            repr(value) if whole else
+            repr(value)[:ECHO_LIMIT] + f"... ({len(repr(value))} characters)")
+
+
+@pytest.mark.parametrize("value,whole", [
+    ("1" * 76 + "/0", True), ("1" * 77 + "/0", False),
+    ("x" * 78, True), ("x" * 79, False),
+])
+def test_bad_rational_quotes_the_value_whole_up_to_the_limit(value, whole):
+    with pytest.raises(ParseError) as caught:
+        parse_rational(value, "x")
+    quoted = repr(value) if whole else (
+        repr(value)[:ECHO_LIMIT] + f"... ({len(repr(value))} characters)")
+    assert str(caught.value).startswith(f"x: bad rational {quoted}: ")
+    assert len(str(caught.value)) < 300
+
+
+def test_huge_integer_numeric_value_is_refused():
+    for re, im in ((10 ** 400, 0), (0.5, -10 ** 400)):
+        with pytest.raises(ParseError, match="must be finite") as caught:
+            parse_complex(re, im)
+        assert len(str(caught.value)) < 300
 
 
 def test_parse_rational_bounds_decimal_exponents():
