@@ -19,10 +19,17 @@ One command table (COMMANDS) holds the grammar.  A well-formed command
 line is read from it directly; argparse is loaded only for help and usage
 errors, so that their text and exit code are argparse's own.
 
+The module loads only the layers every command needs (errors, valuegroup,
+curve, curvefile); each handler imports the rest it uses when it runs, so
+validate and plot load no algebra and count does not load prelog.
+
 The program runs through run() (`python -m tropcount.cli` and the
-installed `tropcount` script), which freezes the import-time heap out of
-the cyclic garbage collector and exits with main()'s code; main() called
-from Python returns the code and leaves the collector as it is.
+installed `tropcount` script): main(), then the atexit handlers and the
+flush of both output streams that interpreter shutdown would run, then
+os._exit with main()'s code, which skips freeing the modules and objects
+of a process that is ending.  A failed write to standard output ends it
+with code 1 and one error line.  main() called from Python only returns
+the code.
 
 A --json report is the text json.dumps(report, indent=2) would write, but
 built by a small writer (_json_text) that formats string and integer
@@ -32,7 +39,8 @@ list in one pass; with an indent, json.dumps runs its pure-Python encoder.
 
 from __future__ import annotations
 
-import gc
+import atexit
+import errno
 import json
 import math
 import os
@@ -43,11 +51,6 @@ from .curve import canonical_offset, ensure_valid, validate
 from .curvefile import (format_rational, load_curve, parse_complex,
                         parse_polar, parse_rational, read_json)
 from .errors import ConstraintError, ParseError, TropcountError, clip
-from .moduli import (count_curves, deformation_ranks, dual_flag_dimension,
-                     edge_weight_product)
-from .prelog import assemble_system, solve_monomial, verify_assignment
-from .realize import is_realizable, parity_exponent, sigma_cocycle, \
-    sigma_geometric
 from .valuegroup import (DEFAULT_TOLERANCE, UNDECIDED_FACTOR, EqualityMode,
                          MulValue)
 
@@ -155,6 +158,8 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _invariants(curve) -> dict:
+    from .realize import parity_exponent
+
     return {
         "genus": curve.genus,
         "delta": curve.delta,
@@ -169,6 +174,10 @@ def _invariants(curve) -> dict:
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
+#
+# Each handler imports the layers it uses beyond the ones this module
+# loads, so that a command loads only its own.  The import reads the
+# module attribute at call time, so a wrapper installed there is called.
 
 
 def cmd_validate(args) -> int:
@@ -186,6 +195,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .moduli import (deformation_ranks, dual_flag_dimension,
+                         edge_weight_product)
+
     curve, marks = load_curve(args.file)
     ensure_valid(curve)
     rank_kernel, rank_cokernel = deformation_ranks(curve)
@@ -208,6 +220,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_realizable(args) -> int:
+    from .realize import is_realizable, sigma_cocycle, sigma_geometric
+
     curve, _ = load_curve(args.file)
     ensure_valid(curve)
     mode = _resolve_mode(args, curve)
@@ -242,6 +256,8 @@ def cmd_realizable(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .moduli import count_curves
+
     curve, marks = load_curve(args.file)
     ensure_valid(curve)
     mode = _resolve_mode(args, curve)
@@ -298,6 +314,8 @@ def _parse_check_value(raw, index: int, numeric_table: dict, what: str):
 
 
 def cmd_prelog(args) -> int:
+    from .prelog import assemble_system, solve_monomial, verify_assignment
+
     curve, _ = load_curve(args.file)
     ensure_valid(curve)
     mode = _resolve_mode(args, curve)
@@ -314,9 +332,11 @@ def cmd_prelog(args) -> int:
         for i, flag in enumerate(system.flags):
             key = _flag_key(flag)
             if key not in flags_doc:
-                raise ParseError(f"{args.check}: missing flag {key!r}")
+                raise ParseError(
+                    f"{args.check}: missing flag {clip(repr(key))}")
             assignment.append(_parse_check_value(
-                flags_doc[key], i, numeric_table, f"{args.check}: {key}"))
+                flags_doc[key], i, numeric_table,
+                f"{args.check}: {clip(key)}"))
         check_mode = mode
         if len(numeric_table) > len(curve.lattice.numeric_values):
             check_mode = EqualityMode.NUMERIC
@@ -383,7 +403,6 @@ def cmd_prelog(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    # imported here, as selftest is, so that no other command loads it
     from .plot import render_svg
 
     curve, _ = load_curve(args.file)
@@ -400,7 +419,6 @@ def cmd_plot(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    # imported here so that no other command pays for loading the suites
     from .selftest import run_all
 
     results = run_all(args.seed, args.cases)
@@ -545,16 +563,44 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
+class _ClosedOutput:
+    """sys.stdout when file descriptor 1 was closed at start-up (Python
+    sets it to None): a write fails as one to a closed descriptor does."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+    def flush(self):
+        pass
+
+
 def run() -> None:
     """The program: main() on sys.argv, then exit with its code.
 
-    By now the package is imported, and its modules, functions and
-    classes live until exit.  They are frozen out of the cyclic collector
-    first, so that neither the full collections during the job nor the
-    ones at interpreter shutdown walk them again.  main() called from
-    Python leaves the collector as it is."""
-    gc.freeze()
-    sys.exit(main())
+    After main() returns, the registered atexit handlers run and both
+    output streams are flushed, the part of interpreter shutdown that has
+    an effect outside the process; os._exit then skips the rest, which
+    only frees the modules and objects of a process that is ending.  A
+    write to standard output that fails (closed, a broken pipe, a full
+    disk) exits 1 with one error line.  Help and usage errors (argparse's
+    SystemExit) and a crash (a traceback) take the interpreter's usual
+    way out."""
+    if sys.stdout is None:
+        sys.stdout = _ClosedOutput()
+    try:
+        code = main()
+        atexit._run_exitfuncs()
+        sys.stdout.flush()
+    except OSError as exc:
+        # main() turns a failed read into a ParseError, so this is a
+        # failed write; the handlers run unless they already have (the
+        # call empties their list)
+        atexit._run_exitfuncs()
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        code = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegeneracyError, ValidationError
+from .errors import DegeneracyError, ValidationError, clip
 from .record import Record
 from .valuegroup import EqualityMode, MulValue
 
@@ -132,7 +132,8 @@ class Edge(Record):
     def primitive(self) -> Vec2:
         w = self.weight
         if w == 0:
-            raise ValidationError(f"edge {self.id} has zero weight vector")
+            raise ValidationError(
+                f"edge {clip(self.id)} has zero weight vector")
         return (self.weight_vector[0] // w, self.weight_vector[1] // w)
 
     @property
@@ -223,13 +224,13 @@ class TropicalCurve(Record):
         try:
             return self._vertex_index[vid]
         except KeyError:
-            raise KeyError(f"no vertex {vid!r}") from None
+            raise KeyError(f"no vertex {clip(repr(vid))}") from None
 
     def edge(self, eid: str) -> Edge:
         try:
             return self._edge_index[eid]
         except KeyError:
-            raise KeyError(f"no edge {eid!r}") from None
+            raise KeyError(f"no edge {clip(repr(eid))}") from None
 
     def outgoing_vector(self, vid: str, e: Edge) -> Vec2:
         """Weight vector of e oriented away from vertex vid."""
@@ -237,7 +238,8 @@ class TropicalCurve(Record):
             return e.weight_vector
         if e.head == vid:
             return (-e.weight_vector[0], -e.weight_vector[1])
-        raise KeyError(f"edge {e.id} is not incident to {vid}")
+        raise KeyError(
+            f"edge {clip(e.id)} is not incident to {clip(vid)}")
 
     def valence(self, vid: str) -> int:
         return len(self._flag_index.get(vid, ()))
@@ -262,7 +264,8 @@ class TropicalCurve(Record):
             return 1
         if len(out) != 3:
             raise ValidationError(
-                f"vertex {vid} has valence {len(out)}, expected 2 or 3")
+                f"vertex {clip(vid)} has valence {len(out)}, "
+                "expected 2 or 3")
         a, b = out[0], out[1]
         return abs(a[0] * b[1] - a[1] * b[0])
 
@@ -326,7 +329,8 @@ def validate(curve: TropicalCurve) -> ValidationReport:
     for e in curve.edges:
         for end in (e.tail, e.head):
             if end not in known:
-                problems.append(f"edge {e.id} references unknown vertex {end}")
+                problems.append(f"edge {clip(e.id)} references unknown "
+                                f"vertex {clip(end)}")
 
     if problems:
         # Structural references are broken; the remaining checks would crash.
@@ -350,16 +354,17 @@ def validate(curve: TropicalCurve) -> ValidationReport:
 
     for e in curve.edges:
         if e.tail == e.head:
-            problems.append(f"edge {e.id} is a loop")
+            problems.append(f"edge {clip(e.id)} is a loop")
 
     for v in curve.vertices:
         val = curve.valence(v.id)
         if val not in (2, 3):
-            problems.append(f"vertex {v.id} has valence {val}, expected 2 or 3")
+            problems.append(
+                f"vertex {clip(v.id)} has valence {val}, expected 2 or 3")
 
     for e in curve.edges:
         if e.weight_vector == (0, 0):
-            problems.append(f"edge {e.id} has zero weight vector")
+            problems.append(f"edge {clip(e.id)} has zero weight vector")
 
     for v in curve.vertices:
         out = [curve.outgoing_vector(v.id, e)
@@ -368,26 +373,30 @@ def validate(curve: TropicalCurve) -> ValidationReport:
         if len(out) == 2:
             if (out[0][0] + out[1][0], out[0][1] + out[1][1]) != (0, 0):
                 problems.append(
-                    f"2-valent vertex {v.id}: weight vectors do not cancel")
+                    f"2-valent vertex {clip(v.id)}: weight vectors do not "
+                    "cancel")
         sx = sum(w[0] for w in out)
         sy = sum(w[1] for w in out)
         if (sx, sy) != (0, 0):
-            problems.append(f"vertex {v.id} violates balancing: sum {(sx, sy)}")
+            problems.append(
+                f"vertex {clip(v.id)} violates balancing: sum {(sx, sy)}")
 
     if curve.lattice.det != 0:
         for e in curve.edges:
             defect = curve.lift_defect(e)
             if defect != (0, 0):
                 problems.append(
-                    f"edge {e.id} violates the lift relation by {defect}")
+                    f"edge {clip(e.id)} violates the lift relation by "
+                    f"{defect}")
 
     for e in curve.edges:
         if e.length <= 0:
-            problems.append(f"edge {e.id} has non-positive length {e.length}")
+            problems.append(
+                f"edge {clip(e.id)} has non-positive length {e.length}")
         elif e.length.denominator != 1:
             warnings.append(
-                f"edge {e.id}: lattice length {e.length * e.weight} is not an "
-                f"integral multiple of its weight {e.weight}")
+                f"edge {clip(e.id)}: lattice length {e.length * e.weight} "
+                f"is not an integral multiple of its weight {e.weight}")
 
     return ValidationReport(tuple(problems), tuple(warnings))
 
@@ -423,7 +432,8 @@ def marks_by_edge(
         curve.edge(eid)  # raises KeyError for unknown edges
         ts = [p.t for p in pts]
         if len(set(ts)) != len(ts):
-            raise ValidationError(f"duplicate marked points on edge {eid}")
+            raise ValidationError(
+                f"duplicate marked points on edge {clip(eid)}")
     return per_edge
 
 
@@ -588,10 +598,12 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
         a1, a2 = s1 * q - shift[0], s2 * q - shift[1]
         if a1 % n == 0:
             raise DegeneracyError(
-                f"vertex {vid} lies on a B1 wall for offset ({o1}, {o2})")
+                f"vertex {clip(vid)} lies on a B1 wall for offset "
+                f"({o1}, {o2})")
         if a2 % n == 0:
             raise DegeneracyError(
-                f"vertex {vid} lies on a B2 wall for offset ({o1}, {o2})")
+                f"vertex {clip(vid)} lies on a B2 wall for offset "
+                f"({o1}, {o2})")
         starts[vid] = (a1, a2)
     out: list[Crossing] = []
     for e, (d1, d2) in zip(curve.edges, disps):
@@ -619,7 +631,7 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
                 cn, rn, den = -cn, -rn, -den
             if _integral_within(cn, rn, den, abs(net)):
                 raise DegeneracyError(
-                    f"edge {e.id} crosses a cell corner for offset "
+                    f"edge {clip(e.id)} crosses a cell corner for offset "
                     f"({o1}, {o2})")
             sign = 1 if net > 0 else -1
             out.append(Crossing(

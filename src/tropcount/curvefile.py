@@ -163,7 +163,8 @@ def _parse_multipliers(doc) -> tuple[EqualityMode, dict, dict]:
         raise ParseError("multipliers: expected an object")
     unknown = set(table) - set(ALPHA_KEYS)
     if unknown:
-        raise ParseError(f"multipliers: unknown keys {sorted(unknown)}")
+        raise ParseError(
+            f"multipliers: unknown keys {clip(repr(sorted(unknown)))}")
     forms = set()
     for key in ALPHA_KEYS:
         entry = _require(table, key, "multipliers")
@@ -256,7 +257,7 @@ def _derive_shift(lattice, positions, tail, head, wvec, length, what):
     if tail not in positions or head not in positions:
         raise ParseError(
             f"{what}: cannot derive shift, unknown vertex "
-            f"{tail if tail not in positions else head!r}")
+            f"{clip(repr(tail if tail not in positions else head))}")
     ht = positions[head]
     tl = positions[tail]
     rhs = (ht[0] - tl[0] - length * wvec[0],

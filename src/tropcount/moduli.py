@@ -26,7 +26,7 @@ import itertools
 
 from .curve import (MarkedPoint, TropicalCurve, ensure_valid, marks_by_edge,
                     subdivide)
-from .errors import ConstraintError, InfeasibleError
+from .errors import ConstraintError, InfeasibleError, clip
 from .exactmath import (IntMatrix, det_int, nullspace_rational, rank_rational,
                         snf)
 from .realize import RealizabilityReport, is_realizable
@@ -155,7 +155,8 @@ def rigidity_check(curve: TropicalCurve, marks: list[MarkedPoint]) -> bool:
             e = curve.edge(mark.edge)
         except KeyError:
             raise ConstraintError(
-                f"marked point on unknown edge {mark.edge!r}") from None
+                f"marked point on unknown edge {clip(repr(mark.edge))}"
+            ) from None
         ti = index[e.tail]
         row = [0] * (2 * len(curve.vertices))
         row[2 * ti], row[2 * ti + 1] = e.primitive_normal

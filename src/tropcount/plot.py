@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 
 from .curve import FracVec2, TropicalCurve, ensure_valid
-from .errors import ConstraintError
+from .errors import ConstraintError, clip
 
 _SCALE = 120.0
 _PAD = 30.0
@@ -97,8 +97,8 @@ def render_svg(curve: TropicalCurve) -> str:
                         key=lambda pair: pair[0])
         raise ConstraintError(
             f"plot would cut the edges into up to {bound} pieces, over "
-            f"the limit of {MAX_PIECES}; edge {eid} alone crosses {most} "
-            f"walls")
+            f"the limit of {MAX_PIECES}; edge {clip(eid)} alone crosses "
+            f"{most} walls")
 
     corners = [_point(lattice, Fraction(a), Fraction(b))
                for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))]

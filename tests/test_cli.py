@@ -23,6 +23,8 @@ from tropcount.realize import is_realizable
 from tropcount.selftest import tuned_exact_curve
 from tropcount.valuegroup import DEFAULT_TOLERANCE
 
+from equivalence_cases import covers
+
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
@@ -470,28 +472,117 @@ def test_json_writer_equals_json_dumps_indent_2():
         _json_text({"x": object()})
 
 
-#: runs the program as `python -m tropcount.cli` does, and writes the
-#: collector's frozen count to stderr at exit
-_MAIN_WITH_FREEZE_REPORT = (
-    "import atexit, gc, runpy, sys\n"
-    "atexit.register(lambda: sys.stderr.write(\n"
-    "    f'frozen {gc.get_freeze_count()}\\n'))\n"
+#: the program, as the bench and the README run it
+_PROGRAM = (sys.executable, "-m", "tropcount.cli")
+
+#: runs the program as `python -m tropcount.cli` does, with an atexit
+#: hook that writes one more line to stdout
+_PROGRAM_WITH_ATEXIT_HOOK = (
+    sys.executable, "-c",
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: sys.stdout.write('atexit hook ran\\n'))\n"
     "runpy.run_module('tropcount.cli', run_name='__main__')\n")
 
 
-def test_program_freezes_the_import_time_heap(tmp_path):
+def _child(command, cwd, stdout=subprocess.PIPE, unbuffered=False):
+    """Run command in cwd with the package on the path, its standard
+    streams buffered (Python's default) or not; stdout and stderr are
+    bytes."""
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(tropcount.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(command, cwd=cwd, stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60, env=env)
+
+
+def test_program_runs_atexit_hooks_and_keeps_output_and_codes(
+        theta_file, tmp_path, monkeypatch, capsys):
+    # run() ends with os._exit: the atexit hooks still run, after
+    # main()'s output, that output arrives whole, and main()'s code is
+    # the exit status
     shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
-    src = os.path.dirname(os.path.dirname(tropcount.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", _MAIN_WITH_FREEZE_REPORT, "count",
-         "theta_exact.json", "--json"],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=60)
-    with open(os.path.join(GOLDEN, "theta_exact.count.out"),
-              encoding="utf-8") as handle:
-        assert (proc.returncode, proc.stdout) == (0, handle.read())
-    label, count = proc.stderr.split()
-    assert label == "frozen" and int(count) > 0
+    proc = _child([*_PROGRAM_WITH_ATEXIT_HOOK, "count", "theta_exact.json",
+                   "--json"], tmp_path)
+    with open(os.path.join(GOLDEN, "theta_exact.count.out"), "rb") as handle:
+        golden = handle.read()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, golden + b"atexit hook ran\n", b"")
+
+    outside = _golden_doc()
+    outside["marked_points"][0]["t"] = "3/2"
+    too_few = _golden_doc()
+    del too_few["marked_points"][0]
+    (tmp_path / "outside.json").write_text(json.dumps(outside))
+    (tmp_path / "too_few.json").write_text(json.dumps(too_few))
+    for code, path in ((2, "outside.json"), (4, theta_file),
+                       (5, "too_few.json")):
+        proc = _child([*_PROGRAM, "count", path], tmp_path)
+        assert (proc.returncode, proc.stdout) == (code, b"")
+        assert proc.stderr.startswith(b"error: ")
+        assert proc.stderr.count(b"\n") == 1
+
+    # a report larger than a 64 KiB pipe buffer arrives complete
+    curve, marks = covers.cover_instance("theta", 24, random.Random(1))
+    save_curve(curve, str(tmp_path / "cover.json"), marks)
+    proc = _child([*_PROGRAM, "prelog", "cover.json", "--json"], tmp_path)
+    assert len(proc.stdout) > 65536
+    monkeypatch.chdir(tmp_path)
+    assert main(["prelog", "cover.json", "--json"]) == 0
+    assert (proc.returncode, proc.stdout.decode()) == (
+        0, capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["closed", "broken-pipe", "dev-full"])
+def test_failed_write_to_stdout_exits_1_without_traceback(target, unbuffered,
+                                                          tmp_path):
+    # each was a traceback: stdout closed (sys.stdout is None), a pipe
+    # with no reader (BrokenPipeError) and a full device (ENOSPC); a
+    # buffered stream fails at run()'s final flush, an unbuffered one at
+    # the write inside main()
+    shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
+    argv = [*_PROGRAM, "count", "theta_exact.json", "--json"]
+    if target == "closed":
+        proc = _child(["sh", "-c", 'exec "$@" >&-', "sh", *argv], tmp_path,
+                      unbuffered=unbuffered)
+    elif target == "broken-pipe":
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = _child(argv, tmp_path, stdout=write, unbuffered=unbuffered)
+        finally:
+            os.close(write)
+    else:
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full on this system")
+        with open("/dev/full", "wb") as full:
+            proc = _child(argv, tmp_path, stdout=full, unbuffered=unbuffered)
+    err = proc.stderr.decode()
+    assert proc.returncode == 1, err
+    assert err.startswith("error: cannot write output: [Errno ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_huge_identifier_gives_short_lines(tmp_path):
+    # a 100 000-character vertex or edge id was quoted whole: a
+    # 100 042-byte error line (exit 2) and a 100 123-byte validate report
+    huge = "v" * 100000
+    unknown_tail = _golden_doc(tail=huge)
+    unknown_mark = _golden_doc()
+    unknown_mark["marked_points"][0]["edge"] = huge
+    (tmp_path / "tail.json").write_text(json.dumps(unknown_tail))
+    (tmp_path / "mark.json").write_text(json.dumps(unknown_mark))
+    for command, path, code in (("count", "tail.json", 2),
+                                ("validate", "tail.json", 2),
+                                ("count", "mark.json", 5)):
+        proc = _child([*_PROGRAM, command, path], tmp_path)
+        assert proc.returncode == code, proc.stderr[:300]
+        output = proc.stdout + proc.stderr
+        assert b" characters)" in output
+        assert max(map(len, output.splitlines())) < 200
 
 
 def test_main_leaves_the_collector_as_it_is(theta_exact_file, capsys):

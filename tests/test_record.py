@@ -114,21 +114,34 @@ def test_mutable_defaults_are_per_instance():
                          numeric_values=shared).numeric_values is not shared
 
 
+#: layer modules that a command leaves unloaded when it does not use them
+_ALGEBRA = ("tropcount.exactmath", "tropcount.moduli", "tropcount.prelog",
+            "tropcount.realize")
+
+
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site (and any .pth imports) out of the measurement.  A
-    # well-formed count then loads neither argparse (nor its gettext and
-    # locale) nor the plot and selftest modules.
+    # -S keeps site (and any .pth imports) out of the measurement.  A bare
+    # `import tropcount` loads no submodule; validate and plot load no
+    # algebra layer; a well-formed count loads neither prelog nor argparse
+    # (with its gettext and locale) nor the selftest module.
     src = os.path.dirname(os.path.dirname(tropcount.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     golden = os.path.join(os.path.dirname(__file__), "golden",
                           "theta_exact.json")
-    code = ("import sys, tropcount.cli\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)), "
+    code = ("import sys, tropcount\n"
+            "def loaded(names):\n"
+            "    print(sorted(set(names) & set(sys.modules)), "
             "file=sys.stderr)\n"
+            "loaded(m for m in sys.modules if m.startswith('tropcount.'))\n"
+            "import tropcount.cli\n"
+            "loaded({'dataclasses', 'inspect'})\n"
+            "for command in ('validate', 'plot'):\n"
+            f"    tropcount.cli.main([command, {golden!r}])\n"
+            f"loaded({_ALGEBRA!r})\n"
             f"code = tropcount.cli.main(['count', {golden!r}, '--json'])\n"
-            "print(code, sorted({'argparse', 'gettext', 'locale', "
-            "'tropcount.plot', 'tropcount.selftest'} & set(sys.modules)), "
-            "file=sys.stderr)\n")
+            "print(code, file=sys.stderr)\n"
+            "loaded({'argparse', 'gettext', 'locale', 'tropcount.prelog', "
+            "'tropcount.selftest'})\n")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stderr == "[]\n0 []\n"
+    assert proc.stderr == "[]\n[]\n[]\n0\n[]\n"
