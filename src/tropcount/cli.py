@@ -478,7 +478,14 @@ COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # argparse drops a failed write; run() reports it
+            file = file or sys.stderr
+            if message and file:
+                file.write(message)
+
+    parser = Parser(
         prog="tropcount",
         description="Realizability and counting for tropical curves on a "
                     "two-dimensional torus quotient.")
@@ -582,13 +589,16 @@ def run() -> None:
     an effect outside the process; os._exit then skips the rest, which
     only frees the modules and objects of a process that is ending.  A
     write to standard output that fails (closed, a broken pipe, a full
-    disk) exits 1 with one error line.  Help and usage errors (argparse's
-    SystemExit) and a crash (a traceback) take the interpreter's usual
-    way out."""
+    disk) exits 1 with one error line.  Help and usage errors end the
+    same way, with argparse's code (its SystemExit, 0 or 2); a crash (a
+    traceback) takes the interpreter's usual way out."""
     if sys.stdout is None:
         sys.stdout = _ClosedOutput()
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:
+            code = exc.code
         atexit._run_exitfuncs()
         sys.stdout.flush()
     except OSError as exc:

@@ -97,11 +97,6 @@ class PeriodLattice(Record):
             return (y * p2x - x * p2y, x * p1y - y * p1x)
         return (x * p2y - y * p2x, y * p1x - x * p1y)
 
-    def from_lattice_coords(self, coords: FracVec2) -> FracVec2:
-        s1, s2 = Fraction(coords[0]), Fraction(coords[1])
-        return (s1 * self.period1[0] + s2 * self.period2[0],
-                s1 * self.period1[1] + s2 * self.period2[1])
-
 
 class Vertex(Record):
     id: str
@@ -403,10 +398,14 @@ def validate(curve: TropicalCurve) -> ValidationReport:
 
 def ensure_valid(curve: TropicalCurve) -> ValidationReport:
     """validate(curve), raising ValidationError on a problem.  The curve is
-    immutable, so its report is computed once and kept on it."""
+    immutable, so its report is computed once and kept on it.  The error
+    quotes the first five problems and counts the rest."""
     report = curve._report
     if not report.ok:
-        raise ValidationError("; ".join(report.problems))
+        shown = list(report.problems[:5])
+        if len(report.problems) > 5:
+            shown.append(f"... and {len(report.problems) - 5} more")
+        raise ValidationError("; ".join(shown))
     return report
 
 

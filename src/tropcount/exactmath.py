@@ -8,20 +8,26 @@ small toolkit the rest of the package leans on:
 * Smith normal form with both unimodular transforms, computed on sparse
   rows and columns,
 * one sparse, fraction-free row echelon routine behind rational rank and
-  rational nullspace (rows scaled to integers, kept as {column: int}),
+  rational nullspace,
 * exact determinant (Bareiss).
 
-Matrices passed in and returned are plain lists of lists of ints (or
-Fractions for the rational helpers); rows are the outer index.
+Rows in, dense transforms out.  A matrix goes in as Rows, one
+{column: int} dict per row (graph incidences: a few nonzeros each), and
+its width where it matters.  A row holds no zero: a stored zero can be
+taken for a pivot and breaks both eliminations, so builders sum their
+terms with row_sum, which drops zeros.  snf returns dense IntMatrix
+transforms (rows the outer index); to_rows turns a dense matrix into
+rows for the oracles and tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 IntMatrix = list[list[int]]
+Rows = list[dict[int, int]]
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -59,12 +65,25 @@ def _round_div(x: int, p: int) -> int:
     return (x + p // 2) // p
 
 
-def mat_copy(a: IntMatrix) -> IntMatrix:
-    return [row[:] for row in a]
+def row_sum(terms) -> dict[int, int]:
+    """The row summing (column, value) terms, zeros dropped.
+
+    >>> row_sum([(0, 1), (3, 0), (2, -1), (0, -1), (2, 5)])
+    {2: 4}
+    """
+    row: dict[int, int] = {}
+    for j, x in terms:
+        row[j] = row.get(j, 0) + x
+    return {j: x for j, x in row.items() if x}
 
 
-def mat_identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def to_rows(a: IntMatrix) -> Rows:
+    """The rows of a dense matrix.
+
+    >>> to_rows([[0, 2, 0], [-1, 0, 3]])
+    [{1: 2}, {0: -1, 2: 3}]
+    """
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -85,10 +104,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return out
 
 
-def mat_shape(a: IntMatrix) -> tuple[int, int]:
-    return len(a), len(a[0]) if a else 0
-
-
 def det_int(a: IntMatrix) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss).
 
@@ -100,7 +115,7 @@ def det_int(a: IntMatrix) -> int:
     n = len(a)
     if n == 0:
         return 1
-    m = mat_copy(a)
+    m = [row[:] for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -120,23 +135,16 @@ def det_int(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _echelon(a) -> dict[int, dict[int, int]]:
+def _echelon(rows: Rows) -> dict[int, dict[int, int]]:
     """Sparse fraction-free row echelon form: {pivot column: pivot row}.
 
-    Rows are kept as {column: nonzero int}; a row holding a non-integer
-    is first scaled to integers by the lcm of its denominators.  Each row
-    is reduced at its leading column by integer cross-multiplication with
-    the pivot row there, and divided by its content after every step, so
-    it stays small and primitive.
+    Each row is reduced at its leading column by integer
+    cross-multiplication with the pivot row there, and divided by its
+    content after every step, so it stays small and primitive.  The rows
+    are read, never changed; a pivot row may be one of them.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for raw in a:
-        row = {j: x for j, x in enumerate(raw) if x}
-        if not all(type(x) is int for x in row.values()):
-            row = {j: Fraction(x) for j, x in row.items()}
-            den = lcm(*(x.denominator for x in row.values()))
-            row = {j: x.numerator * (den // x.denominator)
-                   for j, x in row.items()}
+    for row in rows:
         while row:
             c = min(row)
             p = pivots.get(c)
@@ -153,32 +161,31 @@ def _echelon(a) -> dict[int, dict[int, int]]:
     return pivots
 
 
-def rank_rational(a) -> int:
-    """Rank of a matrix with int or Fraction entries, by exact elimination.
+def rank_rational(rows: Rows) -> int:
+    """Rank over the rationals of integer rows, by exact elimination.
 
-    >>> rank_rational([[1, 2], [2, 4]])
+    >>> rank_rational([{0: 1, 1: 2}, {0: 2, 1: 4}])
     1
-    >>> rank_rational([[Fraction(1, 2), 0], [0, 3]])
+    >>> rank_rational([{1: 3}, {}, {0: -1, 1: 3}])
     2
     >>> rank_rational([])
     0
     """
-    return len(_echelon(a))
+    return len(_echelon(rows))
 
 
-def nullspace_rational(a) -> list[list[Fraction]]:
-    """Basis of the right nullspace over the rationals.
+def nullspace_rational(rows: Rows, ncols: int) -> list[list[Fraction]]:
+    """Basis of the right nullspace over the rationals of integer rows.
 
-    Returns a list of vectors (each of length = #columns).  Each free
-    column in turn is set to 1 and the other free columns to 0, and the
-    pivot unknowns follow by back-substitution on the echelon form; this
-    is the basis read off the unique reduced echelon form.
+    Returns a list of vectors (each of length ncols).  Each free column
+    in turn is set to 1 and the other free columns to 0, and the pivot
+    unknowns follow by back-substitution on the echelon form; this is the
+    basis read off the unique reduced echelon form.
 
-    >>> nullspace_rational([[1, 2]])
+    >>> nullspace_rational([{0: 1, 1: 2}], 2)
     [[Fraction(-2, 1), Fraction(1, 1)]]
     """
-    ncols = len(a[0]) if a else 0
-    pivots = _echelon(a)
+    pivots = _echelon(rows)
     order = sorted(pivots, reverse=True)
     basis = []
     for fc in range(ncols):
@@ -194,25 +201,25 @@ def nullspace_rational(a) -> list[list[Fraction]]:
     return basis
 
 
-def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form with transforms.
+def snf(a: Rows, ncols: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Smith normal form with transforms of the integer rows a (width ncols).
 
     Returns (U, S, V) with U, V unimodular and U*A*V = S, where S is diagonal
     with nonnegative entries d_1 | d_2 | ... (zeros trailing).  Pivoting picks
     the nonzero entry of minimal absolute value in the working submatrix,
     which keeps intermediate growth small on the matrices this package sees.
 
-    >>> U, S, V = snf([[2, 0], [0, 3]])
-    >>> [S[i][i] for i in range(2)]
-    [1, 6]
+    >>> U, S, V = snf([{0: 2}, {1: 3}], 2)
+    >>> S
+    [[1, 0], [0, 6]]
 
-    The work is sparse; the result is dense.  S and U are held as rows
-    {column: nonzero int} and V as columns {row: nonzero int}, so a row or
-    column operation costs the nonzeros it touches.  The rows of S are
-    keyed by column label, the column's index in A, and two lists map
-    labels to positions and back; swapping two columns of S swaps two
-    entries of each list, and swapping two columns of V swaps two
-    references.  At step t, rows and columns before t are finished
+    The work is sparse; the result is dense.  S (a copy of a) and U are
+    held as rows {column: nonzero int} and V as columns {row: nonzero
+    int}, so a row or column operation costs the nonzeros it touches.
+    The rows of S are keyed by column label, the column's index in A,
+    and two lists map labels to positions and back; swapping two columns
+    of S swaps two entries of each list, and swapping two columns of V
+    swaps two references.  At step t, rows and columns before t are finished
     (diagonal), so
 
     * rows t and below hold nonzeros only in columns t and up: the pivot
@@ -226,8 +233,7 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     dense elimination.
     """
     nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    s = [{j: x for j, x in enumerate(row) if x} for row in a]
+    s = [dict(row) for row in a]
     u = [{i: 1} for i in range(nrows)]
     v = [{j: 1} for j in range(ncols)]
     pos = list(range(ncols))  # column label -> position
@@ -351,18 +357,8 @@ def _dense_columns(cols: list[dict[int, int]]) -> IntMatrix:
 
 
 def snf_diagonal(a: IntMatrix) -> list[int]:
-    """The invariant factors d_1 | d_2 | ... (nonnegative, zeros trailing)."""
-    _, s, _ = snf(a)
-    return [s[i][i] for i in range(min(mat_shape(s)))]
-
-
-def gcd_list(values) -> int:
-    """gcd of an iterable of ints, >= 0; gcd of nothing is 0.
-
-    >>> gcd_list([4, -6, 8])
-    2
-    """
-    g = 0
-    for x in values:
-        g, _, _ = ext_gcd(g, x)
-    return g
+    """The invariant factors d_1 | d_2 | ... (nonnegative, zeros trailing)
+    of a dense matrix."""
+    ncols = len(a[0]) if a else 0
+    _, s, _ = snf(to_rows(a), ncols)
+    return [s[i][i] for i in range(min(len(a), ncols))]

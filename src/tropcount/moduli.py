@@ -27,8 +27,8 @@ import itertools
 from .curve import (MarkedPoint, TropicalCurve, ensure_valid, marks_by_edge,
                     subdivide)
 from .errors import ConstraintError, InfeasibleError, clip
-from .exactmath import (IntMatrix, det_int, nullspace_rational, rank_rational,
-                        snf)
+from .exactmath import (IntMatrix, Rows, det_int, nullspace_rational,
+                        rank_rational, row_sum, snf)
 from .realize import RealizabilityReport, is_realizable
 from .record import Record
 from .valuegroup import EqualityMode
@@ -50,45 +50,40 @@ INFINITE = float("inf")
 # --------------------------------------------------------------------------
 
 
-def build_F(curve: TropicalCurve) -> IntMatrix:
-    """|E| x 2|V| matrix: row e applies the primitive normal covector of e
-    to the head-minus-tail vertex unknowns."""
-    index = {v.id: i for i, v in enumerate(curve.vertices)}
+def build_F(curve: TropicalCurve) -> Rows:
+    """|E| rows of width 2|V|: row e applies the primitive normal covector
+    of e to the head-minus-tail vertex unknowns (x and y of vertex i in
+    columns 2i and 2i + 1)."""
+    index = {v.id: 2 * i for i, v in enumerate(curve.vertices)}
     rows = []
     for e in curve.edges:
-        row = [0] * (2 * len(curve.vertices))
         nx, ny = e.primitive_normal
         hi, ti = index[e.head], index[e.tail]
-        row[2 * hi] += nx
-        row[2 * hi + 1] += ny
-        row[2 * ti] -= nx
-        row[2 * ti + 1] -= ny
-        rows.append(row)
+        rows.append(row_sum(((hi, nx), (hi + 1, ny),
+                             (ti, -nx), (ti + 1, -ny))))
     return rows
 
 
 def deformation_ranks(curve: TropicalCurve) -> tuple[int, int]:
     """(rank of Ker F, rank of Coker F) over the rationals."""
-    f = build_F(curve)
-    r = rank_rational(f)
+    r = rank_rational(build_F(curve))
     return 2 * len(curve.vertices) - r, len(curve.edges) - r
 
 
-def _dual_flag_rows(curve: TropicalCurve) -> list[list[int]]:
+def _dual_flag_rows(curve: TropicalCurve) -> Rows:
     """Two integer rows per vertex (the x and y parts of the covector sum)
-    over one unknown per edge; see dual_flag_space."""
+    of width |E|, one unknown per edge; see dual_flag_space."""
     index = {e.id: j for j, e in enumerate(curve.edges)}
     rows = []
     for v in curve.vertices:
-        rx = [0] * len(curve.edges)
-        ry = [0] * len(curve.edges)
+        rx, ry = [], []
         for e in curve.incident_edges_flags(v.id):
             w = curve.outgoing_vector(v.id, e)
             g = e.weight
-            rx[index[e.id]] += -w[1] // g
-            ry[index[e.id]] += w[0] // g
-        rows.append(rx)
-        rows.append(ry)
+            rx.append((index[e.id], -w[1] // g))
+            ry.append((index[e.id], w[0] // g))
+        rows.append(row_sum(rx))
+        rows.append(row_sum(ry))
     return rows
 
 
@@ -96,8 +91,7 @@ def dual_flag_dimension(curve: TropicalCurve) -> int:
     """Dimension of the dual flag space: unknowns minus rank of the vertex
     conditions, without building a basis.  Equals dual_flag_space(curve)[0].
     """
-    rows = _dual_flag_rows(curve)
-    return (len(rows[0]) if rows else 0) - rank_rational(rows)
+    return len(curve.edges) - rank_rational(_dual_flag_rows(curve))
 
 
 def dual_flag_space(curve: TropicalCurve):
@@ -114,7 +108,7 @@ def dual_flag_space(curve: TropicalCurve):
     first nonzero edge coefficient is 1 (generator is None unless the
     dimension is exactly 1).
     """
-    basis = nullspace_rational(_dual_flag_rows(curve))
+    basis = nullspace_rational(_dual_flag_rows(curve), len(curve.edges))
     if len(basis) != 1:
         return len(basis), None
     coeffs = basis[0]
@@ -157,10 +151,9 @@ def rigidity_check(curve: TropicalCurve, marks: list[MarkedPoint]) -> bool:
             raise ConstraintError(
                 f"marked point on unknown edge {clip(repr(mark.edge))}"
             ) from None
-        ti = index[e.tail]
-        row = [0] * (2 * len(curve.vertices))
-        row[2 * ti], row[2 * ti + 1] = e.primitive_normal
-        rows.append(row)
+        ti = 2 * index[e.tail]
+        nx, ny = e.primitive_normal
+        rows.append(row_sum(((ti, nx), (ti + 1, ny))))
     slides = sum(1 for v in curve.vertices if curve.valence(v.id) == 2)
     return 2 * len(curve.vertices) - rank_rational(rows) == slides
 
@@ -171,10 +164,11 @@ def rigidity_check(curve: TropicalCurve, marks: list[MarkedPoint]) -> bool:
 
 
 def build_D(curve: TropicalCurve, marked_vertex_ids: list[str]) -> IntMatrix:
-    """Edge condition rows of F plus two pinning rows per marked vertex."""
-    rows = build_F(curve)
-    index = {v.id: i for i, v in enumerate(curve.vertices)}
+    """Edge condition rows of F plus two pinning rows per marked vertex,
+    dense for the oracles."""
     width = 2 * len(curve.vertices)
+    rows = [[row.get(j, 0) for j in range(width)] for row in build_F(curve)]
+    index = {v.id: i for i, v in enumerate(curve.vertices)}
     for vid in marked_vertex_ids:
         i = index[vid]
         for k in (0, 1):
@@ -228,12 +222,9 @@ def kernel_order_gcstar(
         if e.id in marked:
             # the first piece keeps the tail's block, the last the head's
             hi = 2 * index[e.head]
-            head_row = [0] * width
-            head_row[hi:hi + 2] = row[hi:hi + 2]
-            row[hi:hi + 2] = (0, 0)
-            f.append(head_row)
+            f.append({j: row.pop(j) for j in (hi, hi + 1) if j in row})
         f.append(row)
-    _, s, _ = snf(f)
+    _, s, _ = snf(f, width)
     reduced = [x for x in (s[i][i] for i in range(min(len(f), width))) if x]
     nonzero = [1] * (2 * len(marks)) + reduced
     corank = width - len(reduced)

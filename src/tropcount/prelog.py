@@ -36,7 +36,7 @@ from itertools import chain, compress
 
 from .curve import TropicalCurve, ensure_valid
 from .errors import ConstraintError
-from .exactmath import IntMatrix, ext_gcd, snf
+from .exactmath import Rows, ext_gcd, row_sum, snf
 from .realize import chi_product
 from .record import Record
 from .valuegroup import (EqualityMode, MulValue, mv_is_one, mv_pow, mv_prod,
@@ -51,9 +51,11 @@ Flag = tuple[str, str]
 
 
 class MonomialSystem(Record):
-    """prod_j x_j^exponents[i][j] = rhs[i], one unknown per flag."""
+    """Row i reads prod x_j^e = rhs[i] over the items j: e of exponents[i],
+    one unknown x_j per flag; the exponents are Rows of width len(flags)
+    (see exactmath)."""
 
-    exponents: IntMatrix
+    exponents: Rows
     rhs: list[MulValue]
     row_labels: list[str]
     flags: list[Flag]
@@ -84,23 +86,20 @@ def assemble_system(curve: TropicalCurve) -> MonomialSystem:
         flags.append((e.head, e.id))
     index = {f: j for j, f in enumerate(flags)}
 
-    exponents: IntMatrix = []
+    exponents: Rows = []
     rhs: list[MulValue] = []
     labels: list[str] = []
     for v in curve.vertices:
-        row = [0] * len(flags)
         g = curve.vertex_gcd(v.id)
-        for e in curve.incident_edges_flags(v.id):
-            exp = 1 if curve.valence(v.id) == 2 else e.weight // g
-            row[index[(v.id, e.id)]] += exp
-        exponents.append(row)
+        two_valent = curve.valence(v.id) == 2
+        exponents.append(row_sum(
+            (index[(v.id, e.id)], 1 if two_valent else e.weight // g)
+            for e in curve.incident_edges_flags(v.id)))
         rhs.append(vertex_rhs(curve, v.id))
         labels.append(f"vertex {v.id}")
     for e in curve.edges:
-        row = [0] * len(flags)
-        row[index[(e.tail, e.id)]] += 1
-        row[index[(e.head, e.id)]] += 1
-        exponents.append(row)
+        exponents.append(row_sum(((index[(e.tail, e.id)], 1),
+                                  (index[(e.head, e.id)], 1))))
         rhs.append(edge_rhs(curve, e.id))
         labels.append(f"edge {e.id}")
     return MonomialSystem(exponents, rhs, labels, flags)
@@ -157,8 +156,8 @@ def solve_monomial(
     a = system.exponents
     b = system.rhs
     nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    u, s, v = snf(a)
+    ncols = len(system.flags)
+    u, s, v = snf(a, ncols)
     diag = [s[i][i] for i in range(min(nrows, ncols))]
     rank = sum(1 for x in diag if x != 0)
 
@@ -212,7 +211,7 @@ def verify_assignment(
             f"{len(system.flags)} flags")
     failures = []
     for i, row in enumerate(system.exponents):
-        ratio = mv_prod(chain(compress(zip(assignment, row), row),
+        ratio = mv_prod(chain(((assignment[j], x) for j, x in row.items()),
                               ((system.rhs[i], -1),)))
         verdict, certificate = mv_is_one(
             ratio, mode, numeric_values=numeric_values, tolerance=tolerance)

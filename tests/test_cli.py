@@ -544,7 +544,26 @@ def test_failed_write_to_stdout_exits_1_without_traceback(target, unbuffered,
     # buffered stream fails at run()'s final flush, an unbuffered one at
     # the write inside main()
     shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
-    argv = [*_PROGRAM, "count", "theta_exact.json", "--json"]
+    _assert_failed_write(["count", "theta_exact.json", "--json"], target,
+                         unbuffered, tmp_path)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["closed", "broken-pipe", "dev-full"])
+@pytest.mark.parametrize("argv", [["--help"], ["count", "--help"]],
+                         ids=["help", "count-help"])
+def test_failed_help_write_exits_1_without_traceback(argv, target,
+                                                     unbuffered, tmp_path):
+    # help to a full device exited 120 with "Exception ignored" when
+    # buffered and 0 with the text lost when not; to a closed stdout, 0
+    _assert_failed_write(argv, target, unbuffered, tmp_path)
+
+
+def _assert_failed_write(argv, target, unbuffered, tmp_path):
+    """The program on argv in tmp_path, its stdout closed, a pipe without
+    a reader or /dev/full, exits 1 with one error line."""
+    argv = [*_PROGRAM, *argv]
     if target == "closed":
         proc = _child(["sh", "-c", 'exec "$@" >&-', "sh", *argv], tmp_path,
                       unbuffered=unbuffered)
@@ -583,6 +602,47 @@ def test_huge_identifier_gives_short_lines(tmp_path):
         output = proc.stdout + proc.stderr
         assert b" characters)" in output
         assert max(map(len, output.splitlines())) < 200
+
+
+def test_program_keeps_argparse_help_and_usage_errors(tmp_path, capsys):
+    # help exits 0 on stdout and a usage error 2 on stderr, in argparse's
+    # words, through the program as through the parser
+    for argv in (["--help"], ["count", "--help"], ["count"],
+                 ["count", "f.json", "--mode", "bogus"]):
+        with pytest.raises(SystemExit) as want:
+            _reference_parser().parse_args(argv)
+        want_output = capsys.readouterr()
+        proc = _child([*_PROGRAM, *argv], tmp_path)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) \
+            == (want.value.code, want_output.out, want_output.err), argv
+
+
+def test_invalid_curve_error_quotes_five_problems(tmp_path, capsys):
+    # every problem was joined into the error line: the golden theta file
+    # plus 20 000 edges with unknown tails gave a 957 786-byte line
+    doc = _golden_doc()
+    e1 = next(e for e in doc["edges"] if e["id"] == "e1")
+    doc["edges"] += [{**e1, "id": f"x{i}", "tail": f"w{i}"}
+                     for i in range(20000)]
+    (tmp_path / "many.json").write_text(json.dumps(doc))
+    few = _golden_doc(tail="w")
+    (tmp_path / "few.json").write_text(json.dumps(few))
+    for name, shown in (("many.json", 5), ("few.json", None)):
+        path = str(tmp_path / name)
+        code, report, _ = run_json(capsys, ["validate", path])
+        problems = report["problems"]
+        assert code == 2 and problems
+        assert main(["count", path]) == 2
+        err = capsys.readouterr().err
+        if shown is None:
+            # at most five: quoted as they were, all of them
+            assert len(problems) <= 5
+            assert err == f"error: {'; '.join(problems)}\n"
+        else:
+            assert len(problems) >= 20000
+            assert err == (f"error: {'; '.join(problems[:shown])}; ... and "
+                           f"{len(problems) - shown} more\n")
+            assert len(err.encode()) < 1024
 
 
 def test_main_leaves_the_collector_as_it_is(theta_exact_file, capsys):

@@ -2,18 +2,32 @@ import random
 from fractions import Fraction
 from math import gcd
 
+from equivalence_cases import covers
+from tropcount import catalog, moduli
 from tropcount.curve import subdivide
-from tropcount.exactmath import (_echelon, _round_div, det_int, ext_gcd,
-                                 gcd_list,
-                                 mat_identity, mat_mul, nullspace_rational,
-                                 rank_rational, snf, snf_diagonal)
-from tropcount.moduli import build_D
+from tropcount.exactmath import (_round_div, det_int, ext_gcd, mat_mul,
+                                 nullspace_rational, rank_rational, snf,
+                                 snf_diagonal, to_rows)
+from tropcount.moduli import _dual_flag_rows, build_D, build_F
 from tropcount.prelog import assemble_system
 from tropcount.selftest import base_instances, generated_curves
 
 
 def is_unimodular(m):
     return abs(det_int(m)) == 1
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _snf(a):
+    """snf of a dense matrix."""
+    return snf(to_rows(a), len(a[0]) if a else 0)
+
+
+def _dense(rows, width):
+    return [[row.get(j, 0) for j in range(width)] for row in rows]
 
 
 def test_ext_gcd_basics():
@@ -55,16 +69,16 @@ def test_det_int_matches_cofactor_expansion():
 
 def test_rank_and_nullspace():
     a = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    assert rank_rational(a) == 2
-    basis = nullspace_rational(a)
+    assert rank_rational(to_rows(a)) == 2
+    basis = nullspace_rational(to_rows(a), 3)
     assert len(basis) == 1
     for vec in basis:
         assert all(sum(Fraction(row[j]) * vec[j] for j in range(3)) == 0
                    for row in a)
-    assert rank_rational([[0, 0], [0, 0]]) == 0
-    assert len(nullspace_rational([[0, 0], [0, 0]])) == 2
-    assert rank_rational(mat_identity(4)) == 4
-    assert nullspace_rational(mat_identity(4)) == []
+    assert rank_rational(to_rows([[0, 0], [0, 0]])) == 0
+    assert len(nullspace_rational(to_rows([[0, 0], [0, 0]]), 2)) == 2
+    assert rank_rational(to_rows(_identity(4))) == 4
+    assert nullspace_rational(to_rows(_identity(4)), 4) == []
 
 
 def _rank_reference(a):
@@ -132,14 +146,9 @@ def _nullspace_reference(a):
     return basis
 
 
-def _random_matrix(rng, nrows, ncols, rational):
-    def entry():
-        if rng.random() < 0.5:
-            return 0
-        num = rng.randrange(-9, 10)
-        return Fraction(num, rng.randrange(1, 7)) if rational else num
-
-    rows = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+def _random_matrix(rng, nrows, ncols):
+    rows = [[0 if rng.random() < 0.5 else rng.randrange(-9, 10)
+             for _ in range(ncols)] for _ in range(nrows)]
     # dependent rows make ranks below full likely
     for _ in range(rng.randrange(0, 3)):
         if nrows >= 2:
@@ -153,40 +162,20 @@ def test_rank_and_nullspace_match_dense_reference():
     rng = random.Random(41)
     shapes = [(0, 0), (1, 0), (3, 0), (1, 1), (2, 5), (3, 9), (9, 3),
               (6, 6), (10, 14), (14, 10)]
-    cases = [[], [[]], [[0, 0, 0]], [[0] * 4 for _ in range(3)],
-             [[Fraction(0)] * 2, [Fraction(1, 3), Fraction(-2, 7)]]]
+    cases = [[], [[]], [[0, 0, 0]], [[0] * 4 for _ in range(3)]]
     for nrows, ncols in shapes:
-        for rational in (False, True):
-            for _ in range(15):
-                cases.append(_random_matrix(rng, nrows, ncols, rational))
+        for _ in range(30):
+            cases.append(_random_matrix(rng, nrows, ncols))
     for a in cases:
-        assert rank_rational(a) == _rank_reference(a), a
-        got = nullspace_rational(a)
+        rows, ncols = to_rows(a), len(a[0]) if a else 0
+        assert rank_rational(rows) == _rank_reference(a), a
+        got = nullspace_rational(rows, ncols)
         assert got == _nullspace_reference(a), a
         assert all(type(x) is Fraction for vec in got for x in vec)
 
 
-def test_echelon_keeps_int_rows_as_their_fraction_twins():
-    # all-int rows skip the Fraction scaling; the pivots must be the ones
-    # the same rows give as Fractions, and mixed rows still scale
-    rng = random.Random(43)
-    mats = [_random_matrix(rng, n, m, False)
-            for n, m in [(1, 1), (3, 5), (6, 6), (9, 4), (12, 12)]
-            for _ in range(20)]
-    mats += [assemble_system(curve).exponents
-             for _, curve, _ in base_instances()]
-    for a in mats:
-        as_fractions = [[Fraction(x) for x in row] for row in a]
-        assert _echelon(a) == _echelon(as_fractions), a
-        mixed = [[Fraction(x) if (i + j) % 2 else x
-                  for j, x in enumerate(row)] for i, row in enumerate(a)]
-        assert _echelon(mixed) == _echelon(a), a
-    assert _echelon([[2, 4], [Fraction(1, 2), 3]]) == {0: {0: 2, 1: 4},
-                                                       1: {1: 1}}
-
-
 def test_snf_doc_example():
-    u, s, v = snf([[2, 0], [0, 3]])
+    u, s, v = snf([{0: 2}, {1: 3}], 2)
     assert [s[i][i] for i in range(2)] == [1, 6]
     assert is_unimodular(u) and is_unimodular(v)
     assert mat_mul(mat_mul(u, [[2, 0], [0, 3]]), v) == s
@@ -198,8 +187,8 @@ def _snf_reference(a):
     snf must match transform for transform."""
     s = [row[:] for row in a]
     nrows, ncols = len(s), len(s[0]) if s else 0
-    u = mat_identity(nrows)
-    v = mat_identity(ncols)
+    u = _identity(nrows)
+    v = _identity(ncols)
 
     def swap_rows(i, j):
         if i != j:
@@ -296,13 +285,41 @@ def test_snf_transforms_match_reference():
                        else rng.choice((0, 1, -1, 2, 3))
                        for _ in range(ncols)] for _ in range(nrows)])
     for a in cases:
-        assert snf(a) == _snf_reference(a), a
+        assert _snf(a) == _snf_reference(a), a
 
 
-def test_snf_transforms_match_reference_on_pipeline_matrices():
-    # The D matrices of the count and the exponent matrices of the prelog
-    # system, on the catalog curves and on subdivided, relifted and
-    # transformed ones, plus empty, zero, wide and tall shapes.
+def _builder_rows(curve, marks, monkeypatch):
+    """[(builder, rows, width)] of the five matrix builders on one curve,
+    the rigidity rows and the reduced F as the eliminations receive
+    them."""
+    seen = []
+
+    def spy(function):
+        def wrapper(rows, *args):
+            seen.append(rows)
+            return function(rows, *args)
+        return wrapper
+
+    monkeypatch.setattr(moduli, "rank_rational", spy(rank_rational))
+    monkeypatch.setattr(moduli, "snf", spy(snf))
+    moduli.rigidity_check(curve, marks)
+    moduli.kernel_order_gcstar(curve, marks)
+    monkeypatch.undo()
+    points = 2 * len(curve.vertices)
+    system = assemble_system(curve)
+    return [("F", build_F(curve), points),
+            ("dual flag", _dual_flag_rows(curve), len(curve.edges)),
+            ("rigidity", seen[0], points),
+            ("reduced F", seen[1], points),
+            ("prelog", system.exponents, len(system.flags))]
+
+
+def test_snf_transforms_match_reference_on_pipeline_matrices(monkeypatch):
+    # The rows of every matrix builder, on the catalog curves, on
+    # subdivided, relifted and transformed ones and on covers, hold only
+    # nonzero ints inside their width, and rank, nullspace and the Smith
+    # form on them equal the dense references on the same matrix.  Also
+    # the D matrices of the count and empty, zero, wide and tall shapes.
     rng = random.Random(79)
     cases = [[], [[]], [[], []], [[0] * 5 for _ in range(3)],
              [[0], [0], [0]], [[1, -1, 0, 2, 0, 0, 3, 0, 0]],
@@ -311,18 +328,31 @@ def test_snf_transforms_match_reference_on_pipeline_matrices():
         for _ in range(10):
             cases.append([[rng.choice((0, 0, 0, 1, -1, 2, -3, 4))
                            for _ in range(ncols)] for _ in range(nrows)])
-    for name, curve, marks in (base_instances()
-                               + generated_curves(rng, 30, keep_marks=True)):
+    curves = base_instances() + generated_curves(rng, 30, keep_marks=True)
+    curves += [(f"{base}-cover{k}", *covers.cover_instance(base, k, None))
+               for base in sorted(covers.BASES) for k in (2, 3, 8)]
+    for name, curve, marks in curves:
         gamma, ids = subdivide(curve, marks)
         cases.append(build_D(gamma, ids))
-        cases.append(assemble_system(curve).exponents)
+        for builder, rows, width in _builder_rows(curve, marks, monkeypatch):
+            where = (name, builder)
+            assert all(type(x) is int and x and 0 <= j < width
+                       for row in rows for j, x in row.items()), where
+            a = _dense(rows, width)
+            assert rank_rational(rows) == _rank_reference(a), where
+            assert nullspace_rational(rows, width) == \
+                _nullspace_reference(a), where
+            assert snf(rows, width) == _snf_reference(a), where
+    # the wrapping cycles are among the curves: their edges are horizontal,
+    # so each normal has a zero component, which F leaves out
+    assert all(len(row) == 2 for row in build_F(catalog.wrapping_cycle(2)))
     for a in cases:
-        assert snf(a) == _snf_reference(a), a
+        assert _snf(a) == _snf_reference(a), a
 
 
 def test_snf_zero_and_empty():
     assert snf_diagonal([[0, 0], [0, 0]]) == [0, 0]
-    u, s, v = snf([[0]])
+    u, s, v = _snf([[0]])
     assert s == [[0]]
     assert snf_diagonal([[7]]) == [7]
 
@@ -334,7 +364,7 @@ def test_snf_random_properties():
         ncols = rng.randrange(1, 7)
         a = [[rng.randrange(-10, 11) for _ in range(ncols)]
              for _ in range(nrows)]
-        u, s, v = snf(a)
+        u, s, v = _snf(a)
         assert is_unimodular(u) and is_unimodular(v)
         assert mat_mul(mat_mul(u, a), v) == s
         diag = [s[i][i] for i in range(min(nrows, ncols))]
@@ -356,7 +386,7 @@ def test_snf_survives_dense_12x12():
     rng = random.Random(0)
     for _ in range(12):
         a = [[rng.randrange(-20, 21) for _ in range(12)] for _ in range(12)]
-        u, s, v = snf(a)
+        u, s, v = _snf(a)
         assert mat_mul(mat_mul(u, a), v) == s
         assert is_unimodular(u) and is_unimodular(v)
 
@@ -367,7 +397,7 @@ def test_snf_first_divisor_is_entry_gcd():
         a = [[rng.randrange(-12, 13) for _ in range(3)] for _ in range(3)]
         entries = [x for row in a for x in row]
         d = snf_diagonal(a)
-        assert d[0] == gcd_list(entries)
+        assert d[0] == gcd(*entries)
 
 
 def test_snf_square_product_is_abs_det():
@@ -380,10 +410,3 @@ def test_snf_square_product_is_abs_det():
         for x in d:
             prod *= x
         assert prod == abs(det_int(a))
-
-
-def test_gcd_list():
-    assert gcd_list([]) == 0
-    assert gcd_list([0, 0]) == 0
-    assert gcd_list([-4, 6]) == 2
-    assert gcd_list([9]) == 9

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from equivalence_cases import cases
+from equivalence_cases import cases, covers
 from tropcount import catalog
 from tropcount.curve import MarkedPoint, subdivide, transform
 from tropcount.errors import ConstraintError, InfeasibleError
@@ -28,7 +29,7 @@ def tuned(curve, seed=4, offset=Fraction(0)):
 
 def test_build_F_shape_and_rows():
     curve = catalog.theta()
-    f = build_F(curve)
+    f = [[row.get(j, 0) for j in range(4)] for row in build_F(curve)]
     assert len(f) == 3
     assert all(len(row) == 4 for row in f)
     # each row pairs +normal at the head block with -normal at the tail block
@@ -101,7 +102,7 @@ def _rigidity_reference(curve, marks):
     [F; E] replaced, kept as its reference.  Evaluation is restricted to a
     basis of Ker F and must be injective modulo the slides."""
     index = {v.id: i for i, v in enumerate(curve.vertices)}
-    kernel = nullspace_rational(build_F(curve))
+    kernel = nullspace_rational(build_F(curve), 2 * len(curve.vertices))
     slides = sum(1 for v in curve.vertices if curve.valence(v.id) == 2)
     if len(kernel) <= slides:
         return True
@@ -118,6 +119,9 @@ def _rigidity_reference(curve, marks):
         [sum(row[i] * vec[i] for i in range(len(vec))) for vec in kernel]
         for row in eval_rows
     ]
+    # each row scaled to integers by the lcm of its denominators
+    composite = [{j: int(x * lcm(*(y.denominator for y in row)))
+                  for j, x in enumerate(row) if x} for row in composite]
     return rank_rational(composite) == len(kernel) - slides
 
 
@@ -229,7 +233,7 @@ def _kernel_order_subdivided(curve, marks):
     index = {v.id: i for i, v in enumerate(gamma.vertices)}
     pinned = {2 * index[vid] + k for vid in marked_ids for k in (0, 1)}
     keep = [j for j in range(2 * len(gamma.vertices)) if j not in pinned]
-    f = [[row[j] for j in keep] for row in build_F(gamma)]
+    f = [[row.get(j, 0) for j in keep] for row in build_F(gamma)]
     nonzero = [1] * len(pinned) + [x for x in snf_diagonal(f) if x]
     corank = 2 * len(gamma.vertices) - len(nonzero)
     slides = sum(1 for v in gamma.vertices
@@ -337,6 +341,17 @@ def test_count_goldens():
          MarkedPoint("f2", Fraction(1, 3))]).total == 9
     assert count_curves(tuned(catalog.wrapping_cycle(3, 2)),
                         [MarkedPoint("s2", Fraction(1, 2))]).total == 2
+
+
+@pytest.mark.parametrize("base", sorted(covers.BASES))
+def test_pipeline_on_genus_65_covers(base):
+    # the index-64 cover: 128 vertices, 192 edges, total = total(base)^64
+    curve, marks = covers.cover_instance(base, 64, random.Random(1))
+    total = {"theta": 1, "theta2": 8, "triple": 9}[base] ** 64
+    assert count_curves(curve, marks).total == total
+    assert deformation_ranks(curve) == (65, 1)
+    assert dual_flag_dimension(curve) == 1
+    assert rigidity_check(curve, marks)
 
 
 def test_count_invariance_under_subdivision_and_transform():
