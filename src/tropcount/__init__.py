@@ -41,23 +41,7 @@ _EXPORTS = {
 _SUBMODULE = {name: module for module, names in _EXPORTS.items()
               for name in names}
 
-__all__ = [
-    "ConstraintError", "CountReport", "DegeneracyError", "Edge",
-    "EqualityMode", "InfeasibleError", "KernelOrder", "MarkedPoint",
-    "MonomialSolution", "MonomialSystem", "MulValue", "ParseError",
-    "PeriodLattice", "RealizabilityReport", "TropcountError", "TropicalCurve",
-    "ValidationError", "ValidationReport", "Vertex", "VertexModel",
-    "assemble_system", "build_D", "build_F", "canonical_offset",
-    "count_curves", "crossings", "deformation_ranks", "dual_flag_space",
-    "dumps_curve", "edge_weight_product", "ensure_valid", "is_realizable",
-    "kernel_order_bruteforce", "kernel_order_gcstar", "load_curve",
-    "loads_curve", "mv_eval_numeric", "mv_is_one", "mv_pow", "mv_root",
-    "offset_sequence", "parity_exponent", "prelog_exists",
-    "realizability_target", "relift", "rigidity_check", "save_curve",
-    "smallest_maximal_minor",
-    "sigma_cocycle", "sigma_geometric", "solve_monomial", "subdivide",
-    "transform", "validate", "verify_assignment",
-]
+__all__ = sorted(_SUBMODULE)
 
 
 def __getattr__(name: str):

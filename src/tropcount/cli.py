@@ -49,7 +49,8 @@ from types import SimpleNamespace
 
 from .curve import canonical_offset, ensure_valid, validate
 from .curvefile import (format_rational, load_curve, parse_complex,
-                        parse_polar, parse_rational, read_json)
+                        parse_group_element, parse_polar, parse_rational,
+                        read_json)
 from .errors import ConstraintError, ParseError, TropcountError, clip
 from .valuegroup import (DEFAULT_TOLERANCE, UNDECIDED_FACTOR, EqualityMode,
                          MulValue)
@@ -303,11 +304,7 @@ def _parse_check_value(raw, index: int, numeric_table: dict, what: str):
                 raw["re"], raw.get("im", 0.0), what)
             return MulValue.symbol(name)
         if set(raw) <= {"symbols", "primes", "turns"}:
-            try:
-                return MulValue.from_dict(raw)
-            except (AttributeError, TypeError, ValueError,
-                    ZeroDivisionError) as exc:
-                raise ParseError(f"{what}: bad group element: {exc}") from exc
+            return parse_group_element(raw, what)
     raise ParseError(f"assignment value {clip(repr(raw))} is not a rational "
                      "string, modulus/turns, re/im, or serialized group "
                      "element")

@@ -303,8 +303,8 @@ def validate(curve: TropicalCurve) -> ValidationReport:
     """Collect every structural violation (does not stop at the first).
 
     Checks, in order: nonzero lattice determinant, connectedness, no loops,
-    valences in {2, 3}, nonzero weight vectors, opposite weight vectors at
-    2-valent vertices, balancing, the lift relation, positive lengths.
+    valences in {2, 3}, nonzero weight vectors, balancing (at a 2-valent
+    vertex: opposite weight vectors), the lift relation, positive lengths.
     A non-integer length triggers a warning (the edge's lattice length is
     then not an integral multiple of its weight), not an error.
     """
@@ -365,11 +365,6 @@ def validate(curve: TropicalCurve) -> ValidationReport:
         out = [curve.outgoing_vector(v.id, e)
                for e in curve.incident_edges_flags(v.id)
                if e.weight_vector != (0, 0) and e.tail != e.head]
-        if len(out) == 2:
-            if (out[0][0] + out[1][0], out[0][1] + out[1][1]) != (0, 0):
-                problems.append(
-                    f"2-valent vertex {clip(v.id)}: weight vectors do not "
-                    "cancel")
         sx = sum(w[0] for w in out)
         sy = sum(w[1] for w in out)
         if (sx, sy) != (0, 0):

@@ -36,7 +36,7 @@ from fractions import Fraction
 from .curve import (ALPHA_KEYS, Edge, MarkedPoint, PeriodLattice,
                     TropicalCurve, Vertex)
 from .errors import ECHO_LIMIT, ParseError, clip
-from .valuegroup import EqualityMode, MulValue
+from .valuegroup import EqualityMode, MulValue, mv_prod
 
 
 #: largest decimal exponent accepted in a rational string such as "1e-5";
@@ -118,6 +118,34 @@ def parse_polar(entry, what: str = "value") -> MulValue:
         return MulValue.polar(modulus, turns)
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}") from exc
+
+
+def parse_group_element(entry, what: str = "value") -> MulValue:
+    """A group element from the object MulValue.to_dict writes.
+
+    Its optional keys are "symbols" ({name: rational}), "primes"
+    ({integer: rational}) and "turns" (a rational), every rational as in
+    parse_rational.  A prime key may be any positive integer: 1 and
+    composite numbers stand for their prime factors.
+    """
+    parts = []
+    for key in ("symbols", "primes"):
+        table = entry.get(key, {})
+        if not isinstance(table, dict):
+            raise ParseError(f"{what}.{key}: expected an object")
+        for name, raw in table.items():
+            exponent = parse_rational(raw, f"{what}.{key}.{clip(name)}")
+            if key == "symbols":
+                parts.append(MulValue.symbol(name, exponent))
+                continue
+            try:
+                parts.append(MulValue.scalar(int(name), exponent))
+            except ValueError as exc:  # not an integer, <= 0, or unfactored
+                raise ParseError(
+                    f"{what}.primes.{clip(name)}: {clip(str(exc))}") from exc
+    turns = parse_rational(entry.get("turns", 0), f"{what}.turns")
+    parts.append(MulValue.phase_turns(turns))
+    return mv_prod((x, 1) for x in parts)
 
 
 def format_rational(value: Fraction) -> str:

@@ -15,9 +15,10 @@ Rows in, dense transforms out.  A matrix goes in as Rows, one
 {column: int} dict per row (graph incidences: a few nonzeros each), and
 its width where it matters.  A row holds no zero: a stored zero can be
 taken for a pivot and breaks both eliminations, so builders sum their
-terms with row_sum, which drops zeros.  snf returns dense IntMatrix
-transforms (rows the outer index); to_rows turns a dense matrix into
-rows for the oracles and tests.
+terms with row_sum, which drops zeros.  snf returns the invariant
+factors as a list and the two transforms U and V as dense IntMatrix
+(rows the outer index); to_rows turns a dense matrix into rows for the
+oracles and tests.
 """
 
 from __future__ import annotations
@@ -201,19 +202,21 @@ def nullspace_rational(rows: Rows, ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def snf(a: Rows, ncols: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def snf(a: Rows, ncols: int) -> tuple[IntMatrix, list[int], IntMatrix]:
     """Smith normal form with transforms of the integer rows a (width ncols).
 
-    Returns (U, S, V) with U, V unimodular and U*A*V = S, where S is diagonal
-    with nonnegative entries d_1 | d_2 | ... (zeros trailing).  Pivoting picks
-    the nonzero entry of minimal absolute value in the working submatrix,
-    which keeps intermediate growth small on the matrices this package sees.
+    Returns (U, d, V) with U, V unimodular and U*A*V = S, the matrix of
+    A's shape with d on its diagonal and zeros elsewhere.  d lists the
+    invariant factors d_1 | d_2 | ..., min(len(a), ncols) of them,
+    nonnegative with zeros trailing.  Pivoting picks the nonzero entry of
+    minimal absolute value in the working submatrix, which keeps
+    intermediate growth small on the matrices this package sees.
 
-    >>> U, S, V = snf([{0: 2}, {1: 3}], 2)
-    >>> S
-    [[1, 0], [0, 6]]
+    >>> U, d, V = snf([{0: 2}, {1: 3}], 2)
+    >>> d
+    [1, 6]
 
-    The work is sparse; the result is dense.  S (a copy of a) and U are
+    The work is sparse; U and V come out dense.  S (a copy of a) and U are
     held as rows {column: nonzero int} and V as columns {row: nonzero
     int}, so a row or column operation costs the nonzeros it touches.
     The rows of S are keyed by column label, the column's index in A,
@@ -230,7 +233,9 @@ def snf(a: Rows, ncols: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
     Ties are broken by the first row, then the first column, in index
     order, so the operation sequence and the transforms are those of the
-    dense elimination.
+    dense elimination.  At the end row t of S holds d_t alone, under the
+    label of column t (nothing at all once d_t is 0), and d is read
+    from there; S itself is never densified.
     """
     nrows = len(a)
     s = [dict(row) for row in a]
@@ -329,19 +334,18 @@ def snf(a: Rows, ncols: int) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         else:
             sub(s[t], s[bad], -1)
             sub(u[t], u[bad], -1)
-    # Densify, releasing each sparse row or column once it is copied so
-    # that both forms of a matrix are never held whole at once.
-    return (_dense_rows(u, nrows, range(nrows)), _dense_rows(s, ncols, pos),
-            _dense_columns(v))
+    d = [s[i].get(label[i], 0) for i in range(min(nrows, ncols))]
+    # Densify U and V, releasing each sparse row or column once it is
+    # copied so that both forms of a matrix are never held whole at once.
+    return _dense_rows(u, nrows), d, _dense_columns(v)
 
 
-def _dense_rows(rows: list[dict[int, int]], width: int, pos) -> IntMatrix:
-    # pos maps the keys of the sparse rows to columns of the dense ones
+def _dense_rows(rows: list[dict[int, int]], width: int) -> IntMatrix:
     out = []
     for i, sparse in enumerate(rows):
         row = [0] * width
         for j, x in sparse.items():
-            row[pos[j]] = x
+            row[j] = x
         rows[i] = None
         out.append(row)
     return out
@@ -359,6 +363,4 @@ def _dense_columns(cols: list[dict[int, int]]) -> IntMatrix:
 def snf_diagonal(a: IntMatrix) -> list[int]:
     """The invariant factors d_1 | d_2 | ... (nonnegative, zeros trailing)
     of a dense matrix."""
-    ncols = len(a[0]) if a else 0
-    _, s, _ = snf(to_rows(a), ncols)
-    return [s[i][i] for i in range(min(len(a), ncols))]
+    return snf(to_rows(a), len(a[0]) if a else 0)[1]

@@ -224,8 +224,7 @@ def kernel_order_gcstar(
             hi = 2 * index[e.head]
             f.append({j: row.pop(j) for j in (hi, hi + 1) if j in row})
         f.append(row)
-    _, s, _ = snf(f, width)
-    reduced = [x for x in (s[i][i] for i in range(min(len(f), width))) if x]
+    reduced = [x for x in snf(f, width)[1] if x]
     nonzero = [1] * (2 * len(marks)) + reduced
     corank = width - len(reduced)
     slides = sum(1 for v in curve.vertices if curve.valence(v.id) == 2)

@@ -157,8 +157,7 @@ def solve_monomial(
     b = system.rhs
     nrows = len(a)
     ncols = len(system.flags)
-    u, s, v = snf(a, ncols)
-    diag = [s[i][i] for i in range(min(nrows, ncols))]
+    u, diag, v = snf(a, ncols)
     rank = sum(1 for x in diag if x != 0)
 
     # U and V are dense and mostly zero; compress skips the zero entries

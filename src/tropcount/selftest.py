@@ -403,10 +403,9 @@ def suite_kernel_oracle(rng: random.Random, cases: int) -> SuiteResult:
         if minor is None or minor ** n > budget:
             continue
         produced += 1
-        _, s, _ = snf(to_rows(d), n)
         order = 1
-        for i in range(n):
-            order *= s[i][i]
+        for x in snf(to_rows(d), n)[1]:
+            order *= x
         checks += 1
         brute = kernel_order_bruteforce(d)
         if brute != order:
@@ -642,14 +641,15 @@ def suite_exactmath(rng: random.Random, cases: int) -> SuiteResult:
     checks = 0
     for _ in range(cases):
         a = _random_matrix(rng)
-        u, s, v = snf(to_rows(a), len(a[0]))
+        u, diag, v = snf(to_rows(a), len(a[0]))
         checks += 1
+        s = [[diag[i] if i == j else 0 for j in range(len(a[0]))]
+             for i in range(len(a))]
         if mat_mul(mat_mul(u, a), v) != s:
             failures.append(f"UAV != S for {a}")
             continue
         if abs(det_int(u)) != 1 or abs(det_int(v)) != 1:
             failures.append(f"transforms not unimodular for {a}")
-        diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
         for x, y in zip(diag, diag[1:]):
             if y and not x:
                 failures.append(f"zero before nonzero in diagonal for {a}")
@@ -674,8 +674,7 @@ def suite_exactmath(rng: random.Random, cases: int) -> SuiteResult:
         n = rng.randrange(1, 6)
         m = rng.randrange(1, 6)
         a = [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(n)]
-        _, s, _ = snf(to_rows(a), m)
-        diag = [s[i][i] for i in range(min(n, m))]
+        diag = snf(to_rows(a), m)[1]
         previous = 1
         checks += 1
         for k in range(1, min(n, m) + 1):

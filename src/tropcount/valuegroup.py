@@ -240,14 +240,6 @@ class MulValue(Record):
             out["turns"] = str(self.phase)
         return out
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MulValue":
-        return cls._make(
-            {k: Fraction(v) for k, v in data.get("symbols", {}).items()},
-            {int(p): Fraction(v) for p, v in data.get("primes", {}).items()},
-            Fraction(data.get("turns", 0)),
-        )
-
 
 def mv_mul(a: MulValue, b: MulValue) -> MulValue:
     symbols = dict(a.symbols)
@@ -341,17 +333,6 @@ def mv_root(a: MulValue, k: int) -> MulValue:
     return mv_pow(a, Fraction(1, k))
 
 
-def mv_substitute(a: MulValue, values: Mapping[str, MulValue]) -> MulValue:
-    """Replace symbols by MulValues (used for exact polar evaluation)."""
-    out = MulValue._make({}, dict(a.primes), a.phase)
-    for name, exp in a.symbols:
-        if name in values:
-            out = mv_mul(out, mv_pow(values[name], exp))
-        else:
-            out = mv_mul(out, MulValue.symbol(name, exp))
-    return out
-
-
 def mv_eval_numeric(a: MulValue, values: Mapping[str, complex] | None = None) -> complex:
     """Evaluate to a complex number, principal branches throughout."""
     acc = complex(1.0)
@@ -374,7 +355,6 @@ def mv_is_one(
     a: MulValue,
     mode: EqualityMode = EqualityMode.FORMAL,
     *,
-    values: Mapping[str, MulValue] | None = None,
     numeric_values: Mapping[str, complex] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> tuple[bool | None, str]:
@@ -394,14 +374,13 @@ def mv_is_one(
             return True, "identity in the formal group"
         return False, f"formally nontrivial: {a}"
     if mode is EqualityMode.EXACT:
-        b = mv_substitute(a, values) if values else a
-        if b.has_symbols:
+        if a.has_symbols:
             raise ConstraintError(
                 f"exact comparison needs polar values for all symbols; "
-                f"left: {b}")
-        if b.is_identity:
+                f"left: {a}")
+        if a.is_identity:
             return True, "exact identity after substitution"
-        return False, f"exact value differs from 1: {b}"
+        return False, f"exact value differs from 1: {a}"
     if mode is EqualityMode.NUMERIC:
         try:
             dist = abs(mv_eval_numeric(a, numeric_values) - 1.0)

@@ -730,6 +730,48 @@ def test_prelog_check_missing_flag(theta_exact_file, tmp_path, capsys):
     assert "missing flag" in capsys.readouterr().err
 
 
+def _check_solved(tmp_path, capsys, changes: dict) -> int:
+    """prelog --check on the golden theta_exact.json with its own solved
+    assignment, the flags in changes changed; returns the exit code."""
+    curve = shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
+    code, report, _ = run_json(capsys, ["prelog", curve])
+    assert code == 0
+    flags = report["assignment"]
+    for key, change in changes.items():
+        flags[key] = change(flags[key])
+    check = tmp_path / "check.json"
+    check.write_text(json.dumps({"flags": flags}), encoding="utf-8")
+    return main(["prelog", curve, "--check", str(check)])
+
+
+def _with_prime(p: str, exponent: str):
+    return lambda value: {**value, "primes": {**value.get("primes", {}),
+                                              p: exponent}}
+
+
+def test_prelog_check_refuses_huge_turns_exponent_at_once(tmp_path, capsys):
+    # the exponent used to be expanded to 10**3000000 before any check
+    start = time.perf_counter()
+    code = _check_solved(tmp_path, capsys,
+                         {"u|e1": lambda _: {"turns": "1e3000000"}})
+    assert time.perf_counter() - start < 1
+    _assert_one_error_line(code, capsys)
+
+
+def test_prelog_check_refuses_prime_zero(tmp_path, capsys):
+    # with a numeric flag, log(0) used to end in a traceback
+    code = _check_solved(tmp_path, capsys, {
+        "u|e1": _with_prime("0", "1"),
+        "v|e1": lambda _: {"re": 1.0, "im": 0.0}})
+    _assert_one_error_line(code, capsys)
+
+
+def test_prelog_check_reads_prime_one_as_the_identity(tmp_path, capsys):
+    code = _check_solved(tmp_path, capsys, {"u|e1": _with_prime("1", "1")})
+    assert code == 0
+    assert "result: pass" in capsys.readouterr().out
+
+
 def test_plot_stdout_and_file(theta_file, tmp_path, capsys):
     assert main(["plot", theta_file]) == 0
     out = capsys.readouterr().out

@@ -118,6 +118,17 @@ def test_validation_catches_balancing_and_lift():
     assert any("lift relation" in p for p in problems)
 
 
+def test_unbalanced_two_valent_vertex_is_one_problem():
+    cycle = catalog.wrapping_cycle(2)
+    curve = cycle.replace(edges=tuple(
+        e.replace(weight_vector=(2, 0)) if e.id == "s1" else e
+        for e in cycle.edges))
+    problems = validate(curve).problems
+    assert [p for p in problems if "vertex" in p] == [
+        "vertex c0 violates balancing: sum (1, 0)",
+        "vertex c1 violates balancing: sum (-1, 0)"]
+
+
 def test_ensure_valid_raises():
     lat = PeriodLattice((1, 0), (0, 1))
     curve = TropicalCurve(lat, (Vertex("a", (0, 0)),), ())

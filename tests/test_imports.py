@@ -3,7 +3,8 @@
 No linter ships with the project, so this walks the syntax tree of each
 module under src/tropcount and tests: a name bound by an import must
 appear somewhere else in the module, as a name, as the root of an
-attribute chain, or in the module's __all__.
+attribute chain, or in the module's __all__ (a list or tuple of strings;
+a computed __all__ uses its names as names).
 """
 
 import ast
@@ -29,6 +30,7 @@ def unused_imports(source: str) -> list[str]:
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
         if (isinstance(node, ast.Assign)
+                and isinstance(node.value, (ast.List, ast.Tuple))
                 and any(isinstance(t, ast.Name) and t.id == "__all__"
                         for t in node.targets)):
             used.update(ast.literal_eval(node.value))
@@ -40,6 +42,8 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit\n") == \
         ["os (line 1)"]
     assert unused_imports("from a import b as c\n__all__ = ['c']\n") == []
+    assert unused_imports("import os\n__all__ = sorted(NAMES)\n") == \
+        ["os (line 1)"]
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
