@@ -221,15 +221,15 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_realizable(args) -> int:
-    from .realize import is_realizable, sigma_cocycle, sigma_geometric
+    from .realize import is_realizable, sigma_geometric
 
     curve, _ = load_curve(args.file)
     ensure_valid(curve)
     mode = _resolve_mode(args, curve)
     offset = canonical_offset(curve)
-    cocycle = sigma_cocycle(curve)
     geometric = sigma_geometric(curve, offset)
     result = is_realizable(curve, mode, args.tol)
+    cocycle = result.sigma
     warnings = []
     if result.verdict is None:
         warnings.append(
@@ -286,7 +286,8 @@ def _flag_key(flag) -> str:
     return f"{flag[0]}|{flag[1]}"
 
 
-def _parse_check_value(raw, index: int, numeric_table: dict, what: str):
+def _parse_check_value(raw, what: str) -> MulValue | complex:
+    """A group element, or the nonzero complex number of an re/im value."""
     if isinstance(raw, str):
         value = parse_rational(raw, what)
         if value == 0:
@@ -299,10 +300,10 @@ def _parse_check_value(raw, index: int, numeric_table: dict, what: str):
         if "modulus" in raw:
             return parse_polar(raw, what)
         if "re" in raw:
-            name = f"check{index}"
-            numeric_table[name] = parse_complex(
-                raw["re"], raw.get("im", 0.0), what)
-            return MulValue.symbol(name)
+            z = parse_complex(raw["re"], raw.get("im", 0.0), what)
+            if z == 0:
+                raise ParseError(f"{what}: zero is not invertible")
+            return z
         if set(raw) <= {"symbols", "primes", "turns"}:
             return parse_group_element(raw, what)
     raise ParseError(f"assignment value {clip(repr(raw))} is not a rational "
@@ -324,16 +325,25 @@ def cmd_prelog(args) -> int:
         if not isinstance(flags_doc, dict):
             raise ParseError(
                 f"{args.check}: expected an object with a \"flags\" map")
-        numeric_table = dict(curve.lattice.numeric_values)
         assignment = []
-        for i, flag in enumerate(system.flags):
+        for flag in system.flags:
             key = _flag_key(flag)
             if key not in flags_doc:
                 raise ParseError(
                     f"{args.check}: missing flag {clip(repr(key))}")
             assignment.append(_parse_check_value(
-                flags_doc[key], i, numeric_table,
-                f"{args.check}: {clip(key)}"))
+                flags_doc[key], f"{args.check}: {clip(key)}"))
+        # name each complex value past the symbols in use, so none binds it
+        taken = {name for x in assignment if isinstance(x, MulValue)
+                 for name, _ in x.symbols}
+        numeric_table = dict(curve.lattice.numeric_values)
+        for i, x in enumerate(assignment):
+            if isinstance(x, complex):
+                name = f"check{i}"
+                while name in taken:
+                    name += "'"
+                numeric_table[name] = x
+                assignment[i] = MulValue.symbol(name)
         check_mode = mode
         if len(numeric_table) > len(curve.lattice.numeric_values):
             check_mode = EqualityMode.NUMERIC

@@ -11,14 +11,14 @@ small toolkit the rest of the package leans on:
   rational nullspace,
 * exact determinant (Bareiss).
 
-Rows in, dense transforms out.  A matrix goes in as Rows, one
+Rows in, rows out.  A matrix goes in as Rows, one
 {column: int} dict per row (graph incidences: a few nonzeros each), and
 its width where it matters.  A row holds no zero: a stored zero can be
 taken for a pivot and breaks both eliminations, so builders sum their
 terms with row_sum, which drops zeros.  snf returns the invariant
-factors as a list and the two transforms U and V as dense IntMatrix
-(rows the outer index); to_rows turns a dense matrix into rows for the
-oracles and tests.
+factors as a list, U as Rows and V as its columns, one {row: int} dict
+each, no zero stored either; to_rows turns a dense matrix into rows for
+the oracles and tests.
 """
 
 from __future__ import annotations
@@ -202,7 +202,7 @@ def nullspace_rational(rows: Rows, ncols: int) -> list[list[Fraction]]:
     return basis
 
 
-def snf(a: Rows, ncols: int) -> tuple[IntMatrix, list[int], IntMatrix]:
+def snf(a: Rows, ncols: int) -> tuple[Rows, list[int], Rows]:
     """Smith normal form with transforms of the integer rows a (width ncols).
 
     Returns (U, d, V) with U, V unimodular and U*A*V = S, the matrix of
@@ -215,9 +215,11 @@ def snf(a: Rows, ncols: int) -> tuple[IntMatrix, list[int], IntMatrix]:
     >>> U, d, V = snf([{0: 2}, {1: 3}], 2)
     >>> d
     [1, 6]
+    >>> U, V
+    ([{0: -1, 1: -1}, {1: 4, 0: 3}], [{1: 1, 0: -2}, {0: -3, 1: 2}])
 
-    The work is sparse; U and V come out dense.  S (a copy of a) and U are
-    held as rows {column: nonzero int} and V as columns {row: nonzero
+    The work is sparse, and U and V come out as it holds them: S (a copy
+    of a) and U as rows {column: nonzero int}, V as columns {row: nonzero
     int}, so a row or column operation costs the nonzeros it touches.
     The rows of S are keyed by column label, the column's index in A,
     and two lists map labels to positions and back; swapping two columns
@@ -235,7 +237,7 @@ def snf(a: Rows, ncols: int) -> tuple[IntMatrix, list[int], IntMatrix]:
     order, so the operation sequence and the transforms are those of the
     dense elimination.  At the end row t of S holds d_t alone, under the
     label of column t (nothing at all once d_t is 0), and d is read
-    from there; S itself is never densified.
+    from there; nothing is densified.
     """
     nrows = len(a)
     s = [dict(row) for row in a]
@@ -335,29 +337,7 @@ def snf(a: Rows, ncols: int) -> tuple[IntMatrix, list[int], IntMatrix]:
             sub(s[t], s[bad], -1)
             sub(u[t], u[bad], -1)
     d = [s[i].get(label[i], 0) for i in range(min(nrows, ncols))]
-    # Densify U and V, releasing each sparse row or column once it is
-    # copied so that both forms of a matrix are never held whole at once.
-    return _dense_rows(u, nrows), d, _dense_columns(v)
-
-
-def _dense_rows(rows: list[dict[int, int]], width: int) -> IntMatrix:
-    out = []
-    for i, sparse in enumerate(rows):
-        row = [0] * width
-        for j, x in sparse.items():
-            row[j] = x
-        rows[i] = None
-        out.append(row)
-    return out
-
-
-def _dense_columns(cols: list[dict[int, int]]) -> IntMatrix:
-    out = [[0] * len(cols) for _ in cols]
-    for j, sparse in enumerate(cols):
-        for i, x in sparse.items():
-            out[i][j] = x
-        cols[j] = None
-    return out
+    return u, d, v
 
 
 def snf_diagonal(a: IntMatrix) -> list[int]:

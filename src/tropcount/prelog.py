@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 
 from .curve import TropicalCurve, ensure_valid
 from .errors import ConstraintError
@@ -160,34 +160,39 @@ def solve_monomial(
     u, diag, v = snf(a, ncols)
     rank = sum(1 for x in diag if x != 0)
 
-    # U and V are dense and mostly zero; compress skips the zero entries
-    c = [mv_prod(compress(zip(b, row), row)) for row in u]
+    c = [mv_prod((b[j], x) for j, x in row.items()) for row in u]
 
     witnesses = []
     feasible: bool | None = True
     for i in range(rank, nrows):
         verdict, certificate = mv_is_one(
             c[i], mode, numeric_values=numeric_values, tolerance=tolerance)
-        witnesses.append(Witness(list(u[i]), c[i], verdict, certificate))
+        witnesses.append(Witness([u[i].get(j, 0) for j in range(nrows)],
+                                 c[i], verdict, certificate))
         if verdict is False:
             feasible = False
         elif verdict is None and feasible is True:
             feasible = None
 
-    # a first root of a canonical value is the value itself
-    z = [MulValue.identity()] * ncols
-    for i in range(rank):
-        z[i] = c[i] if diag[i] == 1 else mv_root(c[i], diag[i])
     assignment = None
     if feasible is not False:
-        assignment = [mv_prod(compress(zip(z, row), row)) for row in v]
+        # x = V z, with z[k] the identity from k = rank on; a first root
+        # of a canonical value is the value itself
+        terms = [[] for _ in range(ncols)]
+        for k in range(rank):
+            zk = c[k] if diag[k] == 1 else mv_root(c[k], diag[k])
+            for j, x in v[k].items():
+                terms[j].append((zk, x))
+        assignment = [mv_prod(t) for t in terms]
 
-    kernel_free = [[v[j][k] for j in range(ncols)] for k in range(rank, ncols)]
+    kernel_free = [[v[k].get(j, 0) for j in range(ncols)]
+                   for k in range(rank, ncols)]
     kernel_torsion = []
-    for i in range(rank):
-        if diag[i] >= 2:
-            gen = [MulValue.phase_turns(Fraction(v[j][i], diag[i]))
-                   for j in range(ncols)]
+    for k in range(rank):
+        if diag[k] >= 2:
+            gen = [MulValue.identity()] * ncols
+            for j, x in v[k].items():
+                gen[j] = MulValue.phase_turns(Fraction(x, diag[k]))
             kernel_torsion.append(gen)
     return MonomialSolution(
         feasible, assignment, witnesses, kernel_free, kernel_torsion,

@@ -643,6 +643,9 @@ def suite_exactmath(rng: random.Random, cases: int) -> SuiteResult:
         a = _random_matrix(rng)
         u, diag, v = snf(to_rows(a), len(a[0]))
         checks += 1
+        # U from its rows and V from its columns, dense for the oracle
+        u = [[row.get(j, 0) for j in range(len(a))] for row in u]
+        v = [[col.get(i, 0) for col in v] for i in range(len(a[0]))]
         s = [[diag[i] if i == j else 0 for j in range(len(a[0]))]
              for i in range(len(a))]
         if mat_mul(mat_mul(u, a), v) != s:

@@ -766,6 +766,29 @@ def test_prelog_check_refuses_prime_zero(tmp_path, capsys):
     _assert_one_error_line(code, capsys)
 
 
+def test_prelog_check_symbol_never_binds_to_a_complex_flag(tmp_path,
+                                                          capsys):
+    # v|e1's re/im value is check1 in the table of numeric values; a
+    # symbol of that name in the file stays unbound like any other
+    results = []
+    for symbol in ("zz", "check1"):
+        code = _check_solved(tmp_path, capsys, {
+            "u|e1": lambda _: {"symbols": {symbol: "1"}},
+            "v|e1": lambda _: {"re": -1.0, "im": 0.0}})
+        results.append((code, capsys.readouterr().err))
+    assert results == [
+        (5, f"error: no numeric value supplied for symbol {symbol}\n")
+        for symbol in ("zz", "check1")]
+
+
+def test_prelog_check_refuses_complex_zero(tmp_path, capsys):
+    code = _check_solved(tmp_path, capsys,
+                         {"u|e1": lambda _: {"re": 0.0, "im": 0.0}})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'check.json'}: u|e1: zero is not invertible\n")
+
+
 def test_prelog_check_reads_prime_one_as_the_identity(tmp_path, capsys):
     code = _check_solved(tmp_path, capsys, {"u|e1": _with_prime("1", "1")})
     assert code == 0

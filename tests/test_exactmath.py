@@ -21,13 +21,27 @@ def _identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _snf(a):
-    """snf of a dense matrix."""
-    return snf(to_rows(a), len(a[0]) if a else 0)
-
-
 def _dense(rows, width):
     return [[row.get(j, 0) for j in range(width)] for row in rows]
+
+
+def _dense_snf(rows, width):
+    """snf of rows with U and V densified, once their sparse form is
+    checked: U as len(rows) rows and V as width columns, each an
+    {index: int} dict in range with no stored zero (a stored zero would
+    break the eliminations)."""
+    u, d, v = snf(rows, width)
+    assert len(u) == len(rows) and len(v) == width
+    for sparse, size in ((u, len(rows)), (v, width)):
+        assert all(type(x) is int and x and 0 <= i < size
+                   for entries in sparse for i, x in entries.items())
+    return (_dense(u, len(rows)), d,
+            [[col.get(j, 0) for col in v] for j in range(width)])
+
+
+def _snf(a):
+    """snf of a dense matrix, U and V dense."""
+    return _dense_snf(to_rows(a), len(a[0]) if a else 0)
 
 
 def _diagonal_matrix(d, nrows, ncols):
@@ -181,7 +195,7 @@ def test_rank_and_nullspace_match_dense_reference():
 
 
 def test_snf_doc_example():
-    u, d, v = snf([{0: 2}, {1: 3}], 2)
+    u, d, v = _dense_snf([{0: 2}, {1: 3}], 2)
     assert d == [1, 6]
     assert is_unimodular(u) and is_unimodular(v)
     assert mat_mul(mat_mul(u, [[2, 0], [0, 3]]), v) == [[1, 0], [0, 6]]
@@ -329,7 +343,8 @@ def test_snf_transforms_match_reference_on_pipeline_matrices(monkeypatch):
     # The rows of every matrix builder, on the catalog curves, on
     # subdivided, relifted and transformed ones and on covers, hold only
     # nonzero ints inside their width, and rank, nullspace and the Smith
-    # form on them equal the dense references on the same matrix.  Also
+    # form on them equal the dense references on the same matrix; the
+    # Smith form's U rows and V columns are sparse in the same way.  Also
     # the D matrices of the count and empty, zero, wide and tall shapes.
     rng = random.Random(79)
     cases = [[], [[]], [[], []], [[0] * 5 for _ in range(3)],
@@ -353,7 +368,7 @@ def test_snf_transforms_match_reference_on_pipeline_matrices(monkeypatch):
             assert rank_rational(rows) == _rank_reference(a), where
             assert nullspace_rational(rows, width) == \
                 _nullspace_reference(a), where
-            assert snf(rows, width) == _udv_reference(a), where
+            assert _dense_snf(rows, width) == _udv_reference(a), where
     # the wrapping cycles are among the curves: their edges are horizontal,
     # so each normal has a zero component, which F leaves out
     assert all(len(row) == 2 for row in build_F(catalog.wrapping_cycle(2)))
@@ -376,6 +391,7 @@ def test_snf_random_properties():
         a = [[rng.randrange(-10, 11) for _ in range(ncols)]
              for _ in range(nrows)]
         u, diag, v = _snf(a)
+        assert (u, diag, v) == _udv_reference(a), a
         assert is_unimodular(u) and is_unimodular(v)
         assert len(diag) == min(nrows, ncols)
         assert mat_mul(mat_mul(u, a), v) == \

@@ -205,6 +205,13 @@ def _edge_rhs_reference(curve, edge_id):
             * mv_pow(chi_reference(curve, 2, m, reduce_by_delta=False), -g2))
 
 
+def _dense_snf(rows, width):
+    """snf with U's rows and V's columns densified into U and V."""
+    u, d, v = snf(rows, width)
+    return ([[row.get(j, 0) for j in range(len(rows))] for row in u], d,
+            [[col.get(j, 0) for col in v] for j in range(width)])
+
+
 def _chained(pairs):
     acc = MulValue.identity()
     for value, exponent in pairs:
@@ -244,7 +251,7 @@ def test_solve_and_verify_match_chained_products():
         mode = curve.lattice.mode
         system = assemble_system(curve)
         solution = solve_monomial(system, mode)
-        u, d, v = snf(system.exponents, len(system.flags))
+        u, d, v = _dense_snf(system.exponents, len(system.flags))
         rank = sum(1 for x in d if x)
         c = [_chained(zip(system.rhs, row)) for row in u]
         assert [w.value for w in solution.witnesses] == c[rank:], name
@@ -271,7 +278,7 @@ def test_solve_takes_roots_only_of_non_unit_invariant_factors():
     # every other entry still takes the principal root.  Curve systems
     # have unit invariant factors only, so these systems are random.
     rng = random.Random(37)
-    non_unit = 0
+    non_unit = torsion = 0
     for _ in range(80):
         nrows = rng.randrange(1, 4)
         ncols = rng.randrange(nrows, 5)
@@ -285,7 +292,16 @@ def test_solve_takes_roots_only_of_non_unit_invariant_factors():
                                 [f"r{i}" for i in range(nrows)],
                                 [("v", f"e{j}") for j in range(ncols)])
         solution = solve_monomial(system, EqualityMode.EXACT)
-        u, diag, v = snf(to_rows(a), ncols)
+        u, diag, v = _dense_snf(to_rows(a), ncols)
+        # witnesses and kernel generators are rows of U and columns of V
+        rank = sum(1 for x in diag if x)
+        assert [w.combination for w in solution.witnesses] == u[rank:]
+        assert solution.kernel_free == [[row[k] for row in v]
+                                        for k in range(rank, ncols)]
+        assert solution.kernel_torsion == [
+            [MulValue.phase_turns(Fraction(row[k], diag[k])) for row in v]
+            for k in range(rank) if diag[k] >= 2]
+        torsion += len(solution.kernel_torsion)
         if not all(diag):
             continue
         c = [product(mv_pow(b, x) for b, x in zip(rhs, row)) for row in u]
@@ -297,4 +313,4 @@ def test_solve_takes_roots_only_of_non_unit_invariant_factors():
         assert verify_assignment(system, solution.assignment,
                                  EqualityMode.EXACT) == []
         non_unit += max(diag) > 1
-    assert non_unit >= 10
+    assert non_unit >= 10 and torsion >= 10
