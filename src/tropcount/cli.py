@@ -196,13 +196,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .moduli import (deformation_ranks, dual_flag_dimension,
-                         edge_weight_product)
+    from .moduli import deformation_ranks, edge_weight_product
 
     curve, marks = load_curve(args.file)
     ensure_valid(curve)
     rank_kernel, rank_cokernel = deformation_ranks(curve)
-    dual_dim = dual_flag_dimension(curve)
     report = {
         "command": "analyze",
         "file": args.file,
@@ -210,7 +208,8 @@ def cmd_analyze(args) -> int:
         **_invariants(curve),
         "rank_kernel": rank_kernel,
         "rank_cokernel": rank_cokernel,
-        "dual_flag_dimension": dual_dim,
+        # the dual flag space is dual to Coker F (moduli.dual_flag_space)
+        "dual_flag_dimension": rank_cokernel,
         "edge_weight_product": edge_weight_product(curve),
         "marked_points": [
             {"edge": m.edge, "t": format_rational(m.t)} for m in marks

@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DegeneracyError, ValidationError, clip
+from .errors import ConstraintError, DegeneracyError, ValidationError, clip
 from .record import Record
 from .valuegroup import EqualityMode, MulValue
 
@@ -377,7 +377,7 @@ def validate(curve: TropicalCurve) -> ValidationReport:
             if defect != (0, 0):
                 problems.append(
                     f"edge {clip(e.id)} violates the lift relation by "
-                    f"{defect}")
+                    f"({defect[0]}, {defect[1]})")
 
     for e in curve.edges:
         if e.length <= 0:
@@ -414,16 +414,20 @@ def marks_by_edge(
 ) -> dict[str, list[MarkedPoint]]:
     """The marked points grouped per edge, in the order given.
 
-    Raises ValidationError for a parameter t outside (0, 1) or two points
-    at the same t on one edge, and KeyError for an unknown edge.
+    Raises ConstraintError for a point on an unknown edge, checked first,
+    then ValidationError for a parameter t outside (0, 1) or two points at
+    the same t on one edge.
     """
+    for pt in points:
+        if pt.edge not in curve._edge_index:
+            raise ConstraintError(
+                f"marked point on unknown edge {clip(repr(pt.edge))}")
     per_edge: dict[str, list[MarkedPoint]] = {}
     for pt in points:
         if not 0 < pt.t < 1:
             raise ValidationError(f"marked point t={pt.t} outside (0, 1)")
         per_edge.setdefault(pt.edge, []).append(pt)
     for eid, pts in per_edge.items():
-        curve.edge(eid)  # raises KeyError for unknown edges
         ts = [p.t for p in pts]
         if len(set(ts)) != len(ts):
             raise ValidationError(

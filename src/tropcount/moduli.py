@@ -3,8 +3,11 @@
 The combinatorial deformation space of a curve is the kernel of the map F
 sending a position assignment phi: V -> Q^2 to the normal component of
 phi(head) - phi(tail) on every edge (the primitive normal covector of the
-edge direction applied to the difference).  Its cokernel is dual to the
-one-dimensional space of flag covectors described in dual_flag_space.
+edge direction applied to the difference).  F is the only matrix this
+module builds; every deformation answer is read off it.  Its cokernel is
+dual to the space of flag covectors described in dual_flag_space, whose
+vertex conditions are the rows of F transposed: the outgoing primitive
+normal at a tail is n_e and at a head is -n_e.
 
 For counting, marked points (one per independent cycle) are inserted as
 2-valent vertices; the relevant group is the kernel of the same edge
@@ -14,7 +17,8 @@ divisible, each edge condition only sees the primitive normal character,
 and the kernel order is the torsion size of the integer cokernel of the
 condition matrix D - the product of its nonzero invariant factors.  Every
 unmarked 2-valent vertex contributes one free sliding factor which the
-count quotients out; more freedom than that means the kernel is infinite.
+count quotients out; more freedom than that means the kernel is infinite,
+which is the same as the marks not being rigid (see rigidity_check).
 
 The final count multiplies the kernel order by the product of the edge
 weights of the unsubdivided curve (maximal 2-valent chains count once).
@@ -26,7 +30,7 @@ import itertools
 
 from .curve import (MarkedPoint, TropicalCurve, ensure_valid, marks_by_edge,
                     subdivide)
-from .errors import ConstraintError, InfeasibleError, clip
+from .errors import ConstraintError, InfeasibleError
 from .exactmath import (IntMatrix, Rows, det_int, nullspace_rational,
                         rank_rational, row_sum, snf)
 from .realize import RealizabilityReport, is_realizable
@@ -36,10 +40,9 @@ from .valuegroup import EqualityMode
 # subdivide is re-exported: build_D is defined on the curve it returns
 __all__ = [
     "INFINITE", "CountReport", "KernelOrder", "build_D", "build_F",
-    "count_curves", "deformation_ranks", "dual_flag_dimension",
-    "dual_flag_space", "edge_weight_product", "kernel_order_bruteforce",
-    "kernel_order_gcstar", "rigidity_check", "smallest_maximal_minor",
-    "subdivide",
+    "count_curves", "deformation_ranks", "dual_flag_space",
+    "edge_weight_product", "kernel_order_bruteforce", "kernel_order_gcstar",
+    "rigidity_check", "smallest_maximal_minor", "subdivide",
 ]
 
 INFINITE = float("inf")
@@ -70,45 +73,29 @@ def deformation_ranks(curve: TropicalCurve) -> tuple[int, int]:
     return 2 * len(curve.vertices) - r, len(curve.edges) - r
 
 
-def _dual_flag_rows(curve: TropicalCurve) -> Rows:
-    """Two integer rows per vertex (the x and y parts of the covector sum)
-    of width |E|, one unknown per edge; see dual_flag_space."""
-    index = {e.id: j for j, e in enumerate(curve.edges)}
-    rows = []
-    for v in curve.vertices:
-        rx, ry = [], []
-        for e in curve.incident_edges_flags(v.id):
-            w = curve.outgoing_vector(v.id, e)
-            g = e.weight
-            rx.append((index[e.id], -w[1] // g))
-            ry.append((index[e.id], w[0] // g))
-        rows.append(row_sum(rx))
-        rows.append(row_sum(ry))
-    return rows
-
-
-def dual_flag_dimension(curve: TropicalCurve) -> int:
-    """Dimension of the dual flag space: unknowns minus rank of the vertex
-    conditions, without building a basis.  Equals dual_flag_space(curve)[0].
-    """
-    return len(curve.edges) - rank_rational(_dual_flag_rows(curve))
-
-
 def dual_flag_space(curve: TropicalCurve):
     """Covector assignments dual to Coker F.
 
     A dual element assigns to each flag (vertex, edge) a rational covector
     u orthogonal to the outgoing weight vector, with the two covectors of
     an edge cancelling and the covectors at each vertex summing to zero.
-    Writing u = c_e * (primitive normal) reduces the unknowns to one scalar
-    per edge; the vertex conditions are two linear equations each.
+    Writing u = c_e * (outgoing primitive normal) reduces the unknowns to
+    one scalar per edge.  That normal is n_e at the tail and -n_e at the
+    head, which is -1 times F's row e on the vertex's two columns, so the
+    two vertex conditions are the vertex's two rows of F transposed, and
+    the dimension is the rank of Coker F.
 
     Returns (dimension, generator) where generator maps (vertex_id,
     edge_id) to the covector of the basis element normalized so that its
     first nonzero edge coefficient is 1 (generator is None unless the
     dimension is exactly 1).
     """
-    basis = nullspace_rational(_dual_flag_rows(curve), len(curve.edges))
+    f = build_F(curve)
+    columns: Rows = [{} for _ in range(2 * len(curve.vertices))]
+    for j, row in enumerate(f):
+        for i, x in row.items():
+            columns[i][j] = x
+    basis = nullspace_rational(columns, len(curve.edges))
     if len(basis) != 1:
         return len(basis), None
     coeffs = basis[0]
@@ -117,13 +104,12 @@ def dual_flag_space(curve: TropicalCurve):
         coeffs = [c / lead for c in coeffs]
     index = {e.id: j for j, e in enumerate(curve.edges)}
     generator = {}
-    for v in curve.vertices:
+    for i, v in enumerate(curve.vertices):
         for e in curve.incident_edges_flags(v.id):
-            w = curve.outgoing_vector(v.id, e)
-            g = e.weight
-            nx, ny = (-w[1] // g, w[0] // g)
-            c = coeffs[index[e.id]]
-            generator[(v.id, e.id)] = (c * nx, c * ny)
+            j = index[e.id]
+            c, row = -coeffs[j], f[j]
+            generator[(v.id, e.id)] = (c * row.get(2 * i, 0),
+                                       c * row.get(2 * i + 1, 0))
     return 1, generator
 
 
@@ -135,27 +121,20 @@ def rigidity_check(curve: TropicalCurve, marks: list[MarkedPoint]) -> bool:
     vertex along its edge direction lies in Ker F but does not move the
     image of the curve, and the edge normal annihilates its own direction,
     so slides lie in both Ker F and Ker E.  Rigidity means that E on Ker F
-    has no kernel beyond the slides.  That kernel is the intersection of
-    Ker F and Ker E, whose dimension is 2|V| - rank[F; E] for the stacked
-    rows, so the curve is rigid iff this equals the number of 2-valent
-    vertices (the slides are independent and always in it).
+    has no kernel beyond the slides, i.e. 2|V| - rank[F; E] equals the
+    number of 2-valent vertices.
 
-    Raises ConstraintError when a mark names an edge the curve lacks.
+    That is the finiteness of the multiplicative kernel.  Pinning a mark
+    on edge e replaces F's row n.(x_head - x_tail) by the two pinned rows
+    n.x_head and -n.x_tail (see kernel_order_gcstar), and these span the
+    same lattice as F's row together with E's row n.x_tail.  So rank[F; E]
+    is the rank of the pinned F, and rigid <=> corank = slides <=> finite
+    kernel.
+
+    Raises ConstraintError when a mark names an edge the curve lacks, and
+    ValidationError for a duplicated mark or a t outside (0, 1).
     """
-    index = {v.id: i for i, v in enumerate(curve.vertices)}
-    rows = build_F(curve)
-    for mark in marks:
-        try:
-            e = curve.edge(mark.edge)
-        except KeyError:
-            raise ConstraintError(
-                f"marked point on unknown edge {clip(repr(mark.edge))}"
-            ) from None
-        ti = 2 * index[e.tail]
-        nx, ny = e.primitive_normal
-        rows.append(row_sum(((ti, nx), (ti + 1, ny))))
-    slides = sum(1 for v in curve.vertices if curve.valence(v.id) == 2)
-    return 2 * len(curve.vertices) - rank_rational(rows) == slides
+    return kernel_order_gcstar(curve, marks).finite
 
 
 # --------------------------------------------------------------------------
@@ -381,14 +360,11 @@ def count_curves(
     if len(marks) != curve.genus:
         raise ConstraintError(
             f"need exactly genus={curve.genus} marked points, got {len(marks)}")
-    if not rigidity_check(curve, marks):
-        raise ConstraintError(
-            "marked points do not rigidify the curve (evaluation map has "
-            "nontrivial kernel)")
     kernel = kernel_order_gcstar(curve, marks)
     if not kernel.finite:
         raise ConstraintError(
-            "multiplicative kernel is infinite despite rigid marks")
+            "marked points do not rigidify the curve (evaluation map has "
+            "nontrivial kernel)")
     product = edge_weight_product(curve)
     return CountReport(
         realizability=report,

@@ -24,6 +24,10 @@ _PAD = 30.0
 #: refused, since each piece is one polyline in the output
 MAX_PIECES = 100_000
 
+#: the characters an id may not carry into SVG text or a quoted attribute
+_ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
+                         '"': "&quot;"})
+
 
 def _fmt(x: float) -> str:
     out = f"{x:.4f}"
@@ -112,7 +116,8 @@ def render_svg(curve: TropicalCurve) -> str:
         'stroke="#999999" stroke-width="1" stroke-dasharray="4 3"/>')
 
     for e, segment in zip(curve.edges, segments):
-        group = [f'<g class="edge" id="edge-{e.id}">']
+        eid = e.id.translate(_ESCAPE)
+        group = [f'<g class="edge" id="edge-{eid}">']
         pieces = _edge_pieces(*segment)
         for a, b in pieces:
             pa = _point(lattice, *a)
@@ -130,13 +135,14 @@ def render_svg(curve: TropicalCurve) -> str:
         group.append(
             f'<text class="weight" x="{_fmt(label[0] + 4)}" '
             f'y="{_fmt(label[1] - 4)}" font-size="11" '
-            f'fill="#555555">{e.id} w={e.weight}</text>')
+            f'fill="#555555">{eid} w={e.weight}</text>')
         group.append("</g>")
         body.append("".join(group))
 
     for vid, (a, b) in coords:
         # the lift's lattice coordinates, less their integer parts
         px, py = _point(lattice, Fraction(a % n, n), Fraction(b % n, n))
+        vid = vid.translate(_ESCAPE)
         xs.append(px)
         ys.append(py)
         body.append(

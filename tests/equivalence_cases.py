@@ -1,6 +1,6 @@
 """Curves and chained reference code for the tests that pin the integer
-fast paths (character products, mv_prod, the dual flag dimension and the
-kernel order) to the results of the code they replaced.
+fast paths (character products, mv_prod and the kernel order) to the
+results of the code they replaced.
 
 The cases are the catalog, the selftest generators (subdivided, relifted
 and transformed catalog curves) and cyclic covers of the catalog up to

@@ -378,6 +378,35 @@ def test_mark_outside_edge_exits_2(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+_NOT_RIGID = ("error: marked points do not rigidify the curve (evaluation "
+              "map has nontrivial kernel)\n")
+
+
+@pytest.mark.parametrize("marks, code, err", [
+    # the same point twice is an invalid mark set, found before rigidity
+    ([("e1", "1/3"), ("e1", "1/3")], 2,
+     "error: duplicate marked points on edge e1\n"),
+    # so is a t outside (0, 1), also on a set that would not be rigid
+    ([("e1", "1/3"), ("e1", "3/2")], 2,
+     "error: marked point t=3/2 outside (0, 1)\n"),
+    ([("zz", "1/3"), ("e2", "1/2")], 5,
+     "error: marked point on unknown edge 'zz'\n"),
+    # an unknown edge is refused before any t is looked at
+    ([("e1", "3/2"), ("zz", "1/3")], 5,
+     "error: marked point on unknown edge 'zz'\n"),
+    # two distinct points on one edge pin only one direction
+    ([("e1", "1/3"), ("e1", "2/3")], 5, _NOT_RIGID),
+], ids=["duplicate", "outside-not-rigid", "unknown-edge",
+        "unknown-edge-before-t", "not-rigid"])
+def test_count_mark_errors_in_order(marks, code, err, tmp_path, capsys):
+    doc = _golden_doc()
+    doc["marked_points"] = [{"edge": e, "t": t} for e, t in marks]
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["count", str(path)]) == code
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("command", ["count", "prelog", "realizable",
                                      "analyze"])
 @pytest.mark.parametrize("name", ["theta", "theta2", "triple"])

@@ -115,7 +115,13 @@ def test_validation_catches_balancing_and_lift():
         (Edge("e", "a", "b", (1, 0), Fraction(1, 2)),
          Edge("f", "b", "a", (1, 0), Fraction(1, 2), (5, 0))))
     problems = validate(curve).problems
-    assert any("lift relation" in p for p in problems)
+    assert "edge f violates the lift relation by (-6, 0)" in problems
+    # b one third of the way along: e misses by -1/6 and f by -35/6
+    curve = curve.replace(vertices=(Vertex("a", (0, 0)),
+                                    Vertex("b", (Fraction(1, 3), 0))))
+    assert validate(curve).problems == (
+        "edge e violates the lift relation by (-1/6, 0)",
+        "edge f violates the lift relation by (-35/6, 0)")
 
 
 def test_unbalanced_two_valent_vertex_is_one_problem():

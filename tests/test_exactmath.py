@@ -8,7 +8,7 @@ from tropcount.curve import subdivide
 from tropcount.exactmath import (_round_div, det_int, ext_gcd, mat_mul,
                                  nullspace_rational, rank_rational, snf,
                                  snf_diagonal, to_rows)
-from tropcount.moduli import _dual_flag_rows, build_D, build_F
+from tropcount.moduli import build_D, build_F
 from tropcount.prelog import assemble_system
 from tropcount.selftest import base_instances, generated_curves
 
@@ -314,9 +314,10 @@ def test_snf_transforms_match_reference():
 
 
 def _builder_rows(curve, marks, monkeypatch):
-    """[(builder, rows, width)] of the five matrix builders on one curve,
-    the rigidity rows and the reduced F as the eliminations receive
-    them."""
+    """[(builder, rows, width)] of the matrix builders on one curve: F,
+    the F transpose of the dual flag space and the reduced F of the
+    kernel order as the eliminations receive them, and the prelog
+    exponents."""
     seen = []
 
     def spy(function):
@@ -325,16 +326,16 @@ def _builder_rows(curve, marks, monkeypatch):
             return function(rows, *args)
         return wrapper
 
-    monkeypatch.setattr(moduli, "rank_rational", spy(rank_rational))
+    monkeypatch.setattr(moduli, "nullspace_rational",
+                        spy(nullspace_rational))
     monkeypatch.setattr(moduli, "snf", spy(snf))
-    moduli.rigidity_check(curve, marks)
+    moduli.dual_flag_space(curve)
     moduli.kernel_order_gcstar(curve, marks)
     monkeypatch.undo()
     points = 2 * len(curve.vertices)
     system = assemble_system(curve)
     return [("F", build_F(curve), points),
-            ("dual flag", _dual_flag_rows(curve), len(curve.edges)),
-            ("rigidity", seen[0], points),
+            ("dual flag", seen[0], len(curve.edges)),
             ("reduced F", seen[1], points),
             ("prelog", system.exponents, len(system.flags))]
 

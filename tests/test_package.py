@@ -27,6 +27,15 @@ def test_star_import_binds_every_exported_name():
     assert namespace["count_curves"] is tropcount.moduli.count_curves
 
 
+def test_star_import_of_moduli_binds_its_all():
+    # a name left in __all__ after its definition is gone fails here
+    moduli = importlib.import_module("tropcount.moduli")
+    namespace = {}
+    exec("from tropcount.moduli import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(moduli.__all__)
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         tropcount.no_such_name

@@ -119,3 +119,23 @@ def test_drawing_over_the_piece_limit_is_refused(monkeypatch):
         render_svg(curve)
     monkeypatch.setattr(plot, "MAX_PIECES", drawn)
     assert render_svg(curve) == svg
+
+
+def test_ids_with_markup_characters_are_escaped():
+    # ids reach attributes and text; unescaped, & < > " break the document
+    theta = catalog.theta()
+    eid, vid = 'e<1>&"x"', "u&v"
+    curve = theta.replace(
+        vertices=tuple(v.replace(id=vid) if v.id == "u" else v
+                       for v in theta.vertices),
+        edges=tuple(e.replace(id=eid if e.id == "e1" else e.id,
+                              tail=vid if e.tail == "u" else e.tail)
+                    for e in theta.edges))
+    assert validate(curve).ok
+    root = ET.fromstring(render_svg(curve))
+    edges = {g.get("id"): g for g in groups(root, "edge")}
+    assert set(edges) == {f"edge-{eid}", "edge-e2", "edge-e3"}
+    assert edges[f"edge-{eid}"].find(f"{SVG}text").text == f"{eid} w=1"
+    vertices = {g.get("id"): g for g in groups(root, "vertex")}
+    assert set(vertices) == {f"vertex-{vid}", "vertex-v"}
+    assert vertices[f"vertex-{vid}"].find(f"{SVG}text").text == vid
