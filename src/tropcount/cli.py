@@ -35,6 +35,10 @@ A --json report is the text json.dumps(report, indent=2) would write, but
 built by a small writer (_json_text) that formats string and integer
 leaves with the C string encoder and int.__repr__ and joins each map or
 list in one pass; with an indent, json.dumps runs its pure-Python encoder.
+The report is written as it is formatted (_write_json): the items of the
+report and of each map or list in it go to sys.stdout.write one by one,
+so its text is never held whole.  Human output is joined and written
+once.
 """
 
 from __future__ import annotations
@@ -151,9 +155,33 @@ def _json_text(obj, pad: str = "") -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
 
 
+def _write_json(obj, write, pad: str = "", depth: int = 2) -> None:
+    """Write _json_text(obj, pad) through write, in pieces: the items of
+    a map or list one by one, down depth levels, and every value below
+    whole.  A map with a key that is not a string is written whole."""
+    kind = type(obj)
+    if not (depth and obj and (kind is list or kind is dict and all(
+            isinstance(key, str) for key in obj))):
+        write(_json_text(obj, pad))
+        return
+    inner = pad + "  "
+    sep = "\n" + inner
+    write("{" if kind is dict else "[")
+    for item in obj.items() if kind is dict else obj:
+        if kind is dict:
+            key, item = item
+            write(sep + _json_str(key) + ": ")
+        else:
+            write(sep)
+        _write_json(item, write, inner, depth - 1)
+        sep = ",\n" + inner
+    write("\n" + pad + ("}" if kind is dict else "]"))
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        sys.stdout.write(_json_text(report) + "\n")
+        _write_json(report, sys.stdout.write)
+        sys.stdout.write("\n")
     else:
         sys.stdout.write("\n".join(_human_lines(report)) + "\n")
 

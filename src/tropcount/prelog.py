@@ -36,7 +36,7 @@ from itertools import chain
 
 from .curve import TropicalCurve, ensure_valid
 from .errors import ConstraintError
-from .exactmath import Rows, ext_gcd, row_sum, snf
+from .exactmath import Rows, ext_gcd, log_apply, log_row, row_sum, snf_log
 from .realize import chi_product
 from .record import Record
 from .valuegroup import (EqualityMode, MulValue, mv_is_one, mv_pow, mv_prod,
@@ -152,23 +152,29 @@ def solve_monomial(
     U A V = S turns A x = b into S z = U b with x = V z (multiplicatively).
     Diagonal entries take principal roots; zero rows of S yield witnesses
     whose values must equal 1, checked in the requested equality mode.
+
+    U is never built: snf_log hands back its row operations.  c = U b is
+    the log replayed forward on b, one two-term product per subtraction
+    (row i -= q row t is c_i <- c_i * c_t^-q); a witness combination,
+    row i of U, is the log replayed backward on e_i.  Both cost the
+    length of the log, where U itself fills in.
     """
     a = system.exponents
     b = system.rhs
     nrows = len(a)
     ncols = len(system.flags)
-    u, diag, v = snf(a, ncols)
+    log, diag, v = snf_log(a, ncols)
     rank = sum(1 for x in diag if x != 0)
 
-    c = [mv_prod((b[j], x) for j, x in row.items()) for row in u]
+    c = log_apply(log, b, lambda x, y, q: mv_prod(((x, 1), (y, -q))))
 
     witnesses = []
     feasible: bool | None = True
     for i in range(rank, nrows):
         verdict, certificate = mv_is_one(
             c[i], mode, numeric_values=numeric_values, tolerance=tolerance)
-        witnesses.append(Witness([u[i].get(j, 0) for j in range(nrows)],
-                                 c[i], verdict, certificate))
+        witnesses.append(Witness(log_row(log, i, nrows), c[i], verdict,
+                                 certificate))
         if verdict is False:
             feasible = False
         elif verdict is None and feasible is True:

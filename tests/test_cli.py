@@ -8,12 +8,14 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import tropcount
 from tropcount import catalog, cli
-from tropcount.cli import _json_text, _read_argv, build_parser, main
+from tropcount.cli import (_json_text, _read_argv, _write_json, build_parser,
+                           main)
 from tropcount.curve import MarkedPoint, TropicalCurve
 from tropcount.curvefile import save_curve
 from tropcount.errors import (ConstraintError, DegeneracyError, InfeasibleError,
@@ -480,25 +482,66 @@ def _random_report(rng: random.Random, depth: int = 0):
     return out
 
 
+def _streamed(obj) -> list[str]:
+    """The pieces _write_json writes obj in, through a recording write."""
+    pieces = []
+    _write_json(obj, pieces.append)
+    return pieces
+
+
 def test_json_writer_equals_json_dumps_indent_2():
+    # the writer formats a value whole (_json_text) or streams it
+    # (_write_json); both give json.dumps's text
     rng = random.Random(41)
     seen = set()
     for _ in range(3000):
         report = _random_report(rng)
         seen.add(type(report))
-        assert _json_text(report) == json.dumps(report, indent=2)
-        assert _json_text({"report": report, "n": [report, 3]}) == \
-            json.dumps({"report": report, "n": [report, 3]}, indent=2)
+        for obj in (report, {"report": report, "n": [report, 3]}):
+            text = json.dumps(obj, indent=2)
+            assert _json_text(obj) == text
+            assert "".join(_streamed(obj)) == text
     assert {dict, list} <= seen
     # flat maps of leaves, the shape of kernel generators and weights
     flat = {f"v_{i}|e_{i}": rng.randrange(-3, 4) for i in range(500)}
-    assert _json_text([flat, {}, []]) == json.dumps([flat, {}, []], indent=2)
-    # keys that are not strings go to json.dumps, nested or not
+    text = json.dumps([flat, {}, []], indent=2)
+    assert _json_text([flat, {}, []]) == "".join(_streamed([flat, {}, []])) \
+        == text
+    # keys that are not strings go to json.dumps, nested or not, and a
+    # map holding one is written whole
     odd = {1: "a", "b": {2.5: [None], None: True}}
     assert _json_text(odd) == json.dumps(odd, indent=2)
     assert _json_text([[odd]]) == json.dumps([[odd]], indent=2)
+    assert _streamed(odd) == [json.dumps(odd, indent=2)]
+    assert "".join(_streamed([[odd]])) == json.dumps([[odd]], indent=2)
     with pytest.raises(TypeError):
         _json_text({"x": object()})
+    with pytest.raises(TypeError):
+        _streamed({"x": object()})
+
+
+def _save_theta_cover(directory) -> str:
+    """The theta k=24 cover, whose prelog --json report is over 64 KiB,
+    saved in directory; returns its file name."""
+    curve, marks = covers.cover_instance("theta", 24, random.Random(1))
+    save_curve(curve, os.path.join(directory, "cover.json"), marks)
+    return "cover.json"
+
+
+def test_json_report_is_written_as_it_is_formatted(tmp_path, monkeypatch,
+                                                    capsys):
+    # the whole text of the report went out in one write
+    monkeypatch.chdir(tmp_path)
+    argv = ["prelog", _save_theta_cover(tmp_path), "--json"]
+    pieces = []
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", SimpleNamespace(write=pieces.append))
+        assert main(argv) == 0
+    text = "".join(pieces)
+    assert len(text) > 65536
+    assert max(map(len, pieces)) <= len(text) // 10
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
 
 
 #: the program, as the bench and the README run it
@@ -553,8 +596,7 @@ def test_program_runs_atexit_hooks_and_keeps_output_and_codes(
         assert proc.stderr.count(b"\n") == 1
 
     # a report larger than a 64 KiB pipe buffer arrives complete
-    curve, marks = covers.cover_instance("theta", 24, random.Random(1))
-    save_curve(curve, str(tmp_path / "cover.json"), marks)
+    _save_theta_cover(tmp_path)
     proc = _child([*_PROGRAM, "prelog", "cover.json", "--json"], tmp_path)
     assert len(proc.stdout) > 65536
     monkeypatch.chdir(tmp_path)
@@ -563,18 +605,23 @@ def test_program_runs_atexit_hooks_and_keeps_output_and_codes(
         0, capsys.readouterr().out)
 
 
-@pytest.mark.parametrize("unbuffered", [False, True],
-                         ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("target", ["closed", "broken-pipe", "dev-full"])
-def test_failed_write_to_stdout_exits_1_without_traceback(target, unbuffered,
+@pytest.mark.parametrize("argv, target, unbuffered", [
+    pytest.param(argv, target, unbuffered, id=f"{prefix}{target}-{kind}")
+    for prefix, argv in (("", ["count", "theta_exact.json", "--json"]),
+                         ("prelog-cover-", ["prelog", "cover.json", "--json"]))
+    for target in ("closed", "broken-pipe", "dev-full")
+    for unbuffered, kind in ((False, "buffered"), (True, "unbuffered"))])
+def test_failed_write_to_stdout_exits_1_without_traceback(argv, target,
+                                                          unbuffered,
                                                           tmp_path):
     # each was a traceback: stdout closed (sys.stdout is None), a pipe
     # with no reader (BrokenPipeError) and a full device (ENOSPC); a
     # buffered stream fails at run()'s final flush, an unbuffered one at
-    # the write inside main()
+    # the write inside main(); the cover's report (over 64 KiB) fails a
+    # buffered write in the middle of the report too
     shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
-    _assert_failed_write(["count", "theta_exact.json", "--json"], target,
-                         unbuffered, tmp_path)
+    _save_theta_cover(tmp_path)
+    _assert_failed_write(argv, target, unbuffered, tmp_path)
 
 
 @pytest.mark.parametrize("unbuffered", [False, True],

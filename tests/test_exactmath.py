@@ -5,9 +5,10 @@ from math import gcd
 from equivalence_cases import covers
 from tropcount import catalog, moduli
 from tropcount.curve import subdivide
-from tropcount.exactmath import (_round_div, det_int, ext_gcd, mat_mul,
-                                 nullspace_rational, rank_rational, snf,
-                                 snf_diagonal, to_rows)
+from tropcount.exactmath import (_round_div, det_int, ext_gcd, log_apply,
+                                 log_row, mat_mul, nullspace_rational,
+                                 rank_rational, snf, snf_diagonal, snf_log,
+                                 to_rows)
 from tropcount.moduli import build_D, build_F
 from tropcount.prelog import assemble_system
 from tropcount.selftest import base_instances, generated_curves
@@ -402,6 +403,32 @@ def test_snf_random_properties():
         for prev, nxt in zip(diag, diag[1:]):
             if nxt:
                 assert prev != 0 and nxt % prev == 0
+
+
+def test_log_replays_to_the_rows_of_u_and_to_u_times_b():
+    # backward replay of e_i is row i of snf's U, forward replay on b is
+    # U*b; the scaled matrices take the divisibility fold (row t +=
+    # row bad, logged with t < bad), and negations (t, t, 2) are common
+    rng = random.Random(71)
+    folds = negations = 0
+    for _ in range(300):
+        nrows, ncols = rng.randrange(0, 8), rng.randrange(0, 8)
+        scale = rng.choice((1, 1, 2, 3))
+        rows = [{j: scale * x for j in range(ncols)
+                 if rng.random() < 0.5 and (x := rng.randrange(-9, 10))}
+                for _ in range(nrows)]
+        log, d, v = snf_log(rows, ncols)
+        u, *dv = snf(rows, ncols)
+        assert dv == [d, v]
+        for i in range(nrows):
+            assert log_row(log, i, nrows) == \
+                [u[i].get(j, 0) for j in range(nrows)]
+        b = [rng.randrange(-50, 51) for _ in range(nrows)]
+        assert log_apply(log, b, lambda x, y, q: x - q * y) == \
+            [sum(x * b[j] for j, x in row.items()) for row in u]
+        folds += sum(1 for i, t, q in log if q is not None and i < t)
+        negations += sum(1 for i, t, q in log if i == t)
+    assert folds >= 10 and negations >= 10
 
 
 def test_snf_survives_dense_12x12():

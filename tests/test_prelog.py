@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from equivalence_cases import cases, chi_reference
+from equivalence_cases import cases, chi_reference, covers
 from tropcount import catalog
 from tropcount.errors import ConstraintError
 from tropcount.exactmath import snf, to_rows
@@ -16,7 +16,7 @@ from tropcount.realize import (is_realizable, realizability_target,
                                sigma_cocycle)
 from tropcount.selftest import random_exact_curve, tuned_exact_curve
 from tropcount.valuegroup import (EqualityMode, MulValue, mv_inv, mv_is_one,
-                                  mv_mul, mv_pow, mv_root)
+                                  mv_mul, mv_pow, mv_prod, mv_root)
 
 
 def product(values):
@@ -314,3 +314,23 @@ def test_solve_takes_roots_only_of_non_unit_invariant_factors():
                                  EqualityMode.EXACT) == []
         non_unit += max(diag) > 1
     assert non_unit >= 10 and torsion >= 10
+
+
+@pytest.mark.parametrize("k", [2, 5, 16])
+@pytest.mark.parametrize("base", sorted(covers.BASES))
+def test_cover_witnesses_eliminate_every_unknown(base, k):
+    # checked on the system alone, not against snf: y^T A = 0 and the
+    # witness value is the product of rhs_i^y_i
+    curve, _ = covers.cover_instance(base, k, None)
+    system = assemble_system(curve)
+    solution = solve_monomial(system)
+    assert solution.witnesses
+    for w in solution.witnesses:
+        y = w.combination
+        assert len(y) == len(system.exponents) and any(y)
+        total = [0] * len(system.flags)
+        for yi, row in zip(y, system.exponents):
+            for j, x in row.items():
+                total[j] += yi * x
+        assert not any(total)
+        assert w.value == mv_prod(zip(system.rhs, y))
