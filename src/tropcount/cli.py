@@ -37,8 +37,11 @@ leaves with the C string encoder and int.__repr__ and joins each map or
 list in one pass; with an indent, json.dumps runs its pure-Python encoder.
 The report is written as it is formatted (_write_json): the items of the
 report and of each map or list in it go to sys.stdout.write one by one,
-so its text is never held whole.  Human output is joined and written
-once.
+so its text is never held whole.  Human output is written the same way:
+a run of leaf items, a map, or one map of a list of maps per write
+(_human_blocks), never one write per line.  prelog's kernel generators
+enter the report as generators that build one dense map at a time from
+the solver's sparse columns; both writers read a generator as a list.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ import json
 import math
 import os
 import sys
-from types import SimpleNamespace
+from itertools import chain, repeat
+from types import GeneratorType, SimpleNamespace
 
 from .curve import canonical_offset, ensure_valid, validate
 from .curvefile import (format_rational, load_curve, parse_complex,
@@ -83,27 +87,52 @@ def _resolve_mode(args, curve) -> EqualityMode:
 # --------------------------------------------------------------------------
 
 
-def _human_lines(obj, indent: str = "") -> list[str]:
-    lines: list[str] = []
+#: what next() returns for an exhausted generator in the writers
+_END = object()
+
+
+def _human_blocks(obj, indent: str = ""):
+    """The lines of obj's human rendering, in lists: a run of leaf items
+    in one, a map or a list in its own, and a list of maps as its header
+    and then each map in its own.  A generator is read as a list of
+    maps."""
+    leaves = []
     for key, value in obj.items():
+        if not isinstance(value, (dict, list, GeneratorType)):
+            leaves.append(f"{indent}{key}: {value}")
+            continue
+        if leaves:
+            yield leaves
+            leaves = []
         if isinstance(value, dict):
-            lines.append(f"{indent}{key}:")
-            lines.extend(_human_lines(value, indent + "  "))
-        elif isinstance(value, list) and value \
-                and all(isinstance(x, dict) for x in value):
-            lines.append(f"{indent}{key}:")
-            for item in value:
-                sub = _human_lines(item, indent + "    ")
-                if sub:
-                    first = sub[0]
-                    lines.append(f"{indent}  - {first.strip()}")
-                    lines.extend(sub[1:])
-        elif isinstance(value, list):
+            yield [f"{indent}{key}:", *_human_lines(value, indent + "  ")]
+            continue
+        maps = None
+        if type(value) is GeneratorType:
+            first = next(value, _END)
+            if first is _END:
+                value = []
+            else:
+                maps = chain((first,), value)
+        elif value and all(isinstance(x, dict) for x in value):
+            maps = value
+        if maps is None:
             rendered = ", ".join(str(x) for x in value)
-            lines.append(f"{indent}{key}: [{rendered}]")
-        else:
-            lines.append(f"{indent}{key}: {value}")
-    return lines
+            yield [f"{indent}{key}: [{rendered}]"]
+            continue
+        yield [f"{indent}{key}:"]
+        for item in maps:
+            lines = list(_human_lines(item, indent + "    "))
+            if lines:
+                lines[0] = f"{indent}  - {lines[0].strip()}"
+                yield lines
+    if leaves:
+        yield leaves
+
+
+def _human_lines(obj, indent: str = ""):
+    """The lines of obj's human rendering, one by one, as they are made."""
+    return chain.from_iterable(_human_blocks(obj, indent))
 
 
 #: the C string encoder behind json.dumps (ensure_ascii is on by default)
@@ -158,9 +187,18 @@ def _json_text(obj, pad: str = "") -> str:
 def _write_json(obj, write, pad: str = "", depth: int = 2) -> None:
     """Write _json_text(obj, pad) through write, in pieces: the items of
     a map or list one by one, down depth levels, and every value below
-    whole.  A map with a key that is not a string is written whole."""
+    whole.  A map with a key that is not a string is written whole.  A
+    generator stands for a list and is written item by item, so it is
+    never held whole; it may sit at most depth levels down, where the
+    writer still reaches it."""
     kind = type(obj)
-    if not (depth and obj and (kind is list or kind is dict and all(
+    if kind is GeneratorType:
+        first = next(obj, _END)
+        if first is _END:
+            write("[]")
+            return
+        obj, kind = chain((first,), obj), list
+    elif not (depth and obj and (kind is list or kind is dict and all(
             isinstance(key, str) for key in obj))):
         write(_json_text(obj, pad))
         return
@@ -179,11 +217,13 @@ def _write_json(obj, write, pad: str = "", depth: int = 2) -> None:
 
 
 def _emit(report: dict, as_json: bool) -> None:
+    write = sys.stdout.write
     if as_json:
-        _write_json(report, sys.stdout.write)
-        sys.stdout.write("\n")
+        _write_json(report, write)
+        write("\n")
     else:
-        sys.stdout.write("\n".join(_human_lines(report)) + "\n")
+        for block in _human_blocks(report):
+            write("\n".join(block) + "\n")
 
 
 def _invariants(curve) -> dict:
@@ -425,13 +465,16 @@ def cmd_prelog(args) -> int:
             key: (value.to_dict() if args.json else str(value))
             for key, value in zip(keys, solution.assignment)
         }
-        report["kernel_free_generators"] = [
-            dict(zip(keys, generator)) for generator in solution.kernel_free
-        ]
-        report["kernel_torsion_generators"] = [
-            dict(zip(keys, map(str, generator)))
-            for generator in solution.kernel_torsion
-        ]
+        # the generators are sparse; each dense map is built as it is
+        # written, one at a time
+        flags = range(len(keys))
+        report["kernel_free_generators"] = (
+            dict(zip(keys, map(generator.get, flags, repeat(0))))
+            for generator in solution.kernel_free)
+        report["kernel_torsion_generators"] = (
+            dict(zip(keys, map({j: str(x) for j, x in generator.items()}.get,
+                               flags, repeat("1"))))
+            for generator in solution.kernel_torsion)
     _emit(report, args.json)
     return 4 if solution.feasible is False else 0
 

@@ -22,7 +22,8 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import ConstraintError, DegeneracyError, ValidationError, clip
+from .errors import (ConstraintError, DegeneracyError, ValidationError, clip,
+                     clip_value)
 from .record import Record
 from .valuegroup import EqualityMode, MulValue
 
@@ -369,7 +370,8 @@ def validate(curve: TropicalCurve) -> ValidationReport:
         sy = sum(w[1] for w in out)
         if (sx, sy) != (0, 0):
             problems.append(
-                f"vertex {clip(v.id)} violates balancing: sum {(sx, sy)}")
+                f"vertex {clip(v.id)} violates balancing: sum "
+                f"{clip_value((sx, sy))}")
 
     if curve.lattice.det != 0:
         for e in curve.edges:
@@ -377,16 +379,18 @@ def validate(curve: TropicalCurve) -> ValidationReport:
             if defect != (0, 0):
                 problems.append(
                     f"edge {clip(e.id)} violates the lift relation by "
-                    f"({defect[0]}, {defect[1]})")
+                    f"{clip_value(defect)}")
 
     for e in curve.edges:
         if e.length <= 0:
             problems.append(
-                f"edge {clip(e.id)} has non-positive length {e.length}")
+                f"edge {clip(e.id)} has non-positive length "
+                f"{clip_value(e.length)}")
         elif e.length.denominator != 1:
             warnings.append(
-                f"edge {clip(e.id)}: lattice length {e.length * e.weight} "
-                f"is not an integral multiple of its weight {e.weight}")
+                f"edge {clip(e.id)}: lattice length "
+                f"{clip_value(e.length * e.weight)} is not an integral "
+                f"multiple of its weight {clip_value(e.weight)}")
 
     return ValidationReport(tuple(problems), tuple(warnings))
 
@@ -597,11 +601,11 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
         if a1 % n == 0:
             raise DegeneracyError(
                 f"vertex {clip(vid)} lies on a B1 wall for offset "
-                f"({o1}, {o2})")
+                f"{clip_value((o1, o2))}")
         if a2 % n == 0:
             raise DegeneracyError(
                 f"vertex {clip(vid)} lies on a B2 wall for offset "
-                f"({o1}, {o2})")
+                f"{clip_value((o1, o2))}")
         starts[vid] = (a1, a2)
     out: list[Crossing] = []
     for e, (d1, d2) in zip(curve.edges, disps):
@@ -630,7 +634,7 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
             if _integral_within(cn, rn, den, abs(net)):
                 raise DegeneracyError(
                     f"edge {clip(e.id)} crosses a cell corner for offset "
-                    f"({o1}, {o2})")
+                    f"{clip_value((o1, o2))}")
             sign = 1 if net > 0 else -1
             out.append(Crossing(
                 edge=e.id,

@@ -9,9 +9,12 @@ Each class carries the CLI exit code it maps to:
 * 5 - ConstraintError: violated precondition, such as a wrong number of
   marked points.
 
-Messages that quote an input value pass its repr through clip, so that
+Messages that quote an input value pass its repr through clip, and
+those that quote a computed number pass it through clip_value, so that
 a huge value gives a short line.
 """
+
+import sys
 
 #: longest quotation of an input value that an error message shows whole
 ECHO_LIMIT = 80
@@ -23,6 +26,20 @@ def clip(text: str, limit: int = ECHO_LIMIT) -> str:
     if len(text) <= limit:
         return text
     return f"{text[:limit]}... ({len(text)} characters)"
+
+
+def clip_value(value, limit: int = ECHO_LIMIT) -> str:
+    """A computed number (an int or a Fraction) or a pair of them, as str
+    writes it, through clip; a pair reads "(x, y)".  An integer too long
+    for str (past the interpreter's limit on integer-to-string conversion)
+    is not written out at all."""
+    try:
+        text = (f"({value[0]}, {value[1]})" if type(value) is tuple
+                else str(value))
+    except ValueError:
+        return (f"a value with an integer of over "
+                f"{sys.get_int_max_str_digits()} digits")
+    return clip(text, limit)
 
 
 class TropcountError(Exception):

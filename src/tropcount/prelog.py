@@ -132,11 +132,18 @@ class Witness(Record):
 
 
 class MonomialSolution(Record):
+    """The solution of a monomial system.  The kernel generators are
+    sparse, {flag index: entry}, with the entries of V's columns: a free
+    generator holds the nonzero integers of its column, a torsion
+    generator the root of unity exp(2 pi i x / d) of each nonzero x of a
+    column whose invariant factor d is at least 2.  A missing flag is 0
+    in a free generator and the identity in a torsion one."""
+
     feasible: bool | None
     assignment: list[MulValue] | None
     witnesses: list[Witness]
-    kernel_free: list[list[int]]
-    kernel_torsion: list[list[MulValue]]
+    kernel_free: list[dict[int, int]]
+    kernel_torsion: list[dict[int, MulValue]]
     invariant_factors: tuple[int, ...] = ()
 
 
@@ -158,6 +165,9 @@ def solve_monomial(
     (row i -= q row t is c_i <- c_i * c_t^-q); a witness combination,
     row i of U, is the log replayed backward on e_i.  Both cost the
     length of the log, where U itself fills in.
+
+    The kernel generators are V's columns as snf_log returns them, sparse
+    (see MonomialSolution); the dense form is the writer's to build.
     """
     a = system.exponents
     b = system.rhs
@@ -191,17 +201,12 @@ def solve_monomial(
                 terms[j].append((zk, x))
         assignment = [mv_prod(t) for t in terms]
 
-    kernel_free = [[v[k].get(j, 0) for j in range(ncols)]
-                   for k in range(rank, ncols)]
-    kernel_torsion = []
-    for k in range(rank):
-        if diag[k] >= 2:
-            gen = [MulValue.identity()] * ncols
-            for j, x in v[k].items():
-                gen[j] = MulValue.phase_turns(Fraction(x, diag[k]))
-            kernel_torsion.append(gen)
+    kernel_torsion = [
+        {j: MulValue.phase_turns(Fraction(x, diag[k]))
+         for j, x in v[k].items()}
+        for k in range(rank) if diag[k] >= 2]
     return MonomialSolution(
-        feasible, assignment, witnesses, kernel_free, kernel_torsion,
+        feasible, assignment, witnesses, v[rank:], kernel_torsion,
         tuple(d for d in diag if d != 0))
 
 

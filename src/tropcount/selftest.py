@@ -594,11 +594,12 @@ def suite_solver_soundness(rng: random.Random, cases: int) -> SuiteResult:
                             f"no failing witness recorded on "
                             f"{_describe(name, instance)}")
 
-            # kernel generators must satisfy the homogeneous system
+            # kernel generators must satisfy the homogeneous system; a
+            # generator is sparse, a missing flag 0 or the identity
             for gen in solution.kernel_free:
                 checks += 1
                 for i, row in enumerate(system.exponents):
-                    if sum(c * gen[j] for j, c in row.items()) != 0:
+                    if sum(c * gen.get(j, 0) for j, c in row.items()) != 0:
                         failures.append(
                             f"free kernel generator breaks row "
                             f"{system.row_labels[i]} on "
@@ -609,7 +610,8 @@ def suite_solver_soundness(rng: random.Random, cases: int) -> SuiteResult:
                 for i, row in enumerate(system.exponents):
                     acc = MulValue.identity()
                     for j, c in row.items():
-                        acc = acc * mv_pow(gen[j], c)
+                        if j in gen:
+                            acc = acc * mv_pow(gen[j], c)
                     if not acc.is_identity:
                         failures.append(
                             f"torsion kernel generator breaks row "

@@ -36,7 +36,6 @@ fractional power of the reduced phase picks a branch.
 
 from __future__ import annotations
 
-import cmath
 import math
 from enum import Enum
 from fractions import Fraction
@@ -335,6 +334,8 @@ def mv_root(a: MulValue, k: int) -> MulValue:
 
 def mv_eval_numeric(a: MulValue, values: Mapping[str, complex] | None = None) -> complex:
     """Evaluate to a complex number, principal branches throughout."""
+    import cmath  # loaded here: exact and formal runs never evaluate
+
     acc = complex(1.0)
     for name, exp in a.symbols:
         if values is None or name not in values:

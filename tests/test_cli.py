@@ -18,12 +18,13 @@ from tropcount.cli import (_json_text, _read_argv, _write_json, build_parser,
                            main)
 from tropcount.curve import MarkedPoint, TropicalCurve
 from tropcount.curvefile import save_curve
-from tropcount.errors import (ConstraintError, DegeneracyError, InfeasibleError,
-                              ParseError, TropcountError, ValidationError)
+from tropcount.errors import (ECHO_LIMIT, ConstraintError, DegeneracyError,
+                              InfeasibleError, ParseError, TropcountError,
+                              ValidationError)
 from tropcount.plot import render_svg
 from tropcount.realize import is_realizable
 from tropcount.selftest import tuned_exact_curve
-from tropcount.valuegroup import DEFAULT_TOLERANCE
+from tropcount.valuegroup import DEFAULT_TOLERANCE, MulValue
 
 from equivalence_cases import covers
 
@@ -361,6 +362,32 @@ def test_huge_check_value_gives_a_short_error_line(tmp_path, capsys):
     assert err.count("\n") == 1 and len(err.encode()) < 300
 
 
+@pytest.mark.parametrize("fields", [
+    {"weight_vector": [10 ** 400, 1]},
+    {"length": "-" + "7" * 4000},
+    {"weight_vector": [10 ** 4200, 0], "length": "1" + "0" * 4200 + "/3"},
+], ids=["weight-401-digits", "length-4001-digits", "defect-past-str-limit"])
+def test_validation_problems_clip_computed_values(fields, tmp_path, capsys):
+    # balancing sums, lift defects and lengths were quoted whole (a
+    # 1,335-character error line for the weight, 8,086 for the length),
+    # and a lift defect past the interpreter's integer-to-string limit
+    # was a ValueError traceback
+    path = str(tmp_path / "curve.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(_golden_doc(**fields), handle)
+    assert main(["validate", path, "--json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["problems"]
+    for text in report["problems"] + report["warnings"]:
+        assert len(text) <= 3 * ECHO_LIMIT, text
+    for command in ("analyze", "count"):
+        assert main([command, path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        for text in err[len("error: "):-1].split("; "):
+            assert len(text) <= 3 * ECHO_LIMIT, text
+
+
 def test_exit_codes_live_on_the_error_classes():
     assert [cls.exit_code for cls in (
         TropcountError, ParseError, ValidationError, DegeneracyError,
@@ -507,6 +534,10 @@ def test_json_writer_equals_json_dumps_indent_2():
     text = json.dumps([flat, {}, []], indent=2)
     assert _json_text([flat, {}, []]) == "".join(_streamed([flat, {}, []])) \
         == text
+    # a generator stands for a list, empty or not, as prelog's generators do
+    lazy = {"maps": (m for m in (flat, {"a": 1})), "none": (m for m in ())}
+    assert "".join(_streamed(lazy)) == json.dumps(
+        {"maps": [flat, {"a": 1}], "none": []}, indent=2)
     # keys that are not strings go to json.dumps, nested or not, and a
     # map holding one is written whole
     odd = {1: "a", "b": {2.5: [None], None: True}}
@@ -528,11 +559,12 @@ def _save_theta_cover(directory) -> str:
     return "cover.json"
 
 
-def test_json_report_is_written_as_it_is_formatted(tmp_path, monkeypatch,
-                                                    capsys):
-    # the whole text of the report went out in one write
+@pytest.mark.parametrize("form", [["--json"], []], ids=["json", "human"])
+def test_json_report_is_written_as_it_is_formatted(form, tmp_path,
+                                                    monkeypatch, capsys):
+    # the whole text of the report went out in one write, in either form
     monkeypatch.chdir(tmp_path)
-    argv = ["prelog", _save_theta_cover(tmp_path), "--json"]
+    argv = ["prelog", _save_theta_cover(tmp_path), *form]
     pieces = []
     with monkeypatch.context() as patch:
         patch.setattr(sys, "stdout", SimpleNamespace(write=pieces.append))
@@ -771,6 +803,43 @@ def test_prelog_solve_exact(theta_exact_file, capsys):
     assert all(isinstance(v, dict) for v in report["assignment"].values())
     assert len(report["kernel_free_generators"]) == 2
     assert report["kernel_torsion_generators"] == []
+
+
+def test_prelog_writes_sparse_torsion_generators_densely(
+        theta_exact_file, monkeypatch, capsys):
+    # No curve at hand has an invariant factor >= 2, so the solver is
+    # wrapped to add torsion: each free generator over 3, stored as
+    # sparse as the solver stores it.  Both writers fill the flags it
+    # leaves out with the identity, as a dense rendering does.
+    from tropcount import prelog
+
+    solve = prelog.solve_monomial
+    torsion = []
+
+    def with_torsion(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        torsion[:] = [{j: MulValue.phase_turns(Fraction(x, 3))
+                       for j, x in gen.items()}
+                      for gen in solution.kernel_free]
+        return prelog.MonomialSolution(
+            solution.feasible, solution.assignment, solution.witnesses,
+            solution.kernel_free, torsion, solution.invariant_factors)
+
+    monkeypatch.setattr(prelog, "solve_monomial", with_torsion)
+    code, report, _ = run_json(capsys, ["prelog", theta_exact_file])
+    assert code == 0
+    keys = list(report["assignment"])
+    assert len(torsion) == 2 and all(len(gen) < len(keys) for gen in torsion)
+    dense = [[(key, str(gen.get(j, MulValue.identity())))
+              for j, key in enumerate(keys)] for gen in torsion]
+    assert [list(gen.items())
+            for gen in report["kernel_torsion_generators"]] == dense
+    lines = ["kernel_torsion_generators:"]
+    for items in dense:
+        lines += [f"    {key}: {value}" for key, value in items]
+        lines[-len(items)] = "  - " + lines[-len(items)].lstrip()
+    assert main(["prelog", theta_exact_file]) == 0
+    assert capsys.readouterr().out.endswith("\n".join(lines) + "\n")
 
 
 def test_prelog_check_round_trip(theta_exact_file, tmp_path, capsys):

@@ -10,7 +10,7 @@ from tropcount.curve import (Edge, MarkedPoint, PeriodLattice, TropicalCurve,
                              offset_sequence, relift, subdivide, transform,
                              validate)
 import tropcount.curve
-from tropcount.errors import DegeneracyError, ValidationError
+from tropcount.errors import ECHO_LIMIT, DegeneracyError, ValidationError
 from tropcount.moduli import count_curves
 from tropcount.selftest import (generated_curves, random_relift_moves,
                                 random_unimodular, tuned_exact_curve)
@@ -310,6 +310,25 @@ def test_offset_sequence_is_deterministic_and_generic():
     assert first == second
     assert len(first) == 10
     assert len(set(first)) == 10
+
+
+def test_degeneracy_errors_clip_the_offset():
+    # an offset with a 101-digit denominator was quoted whole
+    curve = catalog.theta()
+    n0, coords, disps = curve._scaled_lattice_coords
+    s1, s2 = (Fraction(x, n0) for x in dict(coords)["u"])
+    d1, d2 = (Fraction(x, n0) for x in disps[0])
+    t = Fraction(1, 10 ** 100 + 7)
+    for offset, text in (((s1, t), "vertex u lies on a B1 wall"),
+                         ((t, s2), "vertex u lies on a B2 wall"),
+                         ((s1 + t * d1, s2 + t * d2),
+                          "edge e1 crosses a cell corner")):
+        with pytest.raises(DegeneracyError) as caught:
+            crossings(curve, offset)
+        message = str(caught.value)
+        assert message.startswith(f"{text} for offset (")
+        assert message.endswith(" characters)")
+        assert len(message) <= 3 * ECHO_LIMIT
 
 
 def _crossings_reference(curve, offset):

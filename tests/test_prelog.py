@@ -278,7 +278,7 @@ def test_solve_takes_roots_only_of_non_unit_invariant_factors():
     # every other entry still takes the principal root.  Curve systems
     # have unit invariant factors only, so these systems are random.
     rng = random.Random(37)
-    non_unit = torsion = 0
+    non_unit = free = torsion = 0
     for _ in range(80):
         nrows = rng.randrange(1, 4)
         ncols = rng.randrange(nrows, 5)
@@ -293,14 +293,19 @@ def test_solve_takes_roots_only_of_non_unit_invariant_factors():
                                 [("v", f"e{j}") for j in range(ncols)])
         solution = solve_monomial(system, EqualityMode.EXACT)
         u, diag, v = _dense_snf(to_rows(a), ncols)
-        # witnesses and kernel generators are rows of U and columns of V
+        # witnesses are rows of U; kernel generators are columns of V,
+        # sparse: the nonzeros of the column, and no zero stored
         rank = sum(1 for x in diag if x)
         assert [w.combination for w in solution.witnesses] == u[rank:]
-        assert solution.kernel_free == [[row[k] for row in v]
-                                        for k in range(rank, ncols)]
+        assert solution.kernel_free == [
+            {j: row[k] for j, row in enumerate(v) if row[k]}
+            for k in range(rank, ncols)]
+        assert all(all(gen.values()) for gen in solution.kernel_free)
         assert solution.kernel_torsion == [
-            [MulValue.phase_turns(Fraction(row[k], diag[k])) for row in v]
+            {j: MulValue.phase_turns(Fraction(row[k], diag[k]))
+             for j, row in enumerate(v) if row[k]}
             for k in range(rank) if diag[k] >= 2]
+        free += len(solution.kernel_free)
         torsion += len(solution.kernel_torsion)
         if not all(diag):
             continue
@@ -313,7 +318,7 @@ def test_solve_takes_roots_only_of_non_unit_invariant_factors():
         assert verify_assignment(system, solution.assignment,
                                  EqualityMode.EXACT) == []
         non_unit += max(diag) > 1
-    assert non_unit >= 10 and torsion >= 10
+    assert non_unit >= 10 and free >= 10 and torsion >= 10
 
 
 @pytest.mark.parametrize("k", [2, 5, 16])

@@ -121,9 +121,11 @@ _ALGEBRA = ("tropcount.exactmath", "tropcount.moduli", "tropcount.prelog",
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # -S keeps site (and any .pth imports) out of the measurement.  A bare
-    # `import tropcount` loads no submodule; validate and plot load no
-    # algebra layer; a well-formed count loads neither prelog nor argparse
-    # (with its gettext and locale) nor the selftest module.
+    # `import tropcount` loads no submodule, and tropcount.cli does not
+    # load cmath, which only numeric evaluation uses; validate and plot
+    # load no algebra layer; a well-formed exact count loads neither
+    # prelog nor argparse (with its gettext and locale) nor the selftest
+    # module nor cmath.
     src = os.path.dirname(os.path.dirname(tropcount.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     golden = os.path.join(os.path.dirname(__file__), "golden",
@@ -134,14 +136,14 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
             "file=sys.stderr)\n"
             "loaded(m for m in sys.modules if m.startswith('tropcount.'))\n"
             "import tropcount.cli\n"
-            "loaded({'dataclasses', 'inspect'})\n"
+            "loaded({'cmath', 'dataclasses', 'inspect'})\n"
             "for command in ('validate', 'plot'):\n"
             f"    tropcount.cli.main([command, {golden!r}])\n"
             f"loaded({_ALGEBRA!r})\n"
             f"code = tropcount.cli.main(['count', {golden!r}, '--json'])\n"
             "print(code, file=sys.stderr)\n"
-            "loaded({'argparse', 'gettext', 'locale', 'tropcount.prelog', "
-            "'tropcount.selftest'})\n")
+            "loaded({'argparse', 'cmath', 'gettext', 'locale', "
+            "'tropcount.prelog', 'tropcount.selftest'})\n")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stderr == "[]\n[]\n[]\n0\n[]\n"
