@@ -16,20 +16,20 @@ Rows in, rows out.  A matrix goes in as Rows, one
 its width where it matters.  A row holds no zero: a stored zero can be
 taken for a pivot and breaks both eliminations, so builders sum their
 terms with row_sum, which drops zeros.  snf returns the invariant
-factors as a list, U as Rows and V as its columns, one {row: int} dict
-each, no zero stored either; to_rows turns a dense matrix into rows for
-the oracles and tests.
+factors as a list, V as its columns, one {row: int} dict each, no zero
+stored either, and U as a log; to_rows turns a dense matrix into rows
+for the oracles and tests.
 
-The Smith form is one elimination, snf_log.  It logs each row operation
-(a swap, a negation, row i -= q * row t) instead of applying it to U,
-so U is the product of the logged operations: snf rebuilds it by
-replaying the log on the identity, log_apply replays it on a vector
-(U*b) and log_row backward on a unit vector (a row of U), each at the
-cost of the log, not of U's fill.  The elimination finds the rows
-holding a column through a column -> rows occupancy and the pivot
-through cached row minima, instead of reading every remaining row at
-each step, and skips the divisibility sweep for a pivot equal to one
-that passed it.
+The Smith form is one elimination, snf.  It logs each row operation
+(a swap, a negation, row i -= q * row t) as a triple of ints instead of
+applying it to U, so U is the product of the logged operations:
+log_apply replays the log on a vector (U*b) and log_row backward on a
+unit vector (a row of U), each at the cost of the log, not of U's fill.
+A caller that needs only the invariant factors pays for neither.  The
+elimination finds the rows holding a column through a column -> rows
+occupancy and the pivot through cached row minima, instead of reading
+every remaining row at each step, and skips the divisibility sweep for
+a pivot equal to one that passed it.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ from math import gcd, inf
 
 IntMatrix = list[list[int]]
 Rows = list[dict[int, int]]
-#: row operations (i, t, q), see snf_log
-RowLog = list[tuple[int, int, int | None]]
+#: row operations (i, t, q), see snf
+RowLog = list[tuple[int, int, int]]
 
 
 def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -225,30 +225,68 @@ def _sub(dst: dict[int, int], src: dict[int, int], q: int) -> None:
             del dst[j]
 
 
-def snf_log(a: Rows, ncols: int) -> tuple[RowLog, list[int], Rows]:
-    """Smith normal form of the integer rows a (width ncols), with U as
-    the log of the row operations that make it.
+def snf(a: Rows, ncols: int) -> tuple[RowLog, list[int], Rows]:
+    """Smith normal form with transforms of the integer rows a (width ncols).
 
-    Returns (log, d, V): d and V as snf returns them, and the row
-    operations in the order they were made, each a triple (i, t, q):
+    Returns (log, d, V) with U*A*V = S, the matrix of A's shape with d on
+    its diagonal and zeros elsewhere, for the unimodular U the log stands
+    for.  d lists the invariant factors d_1 | d_2 | ..., min(len(a),
+    ncols) of them, nonnegative with zeros trailing.  V comes as its
+    columns, one {row: nonzero int} dict each.  U is never built: the log
+    holds the row operations that make it, in the order they were made,
+    each a triple of ints (i, t, q):
 
-    * q is None: swap rows i and t;
+    * q == 0: swap rows i and t (i != t);
     * otherwise: row i -= q * row t.  A negation of row t is logged as
       (t, t, 2), row t minus twice itself.
 
     U is the product of these operations, the last one leftmost: replay
-    the log forward on the identity to get U (snf does), or on a vector b
-    to get U*b (log_apply); replay it backward on e_i to get row i of U
-    (log_row).  The log costs one entry per operation where U fills in:
-    on the gluing system of a genus-257 cover (1280 x 1536), 1959
-    operations, 1279 of them subtractions, make a U with 298,673
-    nonzeros.
+    the log forward on a vector b to get U*b (log_apply), or backward on
+    e_i to get row i of U (log_row).  The log costs one entry per
+    operation where U fills in: on the gluing system of a genus-257 cover
+    (1280 x 1536), 1959 operations, 1279 of them subtractions, make a U
+    with 298,673 nonzeros.
 
-    >>> log, d, V = snf_log([{0: 2}, {1: 3}], 2)
+    >>> log, d, V = snf([{0: 2}, {1: 3}], 2)
+    >>> d
+    [1, 6]
     >>> log
     [(0, 1, -1), (0, 0, 2), (1, 0, 3)]
+    >>> V
+    [{1: 1, 0: -2}, {0: -3, 1: 2}]
+    >>> [log_row(log, i, 2) for i in range(2)]
+    [[-1, -1], [3, 4]]
 
-    See snf for the elimination itself.
+    Pivoting picks the nonzero entry of minimal absolute value in the
+    working submatrix, which keeps intermediate growth small on the
+    matrices this package sees.  The work is sparse: S (a copy of a) as
+    rows {column: nonzero int}, V as columns {row: nonzero int}, so a row
+    or column operation costs the nonzeros it touches.  The rows of S are
+    keyed by column label, the column's index in A, and two lists map
+    labels to positions and back; swapping two columns of S swaps two
+    entries of each list, and swapping two columns of V swaps two
+    references.  At step t, rows and columns before t are finished
+    (diagonal), so
+
+    * rows t and below hold nonzeros only in columns t and up;
+    * the column phase runs once column t is zero below the pivot, so
+      subtracting q times column t from column j changes only s[t][j] in
+      S (and column j of V).
+
+    Neither the pivot search nor the column phase reads every row.  An
+    occupancy, column label -> the set of rows holding it, gives the
+    rows to clear below a pivot.  Each row's minimum absolute value is
+    cached and refreshed when the row changes, so the pivot row is the
+    first of the minimal cached values from t on.  Once a pivot p has
+    passed the divisibility sweep, every entry below it is a multiple of
+    p, and row and column operations keep it so: a later pivot equal to
+    p skips the sweep.
+
+    Ties are broken by the first row, then the first column, in index
+    order, so the operation sequence and the transforms are those of the
+    dense elimination.  At the end row t of S holds d_t alone, under the
+    label of column t (nothing at all once d_t is 0), and d is read
+    from there; nothing is densified.
     """
     nrows = len(a)
     s = [dict(row) for row in a]
@@ -275,7 +313,7 @@ def snf_log(a: Rows, ncols: int) -> tuple[RowLog, list[int], Rows]:
                 occ[c].add(i)
             s[i], s[j] = sj, si
             rowmin[i], rowmin[j] = rowmin[j], rowmin[i]
-            log.append((i, j, None))
+            log.append((i, j, 0))
 
     def sub_row(i, k, q):
         # row i -= q * row k of S, keeping only nonzeros
@@ -368,100 +406,40 @@ def snf_log(a: Rows, ncols: int) -> tuple[RowLog, list[int], Rows]:
 
 
 def log_apply(log: RowLog, b: list, sub) -> list:
-    """U*b for the U of a row operation log (see snf_log): the log
+    """U*b for the U of a row operation log (see snf): the log
     replayed forward on a copy of b, where sub(x, y, q) is x - q*y in
     b's group, one call per subtraction.
 
-    >>> log, _, _ = snf_log([{0: 2}, {1: 3}], 2)
+    >>> log, _, _ = snf([{0: 2}, {1: 3}], 2)
     >>> log_apply(log, [1, 0], lambda x, y, q: x - q * y)
     [-1, 3]
     """
     c = list(b)
     for i, t, q in log:
-        if q is None:
-            c[i], c[t] = c[t], c[i]
-        else:
+        if q:
             c[i] = sub(c[i], c[t], q)
+        else:
+            c[i], c[t] = c[t], c[i]
     return c
 
 
 def log_row(log: RowLog, i: int, nrows: int) -> list[int]:
-    """Row i of the U of a row operation log (see snf_log), as a list of
+    """Row i of the U of a row operation log (see snf), as a list of
     nrows ints: e_i replayed backward, each (j, t, q) as
     y[t] -= q * y[j].
 
-    >>> log, _, _ = snf_log([{0: 2}, {1: 3}], 2)
+    >>> log, _, _ = snf([{0: 2}, {1: 3}], 2)
     >>> log_row(log, 1, 2)
     [3, 4]
     """
     y = [0] * nrows
     y[i] = 1
     for j, t, q in reversed(log):
-        if q is None:
-            y[j], y[t] = y[t], y[j]
-        else:
+        if q:
             y[t] -= q * y[j]
-    return y
-
-
-def snf(a: Rows, ncols: int) -> tuple[Rows, list[int], Rows]:
-    """Smith normal form with transforms of the integer rows a (width ncols).
-
-    Returns (U, d, V) with U, V unimodular and U*A*V = S, the matrix of
-    A's shape with d on its diagonal and zeros elsewhere.  d lists the
-    invariant factors d_1 | d_2 | ..., min(len(a), ncols) of them,
-    nonnegative with zeros trailing.  Pivoting picks the nonzero entry of
-    minimal absolute value in the working submatrix, which keeps
-    intermediate growth small on the matrices this package sees.
-
-    >>> U, d, V = snf([{0: 2}, {1: 3}], 2)
-    >>> d
-    [1, 6]
-    >>> U, V
-    ([{0: -1, 1: -1}, {1: 4, 0: 3}], [{1: 1, 0: -2}, {0: -3, 1: 2}])
-
-    The elimination (snf_log) records its row operations instead of
-    updating U, and U is rebuilt here as their product: the log replayed
-    on the identity.
-
-    The work is sparse: S (a copy of a) as rows {column: nonzero int}, V
-    as columns {row: nonzero int}, so a row or column operation costs the
-    nonzeros it touches.  The rows of S are keyed by column label, the
-    column's index in A, and two lists map labels to positions and back;
-    swapping two columns of S swaps two entries of each list, and
-    swapping two columns of V swaps two references.  At step t, rows and
-    columns before t are finished (diagonal), so
-
-    * rows t and below hold nonzeros only in columns t and up;
-    * the column phase runs once column t is zero below the pivot, so
-      subtracting q times column t from column j changes only s[t][j] in
-      S (and column j of V).
-
-    Neither the pivot search nor the column phase reads every row.  An
-    occupancy, column label -> the set of rows holding it, gives the
-    rows to clear below a pivot.  Each row's
-    minimum absolute value is cached and refreshed when the row changes,
-    so the pivot row is the first of the minimal cached values from t on.
-    Once a pivot p has passed the divisibility sweep, every entry below
-    it is a multiple of p, and row and column operations keep it so: a
-    later pivot equal to p skips the sweep.
-
-    Ties are broken by the first row, then the first column, in index
-    order, so the operation sequence and the transforms are those of the
-    dense elimination.  At the end row t of S holds d_t alone, under the
-    label of column t (nothing at all once d_t is 0), and d is read
-    from there; nothing is densified.
-    """
-    log, d, v = snf_log(a, ncols)
-    u = [{i: 1} for i in range(len(a))]
-    for i, t, q in log:
-        if q is None:
-            u[i], u[t] = u[t], u[i]
-        elif i == t:
-            u[t] = {j: -x for j, x in u[t].items()}
         else:
-            _sub(u[i], u[t], q)
-    return u, d, v
+            y[j], y[t] = y[t], y[j]
+    return y
 
 
 def snf_diagonal(a: IntMatrix) -> list[int]:

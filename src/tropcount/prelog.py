@@ -36,7 +36,7 @@ from itertools import chain
 
 from .curve import TropicalCurve, ensure_valid
 from .errors import ConstraintError
-from .exactmath import Rows, ext_gcd, log_apply, log_row, row_sum, snf_log
+from .exactmath import Rows, ext_gcd, log_apply, log_row, row_sum, snf
 from .realize import chi_product
 from .record import Record
 from .valuegroup import (EqualityMode, MulValue, mv_is_one, mv_pow, mv_prod,
@@ -160,20 +160,20 @@ def solve_monomial(
     Diagonal entries take principal roots; zero rows of S yield witnesses
     whose values must equal 1, checked in the requested equality mode.
 
-    U is never built: snf_log hands back its row operations.  c = U b is
+    U is never built: snf hands back its row operations.  c = U b is
     the log replayed forward on b, one two-term product per subtraction
     (row i -= q row t is c_i <- c_i * c_t^-q); a witness combination,
     row i of U, is the log replayed backward on e_i.  Both cost the
     length of the log, where U itself fills in.
 
-    The kernel generators are V's columns as snf_log returns them, sparse
+    The kernel generators are V's columns as snf returns them, sparse
     (see MonomialSolution); the dense form is the writer's to build.
     """
     a = system.exponents
     b = system.rhs
     nrows = len(a)
     ncols = len(system.flags)
-    log, diag, v = snf_log(a, ncols)
+    log, diag, v = snf(a, ncols)
     rank = sum(1 for x in diag if x != 0)
 
     c = log_apply(log, b, lambda x, y, q: mv_prod(((x, 1), (y, -q))))

@@ -18,7 +18,7 @@ from .curve import (ALPHA_KEYS, MarkedPoint, PeriodLattice, TropicalCurve,
                     offset_sequence, relift, subdivide, transform)
 from .curvefile import dumps_curve
 from .errors import DegeneracyError, ParseError
-from .exactmath import det_int, mat_mul, rank_rational, snf, to_rows
+from .exactmath import det_int, log_row, mat_mul, rank_rational, snf, to_rows
 from .moduli import (build_D, count_curves, deformation_ranks,
                      dual_flag_space, kernel_order_bruteforce,
                      kernel_order_gcstar, rigidity_check,
@@ -643,10 +643,10 @@ def suite_exactmath(rng: random.Random, cases: int) -> SuiteResult:
     checks = 0
     for _ in range(cases):
         a = _random_matrix(rng)
-        u, diag, v = snf(to_rows(a), len(a[0]))
+        log, diag, v = snf(to_rows(a), len(a[0]))
         checks += 1
-        # U from its rows and V from its columns, dense for the oracle
-        u = [[row.get(j, 0) for j in range(len(a))] for row in u]
+        # U from the log's rows and V from its columns, dense for the oracle
+        u = [log_row(log, i, len(a)) for i in range(len(a))]
         v = [[col.get(i, 0) for col in v] for i in range(len(a[0]))]
         s = [[diag[i] if i == j else 0 for j in range(len(a[0]))]
              for i in range(len(a))]

@@ -7,8 +7,7 @@ from tropcount import catalog, moduli
 from tropcount.curve import subdivide
 from tropcount.exactmath import (_round_div, det_int, ext_gcd, log_apply,
                                  log_row, mat_mul, nullspace_rational,
-                                 rank_rational, snf, snf_diagonal, snf_log,
-                                 to_rows)
+                                 rank_rational, snf, snf_diagonal, to_rows)
 from tropcount.moduli import build_D, build_F
 from tropcount.prelog import assemble_system
 from tropcount.selftest import base_instances, generated_curves
@@ -28,15 +27,19 @@ def _dense(rows, width):
 
 def _dense_snf(rows, width):
     """snf of rows with U and V densified, once their sparse form is
-    checked: U as len(rows) rows and V as width columns, each an
-    {index: int} dict in range with no stored zero (a stored zero would
-    break the eliminations)."""
-    u, d, v = snf(rows, width)
-    assert len(u) == len(rows) and len(v) == width
-    for sparse, size in ((u, len(rows)), (v, width)):
-        assert all(type(x) is int and x and 0 <= i < size
-                   for entries in sparse for i, x in entries.items())
-    return (_dense(u, len(rows)), d,
+    checked: the log as triples of ints (i, t, q) on rows in range, a
+    swap (q = 0) on two distinct rows, U as the log's rows, and V as
+    width columns, each an {index: int} dict in range with no stored
+    zero (a stored zero would break the eliminations)."""
+    log, d, v = snf(rows, width)
+    n = len(rows)
+    assert all(len(op) == 3 and all(type(x) is int for x in op)
+               and 0 <= op[0] < n and 0 <= op[1] < n
+               and (op[2] or op[0] != op[1]) for op in log)
+    assert len(v) == width
+    assert all(type(x) is int and x and 0 <= i < width
+               for col in v for i, x in col.items())
+    return ([log_row(log, i, n) for i in range(n)], d,
             [[col.get(j, 0) for col in v] for j in range(width)])
 
 
@@ -406,9 +409,9 @@ def test_snf_random_properties():
 
 
 def test_log_replays_to_the_rows_of_u_and_to_u_times_b():
-    # backward replay of e_i is row i of snf's U, forward replay on b is
-    # U*b; the scaled matrices take the divisibility fold (row t +=
-    # row bad, logged with t < bad), and negations (t, t, 2) are common
+    # backward replay of e_i is row i of the reference U, forward replay
+    # on b is U*b; the scaled matrices take the divisibility fold (row t
+    # += row bad, logged with t < bad), and negations (t, t, 2) are common
     rng = random.Random(71)
     folds = negations = 0
     for _ in range(300):
@@ -417,16 +420,14 @@ def test_log_replays_to_the_rows_of_u_and_to_u_times_b():
         rows = [{j: scale * x for j in range(ncols)
                  if rng.random() < 0.5 and (x := rng.randrange(-9, 10))}
                 for _ in range(nrows)]
-        log, d, v = snf_log(rows, ncols)
-        u, *dv = snf(rows, ncols)
-        assert dv == [d, v]
+        log = snf(rows, ncols)[0]
+        u = _udv_reference(_dense(rows, ncols))[0]
         for i in range(nrows):
-            assert log_row(log, i, nrows) == \
-                [u[i].get(j, 0) for j in range(nrows)]
+            assert log_row(log, i, nrows) == u[i]
         b = [rng.randrange(-50, 51) for _ in range(nrows)]
         assert log_apply(log, b, lambda x, y, q: x - q * y) == \
-            [sum(x * b[j] for j, x in row.items()) for row in u]
-        folds += sum(1 for i, t, q in log if q is not None and i < t)
+            [sum(x * y for x, y in zip(row, b)) for row in u]
+        folds += sum(1 for i, t, q in log if q and i < t)
         negations += sum(1 for i, t, q in log if i == t)
     assert folds >= 10 and negations >= 10
 

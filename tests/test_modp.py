@@ -5,7 +5,7 @@ number rank_Q - rank_Fp: the unimodular transforms stay invertible
 modulo p, so the rank of the matrix modulo p is the number of nonzero
 factors p does not divide (Newman, Integral Matrices, 1972).  The rank
 modulo p comes from a sparse echelon written here, which shares no code
-with exactmath, so this check reaches the covers of genus 129 that the
+with exactmath, so this check reaches the covers of genus 513 that the
 brute-force kernel oracle cannot.
 """
 
@@ -57,7 +57,7 @@ def _assert_profile(rows, d):
     return sum(1 for x in nonzero if x % 3 == 0)
 
 
-@pytest.mark.parametrize("k", [16, 64, 128])
+@pytest.mark.parametrize("k", [16, 64, 128, 512])
 @pytest.mark.parametrize("base", sorted(covers.BASES))
 def test_cover_factors_match_ranks_mod_p(base, k, monkeypatch):
     curve, marks = covers.cover_instance(base, k, None)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -306,6 +307,25 @@ def test_kernel_order_infinite_detected():
     result = kernel_order_gcstar(catalog.theta(), [])
     assert not result.finite
     assert result.order is INFINITE
+
+
+@pytest.mark.parametrize("base", sorted(covers.BASES))
+def test_kernel_order_heap_grows_about_linearly(base):
+    # the kernel order needs the invariant factors alone, so its heap
+    # peak should follow the sparse F and V, not a transform that fills
+    # in: at most `growth` times the last peak per doubling of k
+    growth = 2.6
+    peaks = []
+    for k in (64, 128, 256):
+        curve, marks = covers.cover_instance(base, k, None)
+        tracemalloc.start()
+        try:
+            kernel_order_gcstar(curve, marks)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    for k, small, large in zip((64, 128), peaks, peaks[1:]):
+        assert large <= growth * small, (k, peaks)
 
 
 def test_bruteforce_oracle():

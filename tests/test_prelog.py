@@ -7,7 +7,7 @@ import pytest
 from equivalence_cases import cases, chi_reference, covers
 from tropcount import catalog
 from tropcount.errors import ConstraintError
-from tropcount.exactmath import snf, to_rows
+from tropcount.exactmath import log_row, snf, to_rows
 from tropcount.prelog import (MonomialSystem, VertexModel, assemble_system,
                               edge_rhs, left_kernel_vector, prelog_exists,
                               solve_monomial, solve_root_congruence,
@@ -206,9 +206,13 @@ def _edge_rhs_reference(curve, edge_id):
 
 
 def _dense_snf(rows, width):
-    """snf with U's rows and V's columns densified into U and V."""
-    u, d, v = snf(rows, width)
-    return ([[row.get(j, 0) for j in range(len(rows))] for row in u], d,
+    """snf with U (the log's rows) and V's columns densified into U and
+    V, once the log is checked to be triples of ints on rows in range."""
+    log, d, v = snf(rows, width)
+    n = len(rows)
+    assert all(len(op) == 3 and all(type(x) is int for x in op)
+               and 0 <= op[0] < n and 0 <= op[1] < n for op in log)
+    return ([log_row(log, i, n) for i in range(n)], d,
             [[col.get(j, 0) for col in v] for j in range(width)])
 
 
