@@ -2,7 +2,8 @@
 
 Commands operate on JSON curve files (see curvefile) and print a report,
 human-readable by default or machine-readable with --json.  Output is
-byte-identical for identical inputs, flags and seeds.
+byte-identical for identical inputs, flags and seeds.  The layout of
+every report is defined here; the library returns records of values.
 
 Exit codes: 0 success, 1 I/O or parse error, 2 invalid curve (a marked
 point with t outside (0, 1) included), 3 geometric degeneracy (no generic
@@ -59,26 +60,23 @@ from .curve import canonical_offset, ensure_valid, validate
 from .curvefile import (format_rational, load_curve, parse_complex,
                         parse_group_element, parse_polar, parse_rational,
                         read_json)
-from .errors import ConstraintError, ParseError, TropcountError, clip
+from .errors import (ConstraintError, ParseError, TropcountError, clip,
+                     long_integer_text)
 from .valuegroup import (DEFAULT_TOLERANCE, UNDECIDED_FACTOR, EqualityMode,
                          MulValue)
-
-_MODE_NAMES = {
-    "formal": EqualityMode.FORMAL,
-    "exact": EqualityMode.EXACT,
-    "numeric": EqualityMode.NUMERIC,
-}
 
 
 def _resolve_mode(args, curve) -> EqualityMode:
     if getattr(args, "mode", None):
-        return _MODE_NAMES[args.mode]
+        return EqualityMode(args.mode)
     env = os.environ.get("TROPCOUNT_MODE", "").strip().lower()
     if env:
-        if env not in _MODE_NAMES:
+        try:
+            return EqualityMode(env)
+        except ValueError:
             raise ConstraintError(
-                f"TROPCOUNT_MODE={env!r} is not one of formal/exact/numeric")
-        return _MODE_NAMES[env]
+                f"TROPCOUNT_MODE={env!r} is not one of formal/exact/numeric"
+            ) from None
     return curve.lattice.mode
 
 
@@ -226,10 +224,15 @@ def _emit(report: dict, as_json: bool) -> None:
             write("\n".join(block) + "\n")
 
 
-def _invariants(curve) -> dict:
+def _header(command: str, args, curve, mode: EqualityMode) -> dict:
+    """The first items of an analyze, realizable, count or prelog report:
+    the command, the file, the equality mode and the curve's invariants."""
     from .realize import parity_exponent
 
     return {
+        "command": command,
+        "file": args.file,
+        "mode": mode.value,
         "genus": curve.genus,
         "delta": curve.delta,
         "vertex_weights": {
@@ -238,6 +241,14 @@ def _invariants(curve) -> dict:
         "parity": parity_exponent(curve),
         "edge_weights": {e.id: e.weight for e in curve.edges},
     }
+
+
+def _marked_points(marks) -> list:
+    return [{"edge": m.edge, "t": format_rational(m.t)} for m in marks]
+
+
+#: a three-valued verdict as a report writes it
+_ANSWER = {True: "yes", False: "no", None: "undecided"}
 
 
 # --------------------------------------------------------------------------
@@ -270,18 +281,13 @@ def cmd_analyze(args) -> int:
     ensure_valid(curve)
     rank_kernel, rank_cokernel = deformation_ranks(curve)
     report = {
-        "command": "analyze",
-        "file": args.file,
-        "mode": curve.lattice.mode.value,
-        **_invariants(curve),
+        **_header("analyze", args, curve, curve.lattice.mode),
         "rank_kernel": rank_kernel,
         "rank_cokernel": rank_cokernel,
         # the dual flag space is dual to Coker F (moduli.dual_flag_space)
         "dual_flag_dimension": rank_cokernel,
         "edge_weight_product": edge_weight_product(curve),
-        "marked_points": [
-            {"edge": m.edge, "t": format_rational(m.t)} for m in marks
-        ],
+        "marked_points": _marked_points(marks),
     }
     _emit(report, args.json)
     return 0
@@ -303,10 +309,7 @@ def cmd_realizable(args) -> int:
             "numeric comparison inside the undecided margin; refine the "
             "tolerance or use exact multipliers")
     report = {
-        "command": "realizable",
-        "file": args.file,
-        "mode": mode.value,
-        **_invariants(curve),
+        **_header("realizable", args, curve, mode),
         "offset": [format_rational(offset[0]), format_rational(offset[1])],
         "sigma_cocycle": str(cocycle),
         "sigma_geometric": str(geometric),
@@ -331,13 +334,8 @@ def cmd_count(args) -> int:
     mode = _resolve_mode(args, curve)
     result = count_curves(curve, marks, mode, args.tol)
     report = {
-        "command": "count",
-        "file": args.file,
-        "mode": mode.value,
-        **_invariants(curve),
-        "marked_points": [
-            {"edge": m.edge, "t": format_rational(m.t)} for m in marks
-        ],
+        **_header("count", args, curve, mode),
+        "marked_points": _marked_points(marks),
         "sigma": str(result.realizability.sigma),
         "verdict": result.realizability.verdict_text,
         "kernel_order": result.kernel.order,
@@ -349,8 +347,17 @@ def cmd_count(args) -> int:
     return 0
 
 
-def _flag_key(flag) -> str:
-    return f"{flag[0]}|{flag[1]}"
+def _flag_keys(flags) -> list[str]:
+    """The report key "vertex|edge" of each flag.  Ids that hold "|" can
+    give two flags one key; such a curve is refused."""
+    keys = [f"{vertex}|{edge}" for vertex, edge in flags]
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ConstraintError(
+                f"two flags share the report key {clip(repr(key))}")
+        seen.add(key)
+    return keys
 
 
 def _parse_check_value(raw, what: str) -> MulValue | complex:
@@ -385,6 +392,7 @@ def cmd_prelog(args) -> int:
     ensure_valid(curve)
     mode = _resolve_mode(args, curve)
     system = assemble_system(curve)
+    keys = _flag_keys(system.flags)
 
     if args.check:
         doc = read_json(args.check, args.check)
@@ -393,8 +401,7 @@ def cmd_prelog(args) -> int:
             raise ParseError(
                 f"{args.check}: expected an object with a \"flags\" map")
         assignment = []
-        for flag in system.flags:
-            key = _flag_key(flag)
+        for key in keys:
             if key not in flags_doc:
                 raise ParseError(
                     f"{args.check}: missing flag {clip(repr(key))}")
@@ -436,17 +443,12 @@ def cmd_prelog(args) -> int:
         system, mode, numeric_values=curve.lattice.numeric_values,
         tolerance=args.tol)
     report = {
-        "command": "prelog",
-        "file": args.file,
-        "mode": mode.value,
-        **_invariants(curve),
-        "feasible": {True: "yes", False: "no", None: "undecided"}[
-            solution.feasible],
+        **_header("prelog", args, curve, mode),
+        "feasible": _ANSWER[solution.feasible],
         "witnesses": [
             {
                 "value": str(w.value),
-                "holds": {True: "yes", False: "no", None: "undecided"}[
-                    w.verdict],
+                "holds": _ANSWER[w.verdict],
                 "certificate": w.certificate,
             }
             for w in solution.witnesses
@@ -460,7 +462,6 @@ def cmd_prelog(args) -> int:
             raise ConstraintError(
                 f"internal: solved assignment fails rows {verification}")
         report["verification"] = "pass" if not verification else "undecided"
-        keys = [_flag_key(flag) for flag in system.flags]
         report["assignment"] = {
             key: (value.to_dict() if args.json else str(value))
             for key, value in zip(keys, solution.assignment)
@@ -517,7 +518,7 @@ def cmd_selftest(args) -> int:
 
 _FILE = ("file", {"help": "curve file (JSON)"})
 _JSON = ("--json", {"action": "store_true", "help": "machine-readable report"})
-_MODE = ("--mode", {"choices": sorted(_MODE_NAMES),
+_MODE = ("--mode", {"choices": sorted(m.value for m in EqualityMode),
                     "help": "equality mode override"})
 _TOL = ("--tol", {"type": float, "default": DEFAULT_TOLERANCE,
                   "help": "numeric tolerance (default 1e-9)"})
@@ -645,6 +646,13 @@ def main(argv=None) -> int:
     except TropcountError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.exit_code
+    except ValueError as exc:
+        # str() of an integer past the interpreter's digit limit, which
+        # stays in force so that parsing input stays bounded
+        if "integer string conversion" not in str(exc):
+            raise
+        sys.stderr.write(f"error: cannot write {long_integer_text()}\n")
+        return ConstraintError.exit_code
 
 
 class _ClosedOutput:

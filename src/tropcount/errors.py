@@ -37,9 +37,15 @@ def clip_value(value, limit: int = ECHO_LIMIT) -> str:
         text = (f"({value[0]}, {value[1]})" if type(value) is tuple
                 else str(value))
     except ValueError:
-        return (f"a value with an integer of over "
-                f"{sys.get_int_max_str_digits()} digits")
+        return long_integer_text()
     return clip(text, limit)
+
+
+def long_integer_text() -> str:
+    """What an error message writes for a value with an integer too long
+    for str."""
+    return (f"a value with an integer of over "
+            f"{sys.get_int_max_str_digits()} digits")
 
 
 class TropcountError(Exception):

@@ -327,15 +327,6 @@ class CountReport(Record):
     edge_weight_product: int
     total: int
 
-    def to_dict(self) -> dict:
-        return {
-            "realizability": self.realizability.to_dict(),
-            "kernel_order": self.kernel.order,
-            "invariant_factors": list(self.kernel.invariant_factors),
-            "edge_weight_product": self.edge_weight_product,
-            "total": self.total,
-        }
-
 
 def count_curves(
     curve: TropicalCurve,

@@ -114,7 +114,6 @@ def realizability_target(curve: TropicalCurve) -> MulValue:
 
 class RealizabilityReport(Record):
     sigma: MulValue
-    parity: int
     target: MulValue
     verdict: bool | None
     certificate: str
@@ -127,16 +126,6 @@ class RealizabilityReport(Record):
         if self.verdict is False:
             return "not realizable"
         return "undecided"
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma": str(self.sigma),
-            "parity": self.parity,
-            "target": str(self.target),
-            "verdict": self.verdict_text,
-            "certificate": self.certificate,
-            "mode": self.mode.value,
-        }
 
 
 def is_realizable(
@@ -171,7 +160,6 @@ def is_realizable(
         verdict, certificate = mv_is_one(ratio, mode)
     return RealizabilityReport(
         sigma=sigma,
-        parity=parity_exponent(curve),
         target=target,
         verdict=verdict,
         certificate=certificate,

@@ -362,6 +362,67 @@ def test_huge_check_value_gives_a_short_error_line(tmp_path, capsys):
     assert err.count("\n") == 1 and len(err.encode()) < 300
 
 
+def _long_integer_doc() -> dict:
+    """The golden theta curve with weight vectors (a, 0), (0, b) and
+    (-a, -b), a = 10**2200 and b = a + 3: valid, but its vertex weight
+    has 4,401 digits, past the interpreter's limit on int-to-str."""
+    a = 10 ** 2200
+    b = a + 3
+    doc = _golden_doc(weight_vector=[a, 0], length=f"1/{a}")
+    edges = {e["id"]: e for e in doc["edges"]}
+    edges["e2"].update(weight_vector=[0, b], length=f"1/{b}")
+    # length * w = v - u - g1 * lambda1 - g2 * lambda2 closes e3
+    g2 = (2 * a + 4) // 3
+    edges["e3"].update(weight_vector=[-a, -b], length="1",
+                       shift=[1 + a - g2, g2])
+    return doc
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("command",
+                         ["analyze", "realizable", "count", "prelog"])
+def test_integer_too_long_to_write_exits_5(command, form, tmp_path):
+    doc = _long_integer_doc()
+    assert _run_timed(["validate"], tmp_path, doc)[:2] == (0, "")
+    code, err, seconds = _run_timed([command, *form], tmp_path, doc)
+    assert (code, err) == (5, "error: cannot write a value with an integer "
+                              f"of over {sys.get_int_max_str_digits()} "
+                              "digits\n")
+    assert seconds < HOSTILE_SECONDS
+
+
+def _shared_key_doc() -> dict:
+    """The golden theta curve with vertex v renamed u|x and edges e1, e2
+    renamed x|e1, e1: flags (u, x|e1) and (u|x, e1) both key "u|x|e1"."""
+    doc = _golden_doc()
+    doc["vertices"][1]["id"] = "u|x"
+    names = {"e1": "x|e1", "e2": "e1"}
+    for edge in doc["edges"]:
+        edge["id"] = names.get(edge["id"], edge["id"])
+        edge["head"] = "u|x"  # every edge runs from u to v
+    for mark in doc["marked_points"]:
+        mark["edge"] = names[mark["edge"]]
+    return doc
+
+
+@pytest.mark.parametrize("form", [[], ["--json"], ["--check"]],
+                         ids=["human", "json", "check"])
+def test_prelog_refuses_two_flags_with_one_key(form, tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(_shared_key_doc()), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    if form == ["--check"]:
+        check = tmp_path / "check.json"
+        keys = ["u|x|e1", "u|x|x|e1", "u|e1", "u|e3", "u|x|e3"]
+        check.write_text(json.dumps({"flags": dict.fromkeys(keys, "1")}),
+                         encoding="utf-8")
+        form = ["--check", str(check)]
+    capsys.readouterr()
+    assert main(["prelog", str(path), *form]) == 5
+    assert capsys.readouterr() == (
+        "", "error: two flags share the report key 'u|x|e1'\n")
+
+
 @pytest.mark.parametrize("fields", [
     {"weight_vector": [10 ** 400, 1]},
     {"length": "-" + "7" * 4000},
@@ -436,20 +497,25 @@ def test_count_mark_errors_in_order(marks, code, err, tmp_path, capsys):
     assert capsys.readouterr().err == err
 
 
-@pytest.mark.parametrize("command", ["count", "prelog", "realizable",
-                                     "analyze"])
+@pytest.mark.parametrize("command,as_json", [
+    pytest.param(command, as_json, id=command + ("" if as_json else "-human"))
+    for command in ("count", "prelog", "realizable", "analyze", "validate")
+    for as_json in (True, False)])
 @pytest.mark.parametrize("name", ["theta", "theta2", "triple"])
-def test_json_output_matches_golden(name, command, tmp_path, monkeypatch,
-                                    capsys):
+def test_json_output_matches_golden(name, command, as_json, tmp_path,
+                                    monkeypatch, capsys):
     # The prelog assignment and generators are read off the SNF transforms
     # U and V, and count prints the invariant factors, so any change to
     # snf's choice of pivots shows here byte for byte; realizable prints
-    # both sigmas and analyze the ranks and the dual flag dimension.
+    # both sigmas and analyze the ranks and the dual flag dimension.  The
+    # human goldens pin the same reports through the other writer.
     source = os.path.join(GOLDEN, f"{name}_exact.json")
     shutil.copy(source, tmp_path / f"{name}_exact.json")
     monkeypatch.chdir(tmp_path)
-    assert main([command, f"{name}_exact.json", "--json"]) == 0
-    with open(os.path.join(GOLDEN, f"{name}_exact.{command}.out"),
+    argv = [command, f"{name}_exact.json"] + (["--json"] if as_json else [])
+    assert main(argv) == 0
+    suffix = "out" if as_json else "human.out"
+    with open(os.path.join(GOLDEN, f"{name}_exact.{command}.{suffix}"),
               encoding="utf-8") as handle:
         assert capsys.readouterr().out == handle.read()
 

@@ -397,9 +397,6 @@ def test_count_report_fields():
     assert report.edge_weight_product == 8
     assert report.total == 8
     assert report.realizability.verdict is True
-    doc = report.to_dict()
-    assert doc["total"] == 8
-    assert doc["edge_weight_product"] == 8
 
 
 def test_count_errors():
