@@ -214,7 +214,31 @@ def _write_json(obj, write, pad: str = "", depth: int = 2) -> None:
     write("\n" + pad + ("}" if kind is dict else "]"))
 
 
+def _refuse_long_integers(report: dict) -> None:
+    """Raise ConstraintError when an item of report, generators aside,
+    holds an integer past the interpreter's limit on int-to-str, so that
+    a report that cannot be written is not begun.  Python 3.10 has no
+    limit (no sys.get_int_max_str_digits), nor does a limit of 0."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if not limit:
+        return
+    stack = list(report.values())
+    while stack:
+        value = stack.pop()
+        kind = type(value)
+        if kind is int:
+            # 10**limit has more than 3 * limit bits
+            if (value.bit_length() > 3 * limit
+                    and abs(value) >= 10 ** limit):
+                raise ConstraintError(f"cannot write {long_integer_text()}")
+        elif kind is dict:
+            stack.extend(value.values())
+        elif kind is list or kind is tuple:
+            stack.extend(value)
+
+
 def _emit(report: dict, as_json: bool) -> None:
+    _refuse_long_integers(report)
     write = sys.stdout.write
     if as_json:
         _write_json(report, write)
@@ -300,7 +324,7 @@ def cmd_realizable(args) -> int:
     ensure_valid(curve)
     mode = _resolve_mode(args, curve)
     offset = canonical_offset(curve)
-    geometric = sigma_geometric(curve, offset)
+    geometric = sigma_geometric(curve)
     result = is_realizable(curve, mode, args.tol)
     cocycle = result.sigma
     warnings = []

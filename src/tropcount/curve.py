@@ -682,16 +682,6 @@ def canonical_offset(curve: TropicalCurve) -> FracVec2:
     """First offset in the retry sequence that avoids all degeneracies.
 
     The curve is immutable, so it keeps this offset together with its
-    crossings, and offset_crossings hands them out without a second pass.
+    crossings, and sigma_geometric reads them without a second pass.
     """
     return curve._clean_pass[0]
-
-
-def offset_crossings(curve: TropicalCurve, offset) -> list[Crossing]:
-    """crossings(curve, offset), reusing the pass canonical_offset made
-    when offset is the canonical one and it was already found."""
-    # the cached property is in the instance dict once it has been found
-    found = vars(curve).get("_clean_pass")
-    if found is not None and found[0] == offset:
-        return list(found[1])
-    return crossings(curve, offset)

@@ -1,14 +1,13 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here works over arbitrary-precision Python ints and
-`fractions.Fraction`; no floats are ever introduced.  The module provides the
-small toolkit the rest of the package leans on:
+Everything here works over arbitrary-precision Python ints only; no
+fraction or float is ever introduced.  The module provides the small
+toolkit the rest of the package leans on:
 
 * extended gcd with Bezout certificate,
 * Smith normal form with both unimodular transforms, computed on sparse
   rows and columns, with U kept as a log of row operations,
-* one sparse, fraction-free row echelon routine behind rational rank and
-  rational nullspace,
+* rank over the rationals by one sparse, fraction-free row echelon,
 * exact determinant (Bareiss).
 
 Rows in, rows out.  A matrix goes in as Rows, one
@@ -34,7 +33,6 @@ a pivot equal to one that passed it.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, inf
 
 
@@ -149,15 +147,23 @@ def det_int(a: IntMatrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _echelon(rows: Rows) -> dict[int, dict[int, int]]:
-    """Sparse fraction-free row echelon form: {pivot column: pivot row}.
+def rank_rational(rows: Rows) -> int:
+    """Rank over the rationals of integer rows, by exact elimination.
 
-    Each row is reduced at its leading column by integer
-    cross-multiplication with the pivot row there, and divided by its
-    content after every step, so it stays small and primitive.  The rows
-    are read, never changed; a pivot row may be one of them.
+    The echelon is sparse and fraction-free: each row is reduced at its
+    leading column by integer cross-multiplication with the pivot row
+    there, and divided by its content after every step, so it stays
+    small and primitive.  The rows are read, never changed; a pivot row
+    may be one of them.
+
+    >>> rank_rational([{0: 1, 1: 2}, {0: 2, 1: 4}])
+    1
+    >>> rank_rational([{1: 3}, {}, {0: -1, 1: 3}])
+    2
+    >>> rank_rational([])
+    0
     """
-    pivots: dict[int, dict[int, int]] = {}
+    pivots: dict[int, dict[int, int]] = {}  # pivot column -> pivot row
     for row in rows:
         while row:
             c = min(row)
@@ -172,47 +178,7 @@ def _echelon(rows: Rows) -> dict[int, dict[int, int]]:
             g = gcd(*row.values())
             if g > 1:
                 row = {j: x // g for j, x in row.items()}
-    return pivots
-
-
-def rank_rational(rows: Rows) -> int:
-    """Rank over the rationals of integer rows, by exact elimination.
-
-    >>> rank_rational([{0: 1, 1: 2}, {0: 2, 1: 4}])
-    1
-    >>> rank_rational([{1: 3}, {}, {0: -1, 1: 3}])
-    2
-    >>> rank_rational([])
-    0
-    """
-    return len(_echelon(rows))
-
-
-def nullspace_rational(rows: Rows, ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace over the rationals of integer rows.
-
-    Returns a list of vectors (each of length ncols).  Each free column
-    in turn is set to 1 and the other free columns to 0, and the pivot
-    unknowns follow by back-substitution on the echelon form; this is the
-    basis read off the unique reduced echelon form.
-
-    >>> nullspace_rational([{0: 1, 1: 2}], 2)
-    [[Fraction(-2, 1), Fraction(1, 1)]]
-    """
-    pivots = _echelon(rows)
-    order = sorted(pivots, reverse=True)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivots:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pc in order:
-            row = pivots[pc]
-            acc = sum(x * vec[j] for j, x in row.items() if j != pc)
-            vec[pc] = Fraction(-acc) / row[pc]
-        basis.append(vec)
-    return basis
+    return len(pivots)
 
 
 def _sub(dst: dict[int, int], src: dict[int, int], q: int) -> None:

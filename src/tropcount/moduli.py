@@ -7,7 +7,9 @@ edge direction applied to the difference).  F is the only matrix this
 module builds; every deformation answer is read off it.  Its cokernel is
 dual to the space of flag covectors described in dual_flag_space, whose
 vertex conditions are the rows of F transposed: the outgoing primitive
-normal at a tail is n_e and at a head is -n_e.
+normal at a tail is n_e and at a head is -n_e.  Balancing puts the edge
+weights in the kernel of F transposed, so when that space is a line
+they span it, and its generator needs no elimination.
 
 For counting, marked points (one per independent cycle) are inserted as
 2-valent vertices; the relevant group is the kernel of the same edge
@@ -27,12 +29,12 @@ weights of the unsubdivided curve (maximal 2-valent chains count once).
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .curve import (MarkedPoint, TropicalCurve, ensure_valid, marks_by_edge,
                     subdivide)
 from .errors import ConstraintError, InfeasibleError
-from .exactmath import (IntMatrix, Rows, det_int, nullspace_rational,
-                        rank_rational, row_sum, snf)
+from .exactmath import IntMatrix, Rows, det_int, rank_rational, row_sum, snf
 from .realize import RealizabilityReport, is_realizable
 from .record import Record
 from .valuegroup import EqualityMode
@@ -83,31 +85,38 @@ def dual_flag_space(curve: TropicalCurve):
     one scalar per edge.  That normal is n_e at the tail and -n_e at the
     head, which is -1 times F's row e on the vertex's two columns, so the
     two vertex conditions are the vertex's two rows of F transposed, and
-    the dimension is the rank of Coker F.
+    the dimension is |E| minus the rank of F transposed, the rank of
+    Coker F.
+
+    Balancing solves those conditions: the normal is the edge direction
+    turned a quarter, so the outgoing weighted normals at a vertex sum
+    to the outgoing weight vectors turned, which is zero, and c_e = w_e
+    lies in the kernel of F transposed.  When the dimension is 1 the
+    weights span it, and the generator is written from them.
 
     Returns (dimension, generator) where generator maps (vertex_id,
     edge_id) to the covector of the basis element normalized so that its
-    first nonzero edge coefficient is 1 (generator is None unless the
-    dimension is exactly 1).
+    first nonzero edge coefficient is 1: c_e = w_e / w_e0 for the first
+    edge e0, giving -c_e times F's row e on the vertex's columns
+    (generator is None unless the dimension is exactly 1).
+
+    Raises ValidationError for an invalid curve, balancing included.
     """
+    ensure_valid(curve)
     f = build_F(curve)
     columns: Rows = [{} for _ in range(2 * len(curve.vertices))]
     for j, row in enumerate(f):
         for i, x in row.items():
             columns[i][j] = x
-    basis = nullspace_rational(columns, len(curve.edges))
-    if len(basis) != 1:
-        return len(basis), None
-    coeffs = basis[0]
-    lead = next((c for c in coeffs if c != 0), None)
-    if lead:
-        coeffs = [c / lead for c in coeffs]
+    dim = len(curve.edges) - rank_rational(columns)
+    if dim != 1:
+        return dim, None
+    lead = curve.edges[0].weight
     index = {e.id: j for j, e in enumerate(curve.edges)}
     generator = {}
     for i, v in enumerate(curve.vertices):
         for e in curve.incident_edges_flags(v.id):
-            j = index[e.id]
-            c, row = -coeffs[j], f[j]
+            c, row = Fraction(-e.weight, lead), f[index[e.id]]
             generator[(v.id, e.id)] = (c * row.get(2 * i, 0),
                                        c * row.get(2 * i + 1, 0))
     return 1, generator

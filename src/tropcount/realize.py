@@ -24,8 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .curve import (TropicalCurve, canonical_offset, ensure_valid,
-                    offset_crossings)
+from .curve import TropicalCurve, crossings, ensure_valid
 from .errors import ConstraintError
 from .record import Record
 from .valuegroup import EqualityMode, MulValue, mv_is_one, mv_prod
@@ -83,16 +82,17 @@ def sigma_geometric(curve: TropicalCurve, offset=None) -> MulValue:
     Every transversal crossing of a B1 (resp. B2) wall contributes the
     character chi1 (resp. chi2) of the edge's weight vector oriented from
     the inside of the cell to the outside.  The offset defaults to the
-    first non-degenerate one in the deterministic retry sequence; the
-    crossings found while choosing it are not walked again.  The shifts
-    are never read, so this stays independent of sigma_cocycle.
+    first non-degenerate one in the deterministic retry sequence, whose
+    crossings the curve keeps from choosing it (see canonical_offset);
+    an offset given walks the crossings anew.  The shifts are never
+    read, so this stays independent of sigma_cocycle.
     """
-    if offset is None:
-        offset = canonical_offset(curve)
+    found = (curve._clean_pass[1] if offset is None
+             else crossings(curve, offset))
     return chi_product(
         curve,
         ((1 if c.side == "B1" else 2, c.outward_vector, abs(c.signed_count))
-         for c in offset_crossings(curve, offset)),
+         for c in found),
         curve.delta)
 
 

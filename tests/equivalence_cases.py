@@ -1,6 +1,6 @@
 """Curves and chained reference code for the tests that pin the integer
-fast paths (character products, mv_prod and the kernel order) to the
-results of the code they replaced.
+fast paths (character products, mv_prod, the kernel order and the dual
+flag generator) to the results of the code they replaced.
 
 The cases are the catalog, the selftest generators (subdivided, relifted
 and transformed catalog curves) and cyclic covers of the catalog up to
@@ -46,3 +46,41 @@ def chi_reference(curve, family, vector, reduce_by_delta=True) -> MulValue:
     pos = m["alpha12"] if family == 1 else m["alpha22"]
     neg = m["alpha11"] if family == 1 else m["alpha21"]
     return mv_mul(mv_pow(pos, Fraction(a, d)), mv_pow(neg, Fraction(-b, d)))
+
+
+def nullspace_reference(a):
+    """Basis of the right nullspace over the rationals of the dense
+    integer matrix a, by dense Fraction reduced echelon form: each free
+    column in turn is set to 1 and the other free columns to 0."""
+    rows = [[Fraction(x) for x in row] for row in a]
+    nrows, ncols = len(rows), len(rows[0]) if rows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = None
+        for i in range(rank, nrows):
+            if rows[i][col] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        pv = rows[rank][col]
+        rows[rank] = [x / pv for x in rows[rank]]
+        for i in range(nrows):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+        if rank == nrows:
+            break
+    free_cols = [j for j in range(ncols) if j not in pivots]
+    basis = []
+    for fc in free_cols:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        basis.append(vec)
+    return basis

@@ -220,6 +220,13 @@ def _golden_doc(**e1_fields) -> dict:
 def _run_timed(argv, tmp_path, doc=None, text=None):
     """Run the CLI in a child process (so that a hang is cut off) and
     return (exit code, stderr, seconds)."""
+    proc, seconds = _run_child(argv, tmp_path, doc, text)
+    return proc.returncode, proc.stderr, seconds
+
+
+def _run_child(argv, tmp_path, doc=None, text=None):
+    """Run the CLI in a child process on a curve file written from doc or
+    text, and return (the completed process, seconds)."""
     path = tmp_path / "curve.json"
     path.write_text(text if text is not None else json.dumps(doc),
                     encoding="utf-8")
@@ -229,7 +236,7 @@ def _run_timed(argv, tmp_path, doc=None, text=None):
     proc = subprocess.run(
         [sys.executable, "-m", "tropcount.cli", *argv, str(path)],
         env=env, capture_output=True, text=True, timeout=HOSTILE_SECONDS)
-    return proc.returncode, proc.stderr, time.perf_counter() - start
+    return proc, time.perf_counter() - start
 
 
 #: wall-time bound of one hostile-input run; each used to take minutes
@@ -382,12 +389,13 @@ def _long_integer_doc() -> dict:
 @pytest.mark.parametrize("command",
                          ["analyze", "realizable", "count", "prelog"])
 def test_integer_too_long_to_write_exits_5(command, form, tmp_path):
+    # refused before the first write, so stdout holds no partial report
     doc = _long_integer_doc()
     assert _run_timed(["validate"], tmp_path, doc)[:2] == (0, "")
-    code, err, seconds = _run_timed([command, *form], tmp_path, doc)
-    assert (code, err) == (5, "error: cannot write a value with an integer "
-                              f"of over {sys.get_int_max_str_digits()} "
-                              "digits\n")
+    proc, seconds = _run_child([command, *form], tmp_path, doc)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        5, "", "error: cannot write a value with an integer of over "
+               f"{sys.get_int_max_str_digits()} digits\n")
     assert seconds < HOSTILE_SECONDS
 
 

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -6,8 +9,8 @@ from equivalence_cases import covers
 from tropcount import catalog, moduli
 from tropcount.curve import subdivide
 from tropcount.exactmath import (_round_div, det_int, ext_gcd, log_apply,
-                                 log_row, mat_mul, nullspace_rational,
-                                 rank_rational, snf, snf_diagonal, to_rows)
+                                 log_row, mat_mul, rank_rational, snf,
+                                 snf_diagonal, to_rows)
 from tropcount.moduli import build_D, build_F
 from tropcount.prelog import assemble_system
 from tropcount.selftest import base_instances, generated_curves
@@ -91,18 +94,20 @@ def test_det_int_matches_cofactor_expansion():
         assert det_int(m) == cofactor(m)
 
 
-def test_rank_and_nullspace():
-    a = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    assert rank_rational(to_rows(a)) == 2
-    basis = nullspace_rational(to_rows(a), 3)
-    assert len(basis) == 1
-    for vec in basis:
-        assert all(sum(Fraction(row[j]) * vec[j] for j in range(3)) == 0
-                   for row in a)
+def test_rank():
+    assert rank_rational(to_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])) == 2
     assert rank_rational(to_rows([[0, 0], [0, 0]])) == 0
-    assert len(nullspace_rational(to_rows([[0, 0], [0, 0]]), 2)) == 2
     assert rank_rational(to_rows(_identity(4))) == 4
-    assert nullspace_rational(to_rows(_identity(4)), 4) == []
+
+
+def test_exactmath_loads_no_fractions():
+    # the module works in integers only; -S keeps site's imports out
+    src = os.path.dirname(os.path.dirname(moduli.__file__))
+    code = "import sys, tropcount.exactmath; print('fractions' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 def _rank_reference(a):
@@ -133,43 +138,6 @@ def _rank_reference(a):
     return rank
 
 
-def _nullspace_reference(a):
-    """Dense Fraction reduced echelon nullspace: the loop version
-    nullspace_rational replaced, kept as its reference."""
-    rows = [[Fraction(x) for x in row] for row in a]
-    nrows, ncols = len(rows), len(rows[0]) if rows else 0
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(rank, nrows):
-            if rows[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        pv = rows[rank][col]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for i in range(nrows):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == nrows:
-            break
-    free_cols = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(vec)
-    return basis
-
-
 def _random_matrix(rng, nrows, ncols):
     rows = [[0 if rng.random() < 0.5 else rng.randrange(-9, 10)
              for _ in range(ncols)] for _ in range(nrows)]
@@ -182,7 +150,7 @@ def _random_matrix(rng, nrows, ncols):
     return rows
 
 
-def test_rank_and_nullspace_match_dense_reference():
+def test_rank_matches_dense_reference():
     rng = random.Random(41)
     shapes = [(0, 0), (1, 0), (3, 0), (1, 1), (2, 5), (3, 9), (9, 3),
               (6, 6), (10, 14), (14, 10)]
@@ -191,11 +159,7 @@ def test_rank_and_nullspace_match_dense_reference():
         for _ in range(30):
             cases.append(_random_matrix(rng, nrows, ncols))
     for a in cases:
-        rows, ncols = to_rows(a), len(a[0]) if a else 0
-        assert rank_rational(rows) == _rank_reference(a), a
-        got = nullspace_rational(rows, ncols)
-        assert got == _nullspace_reference(a), a
-        assert all(type(x) is Fraction for vec in got for x in vec)
+        assert rank_rational(to_rows(a)) == _rank_reference(a), a
 
 
 def test_snf_doc_example():
@@ -330,8 +294,7 @@ def _builder_rows(curve, marks, monkeypatch):
             return function(rows, *args)
         return wrapper
 
-    monkeypatch.setattr(moduli, "nullspace_rational",
-                        spy(nullspace_rational))
+    monkeypatch.setattr(moduli, "rank_rational", spy(rank_rational))
     monkeypatch.setattr(moduli, "snf", spy(snf))
     moduli.dual_flag_space(curve)
     moduli.kernel_order_gcstar(curve, marks)
@@ -347,8 +310,8 @@ def _builder_rows(curve, marks, monkeypatch):
 def test_snf_transforms_match_reference_on_pipeline_matrices(monkeypatch):
     # The rows of every matrix builder, on the catalog curves, on
     # subdivided, relifted and transformed ones and on covers, hold only
-    # nonzero ints inside their width, and rank, nullspace and the Smith
-    # form on them equal the dense references on the same matrix; the
+    # nonzero ints inside their width, and rank and the Smith form on
+    # them equal the dense references on the same matrix; the
     # Smith form's U rows and V columns are sparse in the same way.  Also
     # the D matrices of the count and empty, zero, wide and tall shapes.
     rng = random.Random(79)
@@ -371,8 +334,6 @@ def test_snf_transforms_match_reference_on_pipeline_matrices(monkeypatch):
                        for row in rows for j, x in row.items()), where
             a = _dense(rows, width)
             assert rank_rational(rows) == _rank_reference(a), where
-            assert nullspace_rational(rows, width) == \
-                _nullspace_reference(a), where
             assert _dense_snf(rows, width) == _udv_reference(a), where
     # the wrapping cycles are among the curves: their edges are horizontal,
     # so each normal has a zero component, which F leaves out

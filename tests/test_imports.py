@@ -1,10 +1,10 @@
 """Every imported name is used.
 
 No linter ships with the project, so this walks the syntax tree of each
-module under src/tropcount and tests: a name bound by an import must
-appear somewhere else in the module, as a name, as the root of an
-attribute chain, or in the module's __all__ (a list or tuple of strings;
-a computed __all__ uses its names as names).
+module under src/tropcount, tests and tropbench (read, never imported): a
+name bound by an import must appear somewhere else in the module, as a
+name, as the root of an attribute chain, or in the module's __all__ (a
+list or tuple of strings; a computed __all__ uses its names as names).
 """
 
 import ast
@@ -13,7 +13,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted([*ROOT.glob("src/tropcount/*.py"), *ROOT.glob("tests/*.py")])
+FILES = sorted([*ROOT.glob("src/tropcount/*.py"), *ROOT.glob("tests/*.py"),
+                *ROOT.glob("tropbench/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

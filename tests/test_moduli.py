@@ -5,12 +5,11 @@ from math import lcm
 
 import pytest
 
-from equivalence_cases import cases, covers
+from equivalence_cases import cases, covers, nullspace_reference
 from tropcount import catalog
 from tropcount.curve import MarkedPoint, subdivide, transform
-from tropcount.errors import ConstraintError, InfeasibleError
-from tropcount.exactmath import (nullspace_rational, rank_rational,
-                                 snf_diagonal)
+from tropcount.errors import ConstraintError, InfeasibleError, ValidationError
+from tropcount.exactmath import rank_rational, snf_diagonal
 from tropcount.moduli import (INFINITE, build_D, build_F, count_curves,
                               deformation_ranks, dual_flag_space,
                               edge_weight_product, kernel_order_bruteforce,
@@ -73,6 +72,57 @@ def test_dual_flag_dimension_is_the_space_dimension():
     assert dims == {1}
 
 
+def _dual_flag_reference(curve):
+    """The generator as the nullspace of F transposed gave it: the
+    version the closed form from the edge weights replaced, kept as its
+    reference."""
+    f = build_F(curve)
+    width = 2 * len(curve.vertices)
+    transposed = [[row.get(i, 0) for row in f] for i in range(width)]
+    basis = nullspace_reference(transposed)
+    if len(basis) != 1:
+        return len(basis), None
+    lead = next(c for c in basis[0] if c)
+    coeffs = [c / lead for c in basis[0]]
+    index = {e.id: j for j, e in enumerate(curve.edges)}
+    generator = {}
+    for i, v in enumerate(curve.vertices):
+        for e in curve.incident_edges_flags(v.id):
+            j = index[e.id]
+            c = -coeffs[j]
+            generator[(v.id, e.id)] = (c * f[j].get(2 * i, 0),
+                                       c * f[j].get(2 * i + 1, 0))
+    return 1, generator
+
+
+def test_dual_flag_generator_matches_nullspace_reference():
+    # balancing puts the edge weights in Ker F transposed, so they are
+    # the normalized nullspace vector
+    curves = base_instances() + generated_curves(random.Random(71), 30)
+    curves += [(f"{base}-cover{k}", *covers.cover_instance(base, k, None))
+               for base in sorted(covers.BASES) for k in (1, 2, 5, 16)]
+    weights = set()
+    for name, curve, _ in curves:
+        got = dual_flag_space(curve)
+        assert got == _dual_flag_reference(curve), name
+        assert got[1] is not None, name
+        weights.update(e.weight for e in curve.edges)
+    # the weights are not all 1, so the normalization is exercised
+    assert len(weights) > 1
+
+
+def test_dual_flag_space_refuses_an_unbalanced_curve():
+    # e1 with weight 2 (its lift relation kept) unbalances both vertices;
+    # F, which sees primitive normals only, does not change
+    theta = catalog.theta()
+    curve = theta.replace(edges=tuple(
+        e.replace(weight_vector=(2, 0), length=Fraction(1, 2))
+        if e.id == "e1" else e for e in theta.edges))
+    assert build_F(curve) == build_F(theta)
+    with pytest.raises(ValidationError, match="balancing"):
+        dual_flag_space(curve)
+
+
 def test_rigidity():
     theta = catalog.theta()
     assert rigidity_check(theta, catalog.theta_marks()) is True
@@ -107,7 +157,9 @@ def _rigidity_reference(curve, marks):
     [F; E] replaced, kept as its reference.  Evaluation is restricted to a
     basis of Ker F and must be injective modulo the slides."""
     index = {v.id: i for i, v in enumerate(curve.vertices)}
-    kernel = nullspace_rational(build_F(curve), 2 * len(curve.vertices))
+    width = 2 * len(curve.vertices)
+    kernel = nullspace_reference([[row.get(j, 0) for j in range(width)]
+                                  for row in build_F(curve)])
     slides = sum(1 for v in curve.vertices if curve.valence(v.id) == 2)
     if len(kernel) <= slides:
         return True
