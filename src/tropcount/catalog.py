@@ -1,38 +1,24 @@
-"""Built-in example curves used by the self test and the test suite."""
+"""Built-in example curves used by the self test and the test suite.
+
+Each builds its PeriodLattice from the two periods alone, so its
+multipliers are the formal symbols; a caller that wants exact or
+numeric multipliers builds a new lattice around the same vertices and
+edges."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from .curve import Edge, MarkedPoint, PeriodLattice, TropicalCurve, Vertex
-from .valuegroup import EqualityMode, MulValue
 
 
-def _lattice(period1, period2, mode=EqualityMode.FORMAL, polar=None,
-             numeric=None) -> PeriodLattice:
-    multipliers = {}
-    numeric_values = {}
-    if polar:
-        mode = EqualityMode.EXACT
-        multipliers = {
-            key: MulValue.polar(Fraction(modulus), Fraction(turns))
-            for key, (modulus, turns) in polar.items()
-        }
-    if numeric:
-        mode = EqualityMode.NUMERIC
-        numeric_values = dict(numeric)
-    return PeriodLattice(period1, period2, mode=mode,
-                         multipliers=multipliers,
-                         numeric_values=numeric_values)
-
-
-def theta(**lattice_kwargs) -> TropicalCurve:
+def theta() -> TropicalCurve:
     """Genus-2 curve with two vertices joined by three edges.
 
     Periods (1,-1) and (1,2); edge directions (1,0), (0,1), (-1,-1) with
     deck shifts (0,0), (1,0), (1,1).  All weights 1.
     """
-    lat = _lattice((1, -1), (1, 2), **lattice_kwargs)
+    lat = PeriodLattice((1, -1), (1, 2))
     u = Vertex("u", (0, 0))
     v = Vertex("v", (1, 0))
     edges = (
@@ -47,12 +33,12 @@ def theta_marks() -> list[MarkedPoint]:
     return [MarkedPoint("e1", Fraction(1, 3)), MarkedPoint("e2", Fraction(1, 2))]
 
 
-def theta_double(**lattice_kwargs) -> TropicalCurve:
+def theta_double() -> TropicalCurve:
     """theta() with all weight vectors doubled and lengths halved.
 
     Same lift positions and deck shifts; all edge weights 2, vertex weights 4.
     """
-    base = theta(**lattice_kwargs)
+    base = theta()
     edges = tuple(
         Edge(e.id, e.tail, e.head,
              (2 * e.weight_vector[0], 2 * e.weight_vector[1]),
@@ -62,8 +48,7 @@ def theta_double(**lattice_kwargs) -> TropicalCurve:
     return TropicalCurve(base.lattice, base.vertices, edges)
 
 
-def wrapping_cycle(segments: int = 2, weight: int = 1,
-                   **lattice_kwargs) -> TropicalCurve:
+def wrapping_cycle(segments: int = 2, weight: int = 1) -> TropicalCurve:
     """Genus-1 curve: a straight cycle wrapping the first period once.
 
     All vertices are 2-valent, every edge has weight vector weight*(1, 0);
@@ -72,7 +57,7 @@ def wrapping_cycle(segments: int = 2, weight: int = 1,
     """
     if segments < 2:
         raise ValueError("need at least two segments (loops are not allowed)")
-    lat = _lattice((1, 0), (0, 1), **lattice_kwargs)
+    lat = PeriodLattice((1, 0), (0, 1))
     verts = tuple(
         Vertex(f"c{k}", (Fraction(k, segments), 0)) for k in range(segments)
     )
@@ -90,13 +75,13 @@ def wrapping_cycle(segments: int = 2, weight: int = 1,
     return TropicalCurve(lat, verts, tuple(edges))
 
 
-def triple_vertex(**lattice_kwargs) -> TropicalCurve:
+def triple_vertex() -> TropicalCurve:
     """Genus-2 curve whose two vertices have weight 3.
 
     Directions (2,1), (-1,1), (-1,-2) between vertices (0,0) and (2,1) over
     the lattice spanned by (3,0) and (0,3).
     """
-    lat = _lattice((3, 0), (0, 3), **lattice_kwargs)
+    lat = PeriodLattice((3, 0), (0, 3))
     u = Vertex("u", (0, 0))
     v = Vertex("v", (2, 1))
     edges = (
@@ -106,10 +91,3 @@ def triple_vertex(**lattice_kwargs) -> TropicalCurve:
     )
     return TropicalCurve(lat, (u, v), edges)
 
-
-CATALOG = {
-    "theta": theta,
-    "theta2": theta_double,
-    "cycle": wrapping_cycle,
-    "triple": triple_vertex,
-}

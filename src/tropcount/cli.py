@@ -141,11 +141,12 @@ def _json_text(obj, pad: str = "") -> str:
     """json.dumps(obj, indent=2), for a value nested at indentation pad.
 
     Python's encoder runs in pure Python whenever an indent is given.
-    This writer builds the same layout itself: str and int leaves are
-    formatted as json.dumps formats them (the C string encoder and
-    int.__repr__), and each dict or list is joined in one comprehension,
-    so a dict of leaves costs one pass.  Anything else (floats, keys that
-    are not strings, other types) is left to json.dumps, indented to fit.
+    This writer builds the same layout itself for what a report holds:
+    str, int, bool and None leaves in lists and in dicts with string
+    keys.  Leaves are formatted as json.dumps formats them (the C string
+    encoder and int.__repr__), and each dict or list is joined in one
+    comprehension, so a dict of leaves costs one pass.  Anything else (a
+    float, an int subclass, a key that is not a string) raises TypeError.
     """
     kind = type(obj)
     if kind is str:
@@ -162,33 +163,29 @@ def _json_text(obj, pad: str = "") -> str:
         if not obj:
             return "{}" if kind is dict else "[]"
         inner = pad + "  "
-        try:
-            if kind is dict:
-                items = [_json_str(k) + ": " + (
-                    _json_str(v) if type(v) is str else
-                    int.__repr__(v) if type(v) is int else
-                    _json_text(v, inner)) for k, v in obj.items()]
-                ends = "{}"
-            else:
-                items = [_json_str(v) if type(v) is str else
-                         int.__repr__(v) if type(v) is int else
-                         _json_text(v, inner) for v in obj]
-                ends = "[]"
-        except TypeError:  # a key that is not a string
-            pass
+        if kind is dict:
+            items = [_json_str(k) + ": " + (
+                _json_str(v) if type(v) is str else
+                int.__repr__(v) if type(v) is int else
+                _json_text(v, inner)) for k, v in obj.items()]
+            ends = "{}"
         else:
-            return (ends[0] + "\n" + inner + (",\n" + inner).join(items)
-                    + "\n" + pad + ends[1])
-    return json.dumps(obj, indent=2).replace("\n", "\n" + pad)
+            items = [_json_str(v) if type(v) is str else
+                     int.__repr__(v) if type(v) is int else
+                     _json_text(v, inner) for v in obj]
+            ends = "[]"
+        return (ends[0] + "\n" + inner + (",\n" + inner).join(items)
+                + "\n" + pad + ends[1])
+    raise TypeError(f"a report cannot hold a {kind.__name__}")
 
 
 def _write_json(obj, write, pad: str = "", depth: int = 2) -> None:
     """Write _json_text(obj, pad) through write, in pieces: the items of
     a map or list one by one, down depth levels, and every value below
-    whole.  A map with a key that is not a string is written whole.  A
-    generator stands for a list and is written item by item, so it is
-    never held whole; it may sit at most depth levels down, where the
-    writer still reaches it."""
+    whole; a value _json_text refuses raises its TypeError.  A generator
+    stands for a list and is written item by item, so it is never held
+    whole; it may sit at most depth levels down, where the writer still
+    reaches it."""
     kind = type(obj)
     if kind is GeneratorType:
         first = next(obj, _END)
@@ -196,8 +193,7 @@ def _write_json(obj, write, pad: str = "", depth: int = 2) -> None:
             write("[]")
             return
         obj, kind = chain((first,), obj), list
-    elif not (depth and obj and (kind is list or kind is dict and all(
-            isinstance(key, str) for key in obj))):
+    elif not (depth and obj and (kind is list or kind is dict)):
         write(_json_text(obj, pad))
         return
     inner = pad + "  "

@@ -180,28 +180,27 @@ class TropicalCurve(Record):
         return validate(self)
 
     @cached_property
-    def _scaled_lattice_coords(self) -> tuple[
-            int, tuple[tuple[str, Vec2], ...], tuple[Vec2, ...]]:
-        # (N, (id, N * lattice coordinates of the lift) per vertex,
-        #  N * lattice coordinates of length * weight vector per edge)
-        # with N = |det| times the lcm of the position and length
-        # denominators, so that every entry is an integer; they do not
-        # depend on the offset, so every crossings pass reuses them
+    def _lattice_points(self) -> tuple[
+            tuple[tuple[str, Vec2, int], ...], tuple[tuple[Vec2, int], ...]]:
+        # ((id, numerators, n) of each vertex lift's lattice coordinates,
+        #  (numerators, n) of each edge's length * weight vector), every
+        # point over its own denominator n: |det| times the lcm of the
+        # vertex's position denominators, or times the edge's length
+        # denominator; they do not depend on the offset, so every
+        # crossings pass reuses them
         scaled = self.lattice.lattice_numerators
-        q = math.lcm(*(x.denominator for v in self.vertices
-                       for x in v.position),
-                     *(e.length.denominator for e in self.edges))
+        det = abs(self.lattice.det)
         coords = []
         for v in self.vertices:
             x, y = v.position
+            q = math.lcm(x.denominator, y.denominator)
             coords.append((v.id, scaled(x.numerator * (q // x.denominator),
-                                        y.numerator * (q // y.denominator))))
-        disps = []
-        for e in self.edges:
-            n = e.length.numerator * (q // e.length.denominator)
-            disps.append(scaled(n * e.weight_vector[0],
-                                n * e.weight_vector[1]))
-        return q * abs(self.lattice.det), tuple(coords), tuple(disps)
+                                        y.numerator * (q // y.denominator)),
+                           q * det))
+        disps = tuple((scaled(e.length.numerator * e.weight_vector[0],
+                              e.length.numerator * e.weight_vector[1]),
+                       e.length.denominator * det) for e in self.edges)
+        return tuple(coords), disps
 
     @cached_property
     def _clean_pass(self) -> tuple[FracVec2, list[Crossing]]:
@@ -585,19 +584,22 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
     both families; a vertex lying on a wall or a crossing through a cell
     corner raises DegeneracyError (callers retry with another offset).
 
-    Lattice coordinates are exact rationals over one common denominator
-    N, so the work is done on their integer numerators.
+    Lattice coordinates are exact rationals, each point over its own
+    denominator (see TropicalCurve._lattice_points): a vertex is checked
+    against the walls over its denominator times the offset's, and an
+    edge is walked over the lcm of that and its own denominator, so the
+    work is done on integer numerators.
     """
     o1, o2 = Fraction(offset[0]), Fraction(offset[1])
-    n0, coords, disps = curve._scaled_lattice_coords
+    coords, disps = curve._lattice_points
     q = math.lcm(o1.denominator, o2.denominator)
-    n = n0 * q
-    shift = (o1.numerator * (n // o1.denominator),
-             o2.numerator * (n // o2.denominator))
-    # N * (lattice coordinates - offset) per vertex
+    t1 = o1.numerator * (q // o1.denominator)
+    t2 = o2.numerator * (q // o2.denominator)
+    # (n * (lattice coordinates - offset), n) per vertex, n = nv * q
     starts = {}
-    for vid, (s1, s2) in coords:
-        a1, a2 = s1 * q - shift[0], s2 * q - shift[1]
+    for vid, (s1, s2), nv in coords:
+        n = nv * q
+        a1, a2 = s1 * q - t1 * nv, s2 * q - t2 * nv
         if a1 % n == 0:
             raise DegeneracyError(
                 f"vertex {clip(vid)} lies on a B1 wall for offset "
@@ -606,11 +608,16 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
             raise DegeneracyError(
                 f"vertex {clip(vid)} lies on a B2 wall for offset "
                 f"{clip_value((o1, o2))}")
-        starts[vid] = (a1, a2)
+        starts[vid] = (a1, a2), n
     out: list[Crossing] = []
-    for e, (d1, d2) in zip(curve.edges, disps):
-        start = starts[e.tail]
-        disp = (d1 * q, d2 * q)
+    for e, ((d1, d2), ne) in zip(curve.edges, disps):
+        start, n = starts[e.tail]
+        if n % ne:
+            # the tail and the edge over the lcm of their denominators
+            k = math.lcm(n, ne) // n
+            start, n = (start[0] * k, start[1] * k), n * k
+        k = n // ne
+        disp = (d1 * k, d2 * k)
         # start + disp is the head lift translated back by the deck shift,
         # so its fractional parts are the head's: no new degeneracy check
         # needed at the end of the segment.
@@ -620,11 +627,11 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
             net = hi // n - lo // n
             if net == 0:
                 continue
-            # The walls crossed are the integers w strictly between lo/N
-            # and hi/N; at w the other coordinate (less its offset) is
+            # The walls crossed are the integers w strictly between lo/n
+            # and hi/n; at w the other coordinate (less its offset) is
             # c + k*r with k = w - first and r = disp[other] / disp[axis].
             # A corner is an integral value.  Over the denominator
-            # N * disp[axis], c and r have the numerators below.
+            # n * disp[axis], c and r have the numerators below.
             first = min(lo, hi) // n + 1
             da, db = disp[axis], disp[1 - axis]
             cn = start[1 - axis] * da + (first * n - lo) * db

@@ -28,17 +28,17 @@ def clip(text: str, limit: int = ECHO_LIMIT) -> str:
     return f"{text[:limit]}... ({len(text)} characters)"
 
 
-def clip_value(value, limit: int = ECHO_LIMIT) -> str:
+def clip_value(value) -> str:
     """A computed number (an int or a Fraction) or a pair of them, as str
-    writes it, through clip; a pair reads "(x, y)".  An integer too long
-    for str (past the interpreter's limit on integer-to-string conversion)
-    is not written out at all."""
+    writes it, through clip at ECHO_LIMIT; a pair reads "(x, y)".  An
+    integer too long for str (past the interpreter's limit on
+    integer-to-string conversion) is not written out at all."""
     try:
         text = (f"({value[0]}, {value[1]})" if type(value) is tuple
                 else str(value))
     except ValueError:
         return long_integer_text()
-    return clip(text, limit)
+    return clip(text)
 
 
 def long_integer_text() -> str:

@@ -89,11 +89,11 @@ def render_svg(curve: TropicalCurve) -> str:
     lattice = curve.lattice
     # lattice coordinates of the lifts and of the edge displacements; the
     # first vertex of a duplicated id wins, as in curve.vertex
-    n, coords, disps = curve._scaled_lattice_coords
+    coords, disps = curve._lattice_points
     starts = {vid: (Fraction(a, n), Fraction(b, n))
-              for vid, (a, b) in reversed(coords)}
+              for vid, (a, b), n in reversed(coords)}
     segments = [(starts[e.tail], (Fraction(a, n), Fraction(b, n)))
-                for e, (a, b) in zip(curve.edges, disps)]
+                for e, ((a, b), n) in zip(curve.edges, disps)]
     walls = [_walls_crossed(*seg) for seg in segments]
     bound = len(walls) + sum(walls)
     if bound > MAX_PIECES:
@@ -139,7 +139,7 @@ def render_svg(curve: TropicalCurve) -> str:
         group.append("</g>")
         body.append("".join(group))
 
-    for vid, (a, b) in coords:
+    for vid, (a, b), n in coords:
         # the lift's lattice coordinates, less their integer parts
         px, py = _point(lattice, Fraction(a % n, n), Fraction(b % n, n))
         vid = vid.translate(_ESCAPE)

@@ -237,16 +237,15 @@ def verify_assignment(
 
 def prelog_exists(
     curve: TropicalCurve,
-    mode: EqualityMode | None = None,
-    tolerance: float = 1e-9,
 ) -> tuple[bool | None, MonomialSolution]:
-    """Feasibility of the gluing system for the curve, with the solution."""
-    system = assemble_system(curve)
-    if mode is None:
-        mode = curve.lattice.mode
+    """Feasibility of the gluing system for the curve, with the solution.
+
+    The system is solved in the curve's own equality mode, against its
+    lattice's numeric values in numeric mode, at solve_monomial's
+    default tolerance."""
     solution = solve_monomial(
-        system, mode,
-        numeric_values=curve.lattice.numeric_values, tolerance=tolerance)
+        assemble_system(curve), curve.lattice.mode,
+        numeric_values=curve.lattice.numeric_values)
     return solution.feasible, solution
 
 

@@ -148,16 +148,13 @@ def is_realizable(
     sigma = sigma_cocycle(curve)
     target = realizability_target(curve)
     ratio = sigma / target
-    if mode is EqualityMode.NUMERIC:
-        verdict, certificate = mv_is_one(
-            ratio, mode, numeric_values=lattice.numeric_values,
-            tolerance=tolerance)
-    else:
-        if mode is EqualityMode.EXACT and ratio.has_symbols:
-            raise ConstraintError(
-                "exact mode needs polar-rational multiplier values; this "
-                "curve carries formal symbols")
-        verdict, certificate = mv_is_one(ratio, mode)
+    if mode is EqualityMode.EXACT and ratio.has_symbols:
+        raise ConstraintError(
+            "exact mode needs polar-rational multiplier values; this "
+            "curve carries formal symbols")
+    verdict, certificate = mv_is_one(
+        ratio, mode, numeric_values=lattice.numeric_values,
+        tolerance=tolerance)
     return RealizabilityReport(
         sigma=sigma,
         target=target,

@@ -621,10 +621,11 @@ def suite_solver_soundness(rng: random.Random, cases: int) -> SuiteResult:
     return SuiteResult("solver-soundness", checks, failures)
 
 
-def _random_matrix(rng: random.Random, max_dim: int = 12, bound: int = 20):
-    rows = rng.randrange(1, max_dim + 1)
-    cols = rng.randrange(1, max_dim + 1)
-    return [[rng.randrange(-bound, bound + 1) for _ in range(cols)]
+def _random_matrix(rng: random.Random):
+    """A 1..12 by 1..12 matrix of entries in [-20, 20]."""
+    rows = rng.randrange(1, 13)
+    cols = rng.randrange(1, 13)
+    return [[rng.randrange(-20, 21) for _ in range(cols)]
             for _ in range(rows)]
 
 

@@ -1,6 +1,7 @@
 """Curves and chained reference code for the tests that pin the integer
 fast paths (character products, mv_prod, the kernel order and the dual
-flag generator) to the results of the code they replaced.
+flag generator) to the results of the code they replaced, and dense_snf,
+which checks snf's sparse output and densifies it for the oracles.
 
 The cases are the catalog, the selftest generators (subdivided, relifted
 and transformed catalog curves) and cyclic covers of the catalog up to
@@ -13,6 +14,7 @@ import random
 import sys
 from fractions import Fraction
 
+from tropcount.exactmath import log_row, snf
 from tropcount.selftest import (base_instances, generated_curves,
                                 random_exact_curve)
 from tropcount.valuegroup import MulValue, mv_mul, mv_pow
@@ -84,3 +86,21 @@ def nullspace_reference(a):
             vec[pc] = -rows[r][fc]
         basis.append(vec)
     return basis
+
+
+def dense_snf(rows, width):
+    """snf of rows with U and V densified, once their sparse form is
+    checked: the log as triples of ints (i, t, q) on rows in range, a
+    swap (q = 0) on two distinct rows, U as the log's rows, and V as
+    width columns, each an {index: int} dict in range with no stored
+    zero (a stored zero would break the eliminations)."""
+    log, d, v = snf(rows, width)
+    n = len(rows)
+    assert all(len(op) == 3 and all(type(x) is int for x in op)
+               and 0 <= op[0] < n and 0 <= op[1] < n
+               and (op[2] or op[0] != op[1]) for op in log)
+    assert len(v) == width
+    assert all(type(x) is int and x and 0 <= i < width
+               for col in v for i, x in col.items())
+    return ([log_row(log, i, n) for i in range(n)], d,
+            [[col.get(j, 0) for col in v] for j in range(width)])

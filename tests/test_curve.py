@@ -315,9 +315,10 @@ def test_offset_sequence_is_deterministic_and_generic():
 def test_degeneracy_errors_clip_the_offset():
     # an offset with a 101-digit denominator was quoted whole
     curve = catalog.theta()
-    n0, coords, disps = curve._scaled_lattice_coords
-    s1, s2 = (Fraction(x, n0) for x in dict(coords)["u"])
-    d1, d2 = (Fraction(x, n0) for x in disps[0])
+    lattice, e1 = curve.lattice, curve.edge("e1")
+    s1, s2 = lattice.to_lattice_coords(curve.vertex("u").position)
+    d1, d2 = lattice.to_lattice_coords(
+        (e1.length * e1.weight_vector[0], e1.length * e1.weight_vector[1]))
     t = Fraction(1, 10 ** 100 + 7)
     for offset, text in (((s1, t), "vertex u lies on a B1 wall"),
                          ((t, s2), "vertex u lies on a B2 wall"),

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from equivalence_cases import covers
+from equivalence_cases import covers, dense_snf
 from tropcount import catalog, moduli
 from tropcount.curve import subdivide
 from tropcount.exactmath import (_round_div, det_int, ext_gcd, log_apply,
@@ -28,27 +28,9 @@ def _dense(rows, width):
     return [[row.get(j, 0) for j in range(width)] for row in rows]
 
 
-def _dense_snf(rows, width):
-    """snf of rows with U and V densified, once their sparse form is
-    checked: the log as triples of ints (i, t, q) on rows in range, a
-    swap (q = 0) on two distinct rows, U as the log's rows, and V as
-    width columns, each an {index: int} dict in range with no stored
-    zero (a stored zero would break the eliminations)."""
-    log, d, v = snf(rows, width)
-    n = len(rows)
-    assert all(len(op) == 3 and all(type(x) is int for x in op)
-               and 0 <= op[0] < n and 0 <= op[1] < n
-               and (op[2] or op[0] != op[1]) for op in log)
-    assert len(v) == width
-    assert all(type(x) is int and x and 0 <= i < width
-               for col in v for i, x in col.items())
-    return ([log_row(log, i, n) for i in range(n)], d,
-            [[col.get(j, 0) for col in v] for j in range(width)])
-
-
 def _snf(a):
     """snf of a dense matrix, U and V dense."""
-    return _dense_snf(to_rows(a), len(a[0]) if a else 0)
+    return dense_snf(to_rows(a), len(a[0]) if a else 0)
 
 
 def _diagonal_matrix(d, nrows, ncols):
@@ -163,7 +145,7 @@ def test_rank_matches_dense_reference():
 
 
 def test_snf_doc_example():
-    u, d, v = _dense_snf([{0: 2}, {1: 3}], 2)
+    u, d, v = dense_snf([{0: 2}, {1: 3}], 2)
     assert d == [1, 6]
     assert is_unimodular(u) and is_unimodular(v)
     assert mat_mul(mat_mul(u, [[2, 0], [0, 3]]), v) == [[1, 0], [0, 6]]
@@ -334,7 +316,7 @@ def test_snf_transforms_match_reference_on_pipeline_matrices(monkeypatch):
                        for row in rows for j, x in row.items()), where
             a = _dense(rows, width)
             assert rank_rational(rows) == _rank_reference(a), where
-            assert _dense_snf(rows, width) == _udv_reference(a), where
+            assert dense_snf(rows, width) == _udv_reference(a), where
     # the wrapping cycles are among the curves: their edges are horizontal,
     # so each normal has a zero component, which F leaves out
     assert all(len(row) == 2 for row in build_F(catalog.wrapping_cycle(2)))

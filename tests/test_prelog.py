@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from equivalence_cases import cases, chi_reference, covers
+from equivalence_cases import cases, chi_reference, covers, dense_snf
 from tropcount import catalog
 from tropcount.errors import ConstraintError
-from tropcount.exactmath import log_row, snf, to_rows
+from tropcount.exactmath import to_rows
 from tropcount.prelog import (MonomialSystem, VertexModel, assemble_system,
                               edge_rhs, left_kernel_vector, prelog_exists,
                               solve_monomial, solve_root_congruence,
@@ -205,17 +205,6 @@ def _edge_rhs_reference(curve, edge_id):
             * mv_pow(chi_reference(curve, 2, m, reduce_by_delta=False), -g2))
 
 
-def _dense_snf(rows, width):
-    """snf with U (the log's rows) and V's columns densified into U and
-    V, once the log is checked to be triples of ints on rows in range."""
-    log, d, v = snf(rows, width)
-    n = len(rows)
-    assert all(len(op) == 3 and all(type(x) is int for x in op)
-               and 0 <= op[0] < n and 0 <= op[1] < n for op in log)
-    return ([log_row(log, i, n) for i in range(n)], d,
-            [[col.get(j, 0) for col in v] for j in range(width)])
-
-
 def _chained(pairs):
     acc = MulValue.identity()
     for value, exponent in pairs:
@@ -255,7 +244,7 @@ def test_solve_and_verify_match_chained_products():
         mode = curve.lattice.mode
         system = assemble_system(curve)
         solution = solve_monomial(system, mode)
-        u, d, v = _dense_snf(system.exponents, len(system.flags))
+        u, d, v = dense_snf(system.exponents, len(system.flags))
         rank = sum(1 for x in d if x)
         c = [_chained(zip(system.rhs, row)) for row in u]
         assert [w.value for w in solution.witnesses] == c[rank:], name
@@ -296,7 +285,7 @@ def test_solve_takes_roots_only_of_non_unit_invariant_factors():
                                 [f"r{i}" for i in range(nrows)],
                                 [("v", f"e{j}") for j in range(ncols)])
         solution = solve_monomial(system, EqualityMode.EXACT)
-        u, diag, v = _dense_snf(to_rows(a), ncols)
+        u, diag, v = dense_snf(to_rows(a), ncols)
         # witnesses are rows of U; kernel generators are columns of V,
         # sparse: the nonzeros of the column, and no zero stored
         rank = sum(1 for x in diag if x)
