@@ -38,11 +38,13 @@ leaves with the C string encoder and int.__repr__ and joins each map or
 list in one pass; with an indent, json.dumps runs its pure-Python encoder.
 The report is written as it is formatted (_write_json): the items of the
 report and of each map or list in it go to sys.stdout.write one by one,
-so its text is never held whole.  Human output is written the same way:
-a run of leaf items, a map, or one map of a list of maps per write
-(_human_blocks), never one write per line.  prelog's kernel generators
-enter the report as generators that build one dense map at a time from
-the solver's sparse columns; both writers read a generator as a list.
+so its text is never held whole.  Human output is written the same way
+(_human_lines): one write per top-level item (a leaf, a map or a list of
+leaves), and for a list of maps one for its "key:" line and one per map,
+never one write per line.  prelog's kernel generators enter the report
+as generators that build one dense map at a time from the solver's
+sparse columns; both writers read a generator as a list as it comes,
+without looking ahead, and write one that yields nothing as [].
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, repeat
+from itertools import repeat
 from types import GeneratorType, SimpleNamespace
 
 from .curve import canonical_offset, ensure_valid, validate
@@ -85,52 +87,32 @@ def _resolve_mode(args, curve) -> EqualityMode:
 # --------------------------------------------------------------------------
 
 
-#: what next() returns for an exhausted generator in the writers
-_END = object()
-
-
-def _human_blocks(obj, indent: str = ""):
-    """The lines of obj's human rendering, in lists: a run of leaf items
-    in one, a map or a list in its own, and a list of maps as its header
-    and then each map in its own.  A generator is read as a list of
-    maps."""
-    leaves = []
-    for key, value in obj.items():
-        if not isinstance(value, (dict, list, GeneratorType)):
-            leaves.append(f"{indent}{key}: {value}")
-            continue
-        if leaves:
-            yield leaves
-            leaves = []
-        if isinstance(value, dict):
-            yield [f"{indent}{key}:", *_human_lines(value, indent + "  ")]
-            continue
-        maps = None
-        if type(value) is GeneratorType:
-            first = next(value, _END)
-            if first is _END:
-                value = []
-            else:
-                maps = chain((first,), value)
-        elif value and all(isinstance(x, dict) for x in value):
-            maps = value
-        if maps is None:
-            rendered = ", ".join(str(x) for x in value)
-            yield [f"{indent}{key}: [{rendered}]"]
-            continue
-        yield [f"{indent}{key}:"]
-        for item in maps:
-            lines = list(_human_lines(item, indent + "    "))
-            if lines:
-                lines[0] = f"{indent}  - {lines[0].strip()}"
-                yield lines
-    if leaves:
-        yield leaves
-
-
 def _human_lines(obj, indent: str = ""):
-    """The lines of obj's human rendering, one by one, as they are made."""
-    return chain.from_iterable(_human_blocks(obj, indent))
+    """obj's human rendering, one piece of text per item as it is made:
+    a leaf, a map or a list of leaves whole; a list of maps, or a
+    generator (read as one), as its "key:" line when the first map
+    arrives and then each map, or "key: []" when none does."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield f"{indent}{key}:\n" + "".join(
+                _human_lines(value, indent + "  "))
+        elif type(value) is GeneratorType or (
+                isinstance(value, list) and value
+                and all(isinstance(x, dict) for x in value)):
+            head = f"{indent}{key}:\n"
+            for item in value:
+                if head:
+                    yield head
+                    head = ""
+                text = "".join(_human_lines(item, indent + "    "))
+                if text:
+                    yield f"{indent}  - {text.lstrip()}"
+            if head:
+                yield f"{indent}{key}: []\n"
+        elif isinstance(value, list):
+            yield f"{indent}{key}: [{', '.join(str(x) for x in value)}]\n"
+        else:
+            yield f"{indent}{key}: {value}\n"
 
 
 #: the C string encoder behind json.dumps (ensure_ascii is on by default)
@@ -184,15 +166,11 @@ def _write_json(obj, write, pad: str = "", depth: int = 2) -> None:
     a map or list one by one, down depth levels, and every value below
     whole; a value _json_text refuses raises its TypeError.  A generator
     stands for a list and is written item by item, so it is never held
-    whole; it may sit at most depth levels down, where the writer still
-    reaches it."""
+    whole, and as [] when it yields nothing; it may sit at most depth
+    levels down, where the writer still reaches it."""
     kind = type(obj)
     if kind is GeneratorType:
-        first = next(obj, _END)
-        if first is _END:
-            write("[]")
-            return
-        obj, kind = chain((first,), obj), list
+        kind = list
     elif not (depth and obj and (kind is list or kind is dict)):
         write(_json_text(obj, pad))
         return
@@ -207,7 +185,9 @@ def _write_json(obj, write, pad: str = "", depth: int = 2) -> None:
             write(sep)
         _write_json(item, write, inner, depth - 1)
         sep = ",\n" + inner
-    write("\n" + pad + ("}" if kind is dict else "]"))
+    end = "}" if kind is dict else "]"
+    # an empty generator wrote no item: close it as []
+    write(end if sep[0] == "\n" else "\n" + pad + end)
 
 
 def _refuse_long_integers(report: dict) -> None:
@@ -240,8 +220,8 @@ def _emit(report: dict, as_json: bool) -> None:
         _write_json(report, write)
         write("\n")
     else:
-        for block in _human_blocks(report):
-            write("\n".join(block) + "\n")
+        for piece in _human_lines(report):
+            write(piece)
 
 
 def _header(command: str, args, curve, mode: EqualityMode) -> dict:

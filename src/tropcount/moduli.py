@@ -37,7 +37,7 @@ from .errors import ConstraintError, InfeasibleError
 from .exactmath import IntMatrix, Rows, det_int, rank_rational, row_sum, snf
 from .realize import RealizabilityReport, is_realizable
 from .record import Record
-from .valuegroup import EqualityMode
+from .valuegroup import DEFAULT_TOLERANCE, EqualityMode
 
 # subdivide is re-exported: build_D is defined on the curve it returns
 __all__ = [
@@ -341,7 +341,7 @@ def count_curves(
     curve: TropicalCurve,
     marks: list[MarkedPoint],
     mode: EqualityMode | None = None,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> CountReport:
     """Number of algebraic curves through generic points matching the marks.
 

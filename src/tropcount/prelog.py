@@ -39,8 +39,8 @@ from .errors import ConstraintError
 from .exactmath import Rows, ext_gcd, log_apply, log_row, row_sum, snf
 from .realize import chi_product
 from .record import Record
-from .valuegroup import (EqualityMode, MulValue, mv_is_one, mv_pow, mv_prod,
-                         mv_root)
+from .valuegroup import (DEFAULT_TOLERANCE, EqualityMode, MulValue, mv_is_one,
+                         mv_pow, mv_prod, mv_root)
 
 Flag = tuple[str, str]
 
@@ -152,7 +152,7 @@ def solve_monomial(
     mode: EqualityMode = EqualityMode.FORMAL,
     *,
     numeric_values: dict[str, complex] | None = None,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> MonomialSolution:
     """Solve the monomial system exactly via Smith normal form.
 
@@ -216,7 +216,7 @@ def verify_assignment(
     mode: EqualityMode = EqualityMode.FORMAL,
     *,
     numeric_values: dict[str, complex] | None = None,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> list[tuple[str, str]]:
     """Check an assignment row by row; returns (row label, certificate)
     for every row that is not satisfied (undecided rows count as failing)."""

@@ -27,7 +27,8 @@ from fractions import Fraction
 from .curve import TropicalCurve, crossings, ensure_valid
 from .errors import ConstraintError
 from .record import Record
-from .valuegroup import EqualityMode, MulValue, mv_is_one, mv_prod
+from .valuegroup import (DEFAULT_TOLERANCE, EqualityMode, MulValue, mv_is_one,
+                         mv_prod)
 
 
 def chi_product(curve: TropicalCurve, terms, d: int) -> MulValue:
@@ -131,7 +132,7 @@ class RealizabilityReport(Record):
 def is_realizable(
     curve: TropicalCurve,
     mode: EqualityMode | None = None,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> RealizabilityReport:
     """Compare sigma against (-1)^parity in the requested equality mode.
 

@@ -14,8 +14,8 @@ import pytest
 
 import tropcount
 from tropcount import catalog, cli
-from tropcount.cli import (_json_text, _read_argv, _write_json, build_parser,
-                           main)
+from tropcount.cli import (_human_lines, _json_text, _read_argv, _write_json,
+                           build_parser, main)
 from tropcount.curve import (Edge, MarkedPoint, PeriodLattice, TropicalCurve,
                              Vertex)
 from tropcount.curvefile import dumps_curve, save_curve
@@ -72,6 +72,14 @@ def test_validate_reports_problems(tmp_path, capsys):
     assert code == 2
     assert report["valid"] is False
     assert report["problems"]
+    # a curve with no vertices is read, and then refused
+    path.write_text(json.dumps({
+        "lattice": {"lambda1": [1, 0], "lambda2": [0, 1]},
+        "vertices": [], "edges": []}), encoding="utf-8")
+    code, report, err = run_json(capsys, ["validate", str(path)])
+    assert (code, err) == (2, "")
+    assert report["valid"] is False
+    assert report["problems"] == ["curve has no vertices"]
 
 
 def test_parse_errors_exit_1(tmp_path, capsys):
@@ -643,6 +651,31 @@ def test_json_writer_equals_json_dumps_indent_2():
                 _json_text(obj)
             with pytest.raises(TypeError):
                 _streamed(obj)
+
+
+def test_human_writer_reads_a_generator_as_a_list():
+    # a piece per item, and for a list of maps the "key:" line and then
+    # a piece per map; a generator gives the list's text as it comes
+    maps = [{"a": 1, "b": {"c": 2}}, {}, {"d": [3, 4]}]
+    report = {"n": 1, "m": {"x": "y"}, "leaves": [1, "z"], "none": [],
+              "maps": maps}
+    pieces = list(_human_lines(report))
+    assert pieces == [
+        "n: 1\n", "m:\n  x: y\n", "leaves: [1, z]\n", "none: []\n",
+        "maps:\n", "  - a: 1\n    b:\n      c: 2\n", "  - d: [3, 4]\n"]
+    lazy = dict(report, maps=(m for m in maps), none=(m for m in ()))
+    assert list(_human_lines(lazy)) == pieces
+    # a generator is read once, without looking ahead
+    seen = []
+
+    def tracked():
+        for m in maps:
+            seen.append(m)
+            yield m
+
+    lines = _human_lines({"maps": tracked()})
+    assert next(lines) == "maps:\n" and len(seen) == 1
+    assert next(lines) == pieces[5] and len(seen) == 1
 
 
 def _save_theta_cover(directory) -> str:

@@ -96,6 +96,18 @@ def test_validation_catches_structural_problems():
          Edge("g", "c", "d", (0, 1), Fraction(1, 2)),
          Edge("h", "d", "c", (0, 1), Fraction(1, 2), (0, -1))))
     assert any("not connected" in p for p in validate(curve).problems)
+    # duplicate ids, no vertices at all, a zero weight vector
+    theta = catalog.theta()
+    twin_vertex = theta.replace(vertices=theta.vertices + theta.vertices[:1])
+    assert validate(twin_vertex).problems == ("duplicate vertex ids",)
+    twin_edge = theta.replace(edges=theta.edges + theta.edges[:1])
+    assert validate(twin_edge).problems == ("duplicate edge ids",)
+    empty = TropicalCurve(lat, (), ())
+    assert validate(empty).problems == ("curve has no vertices",)
+    curve = theta.replace(edges=tuple(
+        e.replace(weight_vector=(0, 0)) if e.id == "e1" else e
+        for e in theta.edges))
+    assert validate(curve).problems[0] == "edge e1 has zero weight vector"
 
 
 def test_validation_catches_balancing_and_lift():

@@ -8,6 +8,9 @@ name, as the root of an attribute chain, or in the module's __all__ (a
 list or tuple of strings; a computed __all__ uses its names as names).
 A top-level def, class or assigned name of src/tropcount (dunders aside)
 must appear as a word in one of those files outside its own definition.
+A defaulted parameter of a function of src/tropcount must be passed, by
+keyword or by position, by some call in those files to a function of
+that name; a call with *args or **kwargs passes every parameter.
 """
 
 import ast
@@ -79,6 +82,64 @@ def dead_names(package: dict[str, str], others: dict[str, str]) -> list[str]:
     return dead
 
 
+def _functions(node, prefix: str = "", in_class: bool = False):
+    """(qualified name, def node, bound) of each function under node,
+    nested ones included; bound is 1 for a method whose first parameter
+    a call through an instance or class binds (staticmethods aside)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.", True)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in child.decorator_list)
+            yield f"{prefix}{child.name}", child, int(in_class and not static)
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _functions(child, prefix, in_class)
+
+
+def _passes(call, index, name: str) -> bool:
+    """Whether call passes the parameter name, at position index (None
+    for a keyword-only one), or passes *args or **kwargs."""
+    return (any(isinstance(arg, ast.Starred) for arg in call.args)
+            or any(k.arg in (None, name) for k in call.keywords)
+            or (index is not None and len(call.args) > index))
+
+
+def dead_parameters(package: dict[str, str], others: dict[str, str],
+                    exempt=()) -> list[str]:
+    """The defaulted parameters of the functions of the package's modules
+    ({file: source}), by qualified name outside exempt, that no call in
+    package or others to a function of that name passes."""
+    calls = {}
+    for source in {**others, **package}.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = (func.attr if isinstance(func, ast.Attribute)
+                        else getattr(func, "id", None))
+                calls.setdefault(name, []).append(node)
+    dead = []
+    for path, source in package.items():
+        for qualname, func, bound in _functions(ast.parse(source)):
+            if qualname in exempt:
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i - bound, p) for i, p in enumerate(positional)
+                         if i >= first]
+            defaulted += [(None, p) for p, default in
+                          zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None]
+            for index, param in defaulted:
+                if not any(_passes(call, index, param.arg)
+                           for call in calls.get(func.name, ())):
+                    dead.append(f"{path}: {qualname}({param.arg}) "
+                                f"(line {func.lineno})")
+    return dead
+
+
 def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit\n") == \
         ["os (line 1)"]
@@ -95,12 +156,38 @@ def test_checker_flags_a_dead_name():
     assert dead_names(package, {"t.py": "f(X, Y)\nZ\n"}) == []
 
 
-def test_no_dead_names():
+def test_checker_flags_a_dead_parameter():
+    package = {"a.py": "def f(x, y=1, *, z=2):\n    pass\n\n"
+                       "class C:\n    def m(self, w=3):\n        pass\n\n"
+                       "    @staticmethod\n    def s(v=4):\n        pass\n"}
+    assert dead_parameters(package, {"t.py": "f(0)\nC().m()\nC.s()\n"}) == [
+        "a.py: f(y) (line 1)", "a.py: f(z) (line 1)",
+        "a.py: C.m(w) (line 5)", "a.py: C.s(v) (line 9)"]
+    assert dead_parameters(package, {"t.py": "f(0, 1, z=2)\nc.m(3)\n"
+                                             "C.s(v=4)\n"}) == []
+    # *args or **kwargs pass every parameter
+    assert dead_parameters(package, {"t.py": "f(*a)\nc.m(**k)\n"},
+                           exempt=("C.s",)) == []
+
+
+def _package_and_sources():
+    """({file: source} of src/tropcount, {file: source} of every file)."""
     sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8")
                for p in FILES}
     package = {path: text for path, text in sources.items()
                if path.startswith("src")}
-    assert dead_names(package, sources) == []
+    return package, sources
+
+
+def test_no_dead_names():
+    assert dead_names(*_package_and_sources()) == []
+
+
+def test_no_dead_parameters():
+    # _print_message overrides argparse's, which argparse calls
+    assert dead_parameters(*_package_and_sources(),
+                           exempt=("build_parser.Parser._print_message",)) \
+        == []
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,10 @@ import pytest
 
 from equivalence_cases import cases, covers, nullspace_reference
 from tropcount import catalog
-from tropcount.curve import MarkedPoint, subdivide, transform
+from tropcount.cli import main
+from tropcount.curve import (Edge, MarkedPoint, PeriodLattice, TropicalCurve,
+                             Vertex, subdivide, transform, validate)
+from tropcount.curvefile import save_curve
 from tropcount.errors import ConstraintError, InfeasibleError, ValidationError
 from tropcount.exactmath import rank_rational, snf_diagonal
 from tropcount.moduli import (INFINITE, build_D, build_F, count_curves,
@@ -109,6 +113,28 @@ def test_dual_flag_generator_matches_nullspace_reference():
         weights.update(e.weight for e in curve.edges)
     # the weights are not all 1, so the normalization is exercised
     assert len(weights) > 1
+
+
+def test_dual_flag_space_of_a_collinear_curve_has_no_generator(
+        tmp_path, capsys):
+    # a theta curve whose three edges all run along the first period:
+    # every normal is (0, 1), so F has rank 1, the dual flag space is
+    # two-dimensional and no single generator is written
+    curve = TropicalCurve(
+        PeriodLattice((1, 0), (0, 1)),
+        (Vertex("u", (0, 0)), Vertex("v", (Fraction(1, 2), 0))),
+        (Edge("a", "u", "v", (1, 0), Fraction(1, 2), (0, 0)),
+         Edge("b", "u", "v", (1, 0), Fraction(3, 2), (-1, 0)),
+         Edge("c", "u", "v", (-2, 0), Fraction(1, 4), (1, 0))))
+    assert validate(curve).ok
+    assert dual_flag_space(curve) == (2, None)
+    assert dual_flag_space(curve) == _dual_flag_reference(curve)
+    assert deformation_ranks(curve) == (3, 2)
+    path = tmp_path / "collinear.json"
+    save_curve(curve, str(path))
+    assert main(["analyze", str(path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["dual_flag_dimension"] == 2
 
 
 def test_dual_flag_space_refuses_an_unbalanced_curve():

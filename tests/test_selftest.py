@@ -2,14 +2,10 @@ import random
 
 import pytest
 
+from tropcount.cli import main
 from tropcount.curve import validate
 from tropcount.selftest import (SUITES, SuiteResult, base_instances,
                                 generated_curves, run_all, run_suite)
-
-SMALL_CASES = {
-    # the equivalence suite refuses to report on fewer than 20 instances
-    "realizability-prelog-equivalence": 8,
-}
 
 
 def test_suite_registry():
@@ -26,7 +22,7 @@ def test_suite_registry():
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_each_suite_passes_at_small_size(name):
-    result = run_suite(name, seed=3, cases=SMALL_CASES.get(name, 5))
+    result = run_suite(name, seed=3, cases=5)
     assert result.name == name
     assert result.passed, result.failures[:3]
     assert result.checks > 0
@@ -39,9 +35,17 @@ def test_run_suite_is_deterministic():
 
 
 def test_run_all_covers_every_suite():
-    results = run_all(seed=2, cases=SMALL_CASES["realizability-prelog-equivalence"])
+    results = run_all(seed=2, cases=5)
     assert [r.name for r in results] == list(SUITES)
     assert all(r.passed for r in results)
+
+
+def test_selftest_passes_at_one_case_per_suite(capsys):
+    # a small run reports only what failed, not how few cases it built
+    assert main(["selftest", "--cases", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    assert out.endswith("9/9 suites passed\n")
 
 
 def test_result_line_format():

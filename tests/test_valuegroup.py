@@ -1,12 +1,15 @@
+import json
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
+from tropcount.cli import main
 from tropcount.curvefile import parse_group_element
 from tropcount.errors import ConstraintError
 from tropcount.valuegroup import (TRIAL_DIVISION_BOUND, EqualityMode, MulValue,
-                                  _factorize, mv_eval_numeric,
+                                  _factorize, _is_prime, mv_eval_numeric,
                                   mv_inv, mv_is_one, mv_mul, mv_pow, mv_prod,
                                   mv_root)
 
@@ -67,6 +70,41 @@ def test_factorize_refuses_what_it_cannot_prove():
               2 ** 89 - 1):
         with pytest.raises(ValueError):
             _factorize(n)
+
+
+#: psi_12 = 399165290221 * 798330580441, a strong pseudoprime to every
+#: prime base from 2 to 37; only the thirteenth base, 41, rejects it
+PSI_12 = 318665857834031151167461
+
+
+def test_miller_rabin_needs_its_last_base(tmp_path, capsys):
+    assert PSI_12 == 399165290221 * 798330580441
+    assert not _is_prime(PSI_12)
+    with pytest.raises(ValueError):
+        _factorize(PSI_12)
+    # a multiplier with that modulus is refused when the file is read
+    golden = os.path.join(os.path.dirname(__file__), "golden",
+                          "theta_exact.json")
+    with open(golden, encoding="utf-8") as handle:
+        doc = json.load(handle)
+    doc["multipliers"]["alpha11"]["modulus"] = str(PSI_12)
+    path = tmp_path / "psi12.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_miller_rabin_squares_up_to_minus_one():
+    # 2^41 + 65 is prime and n - 1 = 2^6 * m with m odd, so some base
+    # reaches n - 1 only after squaring
+    n = 2 ** 41 + 65
+    assert (n - 1) % 2 ** 6 == 0 and (n - 1) // 2 ** 6 % 2 == 1
+    assert n > TRIAL_DIVISION_BOUND ** 2
+    assert _is_prime(n)
+    assert MulValue.scalar(n).primes == ((n, Fraction(1)),)
 
 
 def test_group_laws():
