@@ -44,7 +44,9 @@ leaves), and for a list of maps one for its "key:" line and one per map,
 never one write per line.  prelog's kernel generators enter the report
 as generators that build one dense map at a time from the solver's
 sparse columns; both writers read a generator as a list as it comes,
-without looking ahead, and write one that yields nothing as [].
+without looking ahead, and write one that yields nothing as [].  Every
+integer a report would write, the generators' included, is checked
+against the interpreter's int-to-str limit before the first write.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def _human_lines(obj, indent: str = ""):
                     head = ""
                 text = "".join(_human_lines(item, indent + "    "))
                 if text:
-                    yield f"{indent}  - {text.lstrip()}"
+                    yield f"{indent}  - {text[len(indent) + 4:]}"
             if head:
                 yield f"{indent}{key}: []\n"
         elif isinstance(value, list):
@@ -190,15 +192,16 @@ def _write_json(obj, write, pad: str = "", depth: int = 2) -> None:
     write(end if sep[0] == "\n" else "\n" + pad + end)
 
 
-def _refuse_long_integers(report: dict) -> None:
-    """Raise ConstraintError when an item of report, generators aside,
-    holds an integer past the interpreter's limit on int-to-str, so that
-    a report that cannot be written is not begun.  Python 3.10 has no
+def _refuse_long_integers(value) -> None:
+    """Raise ConstraintError when value (a report, or the sparse columns
+    a generator of it is built from) holds an integer past the
+    interpreter's limit on int-to-str, so that a report that cannot be
+    written is not begun.  Generators are skipped.  Python 3.10 has no
     limit (no sys.get_int_max_str_digits), nor does a limit of 0."""
     limit = getattr(sys, "get_int_max_str_digits", int)()
     if not limit:
         return
-    stack = list(report.values())
+    stack = [value]
     while stack:
         value = stack.pop()
         kind = type(value)
@@ -364,8 +367,6 @@ def _parse_check_value(raw, what: str) -> MulValue | complex:
     """A group element, or the nonzero complex number of an re/im value."""
     if isinstance(raw, str):
         value = parse_rational(raw, what)
-        if value == 0:
-            raise ParseError(f"{what}: zero is not invertible")
         try:
             return MulValue.rational(value)
         except ValueError as exc:
@@ -454,7 +455,7 @@ def cmd_prelog(args) -> int:
             for w in solution.witnesses
         ],
     }
-    if solution.feasible is not False and solution.assignment is not None:
+    if solution.feasible is not False:
         verification = verify_assignment(
             system, solution.assignment, mode,
             numeric_values=curve.lattice.numeric_values, tolerance=args.tol)
@@ -467,15 +468,18 @@ def cmd_prelog(args) -> int:
             for key, value in zip(keys, solution.assignment)
         }
         # the generators are sparse; each dense map is built as it is
-        # written, one at a time
+        # written, one at a time, from entries checked and formatted here,
+        # so that a value that cannot be written stops the report unbegun
+        _refuse_long_integers(solution.kernel_free)
+        torsion = [{j: str(x) for j, x in generator.items()}
+                   for generator in solution.kernel_torsion]
         flags = range(len(keys))
         report["kernel_free_generators"] = (
             dict(zip(keys, map(generator.get, flags, repeat(0))))
             for generator in solution.kernel_free)
         report["kernel_torsion_generators"] = (
-            dict(zip(keys, map({j: str(x) for j, x in generator.items()}.get,
-                               flags, repeat("1"))))
-            for generator in solution.kernel_torsion)
+            dict(zip(keys, map(generator.get, flags, repeat("1"))))
+            for generator in torsion)
     _emit(report, args.json)
     return 4 if solution.feasible is False else 0
 

@@ -7,9 +7,9 @@ edge direction applied to the difference).  F is the only matrix this
 module builds; every deformation answer is read off it.  Its cokernel is
 dual to the space of flag covectors described in dual_flag_space, whose
 vertex conditions are the rows of F transposed: the outgoing primitive
-normal at a tail is n_e and at a head is -n_e.  Balancing puts the edge
-weights in the kernel of F transposed, so when that space is a line
-they span it, and its generator needs no elimination.
+normal at a tail is n_e and at a head is -n_e.  So that space has the
+rank of Coker F, and balancing puts the edge weights in it: when it is
+a line, the weighted outgoing normals span it, with no elimination.
 
 For counting, marked points (one per independent cycle) are inserted as
 2-valent vertices; the relevant group is the kernel of the same edge
@@ -85,8 +85,7 @@ def dual_flag_space(curve: TropicalCurve):
     one scalar per edge.  That normal is n_e at the tail and -n_e at the
     head, which is -1 times F's row e on the vertex's two columns, so the
     two vertex conditions are the vertex's two rows of F transposed, and
-    the dimension is |E| minus the rank of F transposed, the rank of
-    Coker F.
+    the dimension is the rank of Coker F (deformation_ranks).
 
     Balancing solves those conditions: the normal is the edge direction
     turned a quarter, so the outgoing weighted normals at a vertex sum
@@ -97,28 +96,23 @@ def dual_flag_space(curve: TropicalCurve):
     Returns (dimension, generator) where generator maps (vertex_id,
     edge_id) to the covector of the basis element normalized so that its
     first nonzero edge coefficient is 1: c_e = w_e / w_e0 for the first
-    edge e0, giving -c_e times F's row e on the vertex's columns
-    (generator is None unless the dimension is exactly 1).
+    edge e0, times the outgoing primitive normal, (w_e / w_e0) n_e at the
+    tail and -(w_e / w_e0) n_e at the head (generator is None unless the
+    dimension is exactly 1).
 
     Raises ValidationError for an invalid curve, balancing included.
     """
     ensure_valid(curve)
-    f = build_F(curve)
-    columns: Rows = [{} for _ in range(2 * len(curve.vertices))]
-    for j, row in enumerate(f):
-        for i, x in row.items():
-            columns[i][j] = x
-    dim = len(curve.edges) - rank_rational(columns)
+    dim = deformation_ranks(curve)[1]
     if dim != 1:
         return dim, None
     lead = curve.edges[0].weight
-    index = {e.id: j for j, e in enumerate(curve.edges)}
     generator = {}
-    for i, v in enumerate(curve.vertices):
+    for v in curve.vertices:
         for e in curve.incident_edges_flags(v.id):
-            c, row = Fraction(-e.weight, lead), f[index[e.id]]
-            generator[(v.id, e.id)] = (c * row.get(2 * i, 0),
-                                       c * row.get(2 * i + 1, 0))
+            c = Fraction(e.weight if e.tail == v.id else -e.weight, lead)
+            nx, ny = e.primitive_normal
+            generator[(v.id, e.id)] = (c * nx, c * ny)
     return 1, generator
 
 

@@ -98,13 +98,10 @@ def sigma_geometric(curve: TropicalCurve, offset=None) -> MulValue:
 
 
 def parity_exponent(curve: TropicalCurve) -> int:
-    """Sum of w_v / delta over the 3-valent vertices, taken mod 2."""
+    """Sum of w_v / delta over the 3-valent vertices, taken mod 2.  delta
+    divides every weight vector, so delta squared divides each w_v."""
     total = sum(curve.vertex_weight(v.id) for v in curve.vertices
                 if curve.valence(v.id) == 3)
-    if total % curve.delta:
-        raise ConstraintError(
-            "vertex weight not divisible by the weight gcd; curve is not "
-            "balanced-immersed")
     return total // curve.delta % 2
 
 

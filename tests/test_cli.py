@@ -1,6 +1,8 @@
 import argparse
+import cmath
 import gc
 import json
+import math
 import os
 import random
 import shutil
@@ -200,8 +202,9 @@ def test_hostile_curve_exits_1(doc, command, tmp_path, capsys):
 
 @pytest.mark.parametrize("value", [
     "abc", "0", {"modulus": "0"}, {"modulus": "0", "turns": "0"},
-    {"re": float("nan")}, {"turns": "x/0"},
-], ids=["abc", "zero", "no-turns", "zero-modulus", "nan", "bad-element"])
+    {"re": float("nan")}, {"turns": "x/0"}, {"primes": []},
+], ids=["abc", "zero", "no-turns", "zero-modulus", "nan", "bad-element",
+        "prime-list"])
 def test_hostile_check_value_exits_1(value, tmp_path, capsys):
     shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
     check = tmp_path / "check.json"
@@ -224,6 +227,92 @@ def _golden_doc(**e1_fields) -> dict:
         else:
             e1[key] = value
     return doc
+
+
+def _complex_doc(alpha12) -> dict:
+    """The golden theta_exact.json with its multipliers as complex
+    numbers, alpha12 replaced by alpha12(its value)."""
+    doc = _golden_doc()
+    for key, entry in doc["multipliers"].items():
+        z = float(Fraction(entry["modulus"])) * cmath.exp(
+            2j * math.pi * float(Fraction(entry["turns"])))
+        if key == "alpha12":
+            z = alpha12(z)
+        doc["multipliers"][key] = {"re": z.real, "im": z.imag}
+    return doc
+
+
+_MARGIN = ("|value - 1| = 1.000e-08 inside the undecided band "
+           "(1.0e-09, 1.0e-07]")
+
+
+@pytest.mark.parametrize("command, code, lines, err", [
+    ("realizable", 0, [
+        "verdict: undecided",
+        f"certificate: {_MARGIN}",
+        "warnings: [numeric comparison inside the undecided margin; refine "
+        "the tolerance or use exact multipliers]"], ""),
+    ("count", 5, [],
+     f"error: realizability undecided at this tolerance: {_MARGIN}\n"),
+    ("prelog", 0, ["feasible: undecided", "    holds: undecided",
+                   "verification: undecided"], ""),
+])
+def test_numeric_comparison_inside_the_margin_is_undecided(
+        command, code, lines, err, tmp_path, capsys):
+    # the realizable theta_exact curve with alpha12 off by a factor 1 + 1e-8
+    path = tmp_path / "curve.json"
+    doc = _complex_doc(lambda z: z * (1 + 1e-8))
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([command, str(path)]) == code
+    out, got_err = capsys.readouterr()
+    assert got_err == err
+    assert all(line in out.splitlines() for line in lines)
+    assert bool(out) == bool(lines)
+
+
+@pytest.mark.parametrize("command", ["realizable", "count", "prelog"])
+def test_zero_multiplier_exits_5(command, tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(_complex_doc(lambda z: 0j)), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    capsys.readouterr()
+    assert main([command, str(path)]) == 5
+    assert capsys.readouterr() == (
+        "", "error: symbol alpha12 must be a nonzero complex number\n")
+
+
+def _changed_doc(change) -> dict:
+    doc = _golden_doc()
+    change(doc)
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param(_changed_doc(lambda d: d.update(multipliers=[])),
+                 "multipliers: expected an object", id="multipliers-list"),
+    pytest.param(_changed_doc(lambda d: d["multipliers"].update(
+        alpha99={"formal": True})),
+                 "multipliers: unknown keys ['alpha99']", id="alpha99"),
+    pytest.param(_changed_doc(lambda d: d["multipliers"].update(alpha11=3)),
+                 "multipliers.alpha11: expected an object", id="entry-3"),
+    pytest.param(_changed_doc(lambda d: d["multipliers"].update(alpha11={})),
+                 "multipliers.alpha11: need formal, modulus/turns, or re/im",
+                 id="entry-empty"),
+    pytest.param(_changed_doc(lambda d: d["vertices"][0].update(id=5)),
+                 "vertices[0].id: expected a string", id="vertex-id"),
+    pytest.param(_golden_doc(id=5),
+                 "edges[0]: id/tail/head must be strings", id="edge-id"),
+    pytest.param(_changed_doc(lambda d: d["marked_points"][0].update(edge=5)),
+                 "marked_points[0].edge: expected a string", id="mark-edge"),
+    pytest.param(_golden_doc(tail="w", shift=None),
+                 "edges[0]: cannot derive shift, unknown vertex 'w'",
+                 id="shift-unknown-tail"),
+])
+def test_malformed_curve_file_exits_1(doc, message, tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _run_timed(argv, tmp_path, doc=None, text=None):
@@ -434,6 +523,34 @@ def test_integer_too_long_to_write_exits_5(command, form, tmp_path):
         5, "", "error: cannot write a value with an integer of over "
                f"{sys.get_int_max_str_digits()} digits\n")
     assert seconds < HOSTILE_SECONDS
+
+
+@pytest.mark.parametrize("form", [[], ["--json"]], ids=["human", "json"])
+@pytest.mark.parametrize("kind", ["free", "torsion"])
+def test_generator_integer_too_long_to_write_exits_5(kind, form, tmp_path,
+                                                     monkeypatch, capsys):
+    # the kernel generators are built as they are written, from entries
+    # checked and formatted before the first write, so a free entry or a
+    # torsion root past the limit leaves stdout empty too
+    from tropcount import prelog
+
+    solve = prelog.solve_monomial
+
+    def solve_with_a_long_entry(*args, **kwargs):
+        solution = solve(*args, **kwargs)
+        if kind == "free":
+            free = [dict(generator) for generator in solution.kernel_free]
+            free[0][0] = 10 ** 4400
+            return solution.replace(kernel_free=free)
+        root = MulValue.phase_turns(Fraction(1, 10 ** 4400))
+        return solution.replace(kernel_torsion=[{0: root}])
+
+    monkeypatch.setattr(prelog, "solve_monomial", solve_with_a_long_entry)
+    curve = shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
+    assert main(["prelog", curve, *form]) == 5
+    assert capsys.readouterr() == (
+        "", "error: cannot write a value with an integer of over "
+            f"{sys.get_int_max_str_digits()} digits\n")
 
 
 def _shared_key_doc() -> dict:
@@ -676,6 +793,32 @@ def test_human_writer_reads_a_generator_as_a_list():
     lines = _human_lines({"maps": tracked()})
     assert next(lines) == "maps:\n" and len(seen) == 1
     assert next(lines) == pieces[5] and len(seen) == 1
+
+
+def test_human_writer_keeps_a_listed_key_whole():
+    # the first line of a listed map loses its indent, not the key's own
+    # leading space
+    maps = [{" a": 1, " b": {" c": 2}}]
+    assert list(_human_lines({"maps": maps})) == [
+        "maps:\n", "  -  a: 1\n     b:\n       c: 2\n"]
+
+
+def test_human_prelog_keeps_flag_keys_whole(tmp_path, monkeypatch, capsys):
+    # vertex u renamed " u": each flag key keeps its space in the
+    # assignment and on every line of the kernel generator maps
+    doc = _golden_doc()
+    doc["vertices"][0]["id"] = " u"
+    for edge in doc["edges"]:
+        edge["tail"] = " u"
+    (tmp_path / "theta_exact.json").write_text(json.dumps(doc),
+                                               encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["prelog", "theta_exact.json"]) == 0
+    with open(os.path.join(GOLDEN, "theta_exact.prelog.human.out"),
+              encoding="utf-8") as handle:
+        golden = handle.read()
+    assert capsys.readouterr().out == golden.replace(
+        "  u: 1", "   u: 1").replace("u|", " u|")
 
 
 def _save_theta_cover(directory) -> str:
@@ -1061,6 +1204,22 @@ def test_prelog_check_refuses_complex_zero(tmp_path, capsys):
         f"error: {tmp_path / 'check.json'}: u|e1: zero is not invertible\n")
 
 
+def test_prelog_check_refuses_rational_zero(tmp_path, capsys):
+    code = _check_solved(tmp_path, capsys, {"u|e1": lambda _: "0"})
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'check.json'}: u|e1: zero is not invertible\n")
+
+
+def test_prelog_check_without_flags_exits_1(tmp_path, capsys):
+    curve = shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
+    check = tmp_path / "check.json"
+    check.write_text(json.dumps({"assignment": {}}), encoding="utf-8")
+    assert main(["prelog", curve, "--check", str(check)]) == 1
+    assert capsys.readouterr() == (
+        "", f'error: {check}: expected an object with a "flags" map\n')
+
+
 def test_prelog_check_reads_prime_one_as_the_identity(tmp_path, capsys):
     code = _check_solved(tmp_path, capsys, {"u|e1": _with_prime("1", "1")})
     assert code == 0
@@ -1074,6 +1233,17 @@ def test_plot_stdout_and_file(theta_file, tmp_path, capsys):
     target = tmp_path / "theta.svg"
     assert main(["plot", theta_file, "--out", str(target)]) == 0
     assert target.read_text(encoding="utf-8") == out
+
+
+def test_plot_and_save_into_a_missing_directory_exit_1(theta_file, tmp_path,
+                                                     capsys):
+    target = tmp_path / "missing" / "x.svg"
+    assert main(["plot", theta_file, "--out", str(target)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+    with pytest.raises(ParseError, match="^cannot write "):
+        save_curve(catalog.theta(), str(tmp_path / "missing" / "x.json"))
 
 
 def test_selftest_command(capsys):

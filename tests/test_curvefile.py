@@ -281,6 +281,19 @@ def test_round_trip_exact(tmp_path):
     assert curve.genus == 2
 
 
+def test_round_trip_numeric():
+    theta = catalog.theta()
+    values = {"alpha11": 0.5 - 0.25j, "alpha12": -1.5 + 1e-3j,
+              "alpha21": 2.0 + 0j, "alpha22": -0.125 - 4.75j}
+    curve = theta.replace(lattice=theta.lattice.replace(
+        mode=EqualityMode.NUMERIC, numeric_values=values))
+    marks = catalog.theta_marks()
+    again, marks2 = loads_curve(dumps_curve(curve, marks))
+    assert again == curve
+    assert again.lattice.numeric_values == values
+    assert marks2 == marks
+
+
 def test_serialized_document_has_no_floats():
     doc = curve_to_dict(catalog.theta(), catalog.theta_marks())
     text = json.dumps(doc)

@@ -264,9 +264,10 @@ def test_snf_transforms_match_reference():
 
 
 def _builder_rows(curve, marks, monkeypatch):
-    """[(builder, rows, width)] of the matrix builders on one curve: F,
-    the F transpose of the dual flag space and the reduced F of the
-    kernel order as the eliminations receive them, and the prelog
+    """[(builder, rows, width)] of the matrix builders on one curve: F
+    (which the dual flag space takes its rank of) and the reduced F of
+    the kernel order as the eliminations receive them, F transposed (the
+    vertex conditions of the dual flag space), and the prelog
     exponents."""
     seen = []
 
@@ -281,11 +282,16 @@ def _builder_rows(curve, marks, monkeypatch):
     moduli.dual_flag_space(curve)
     moduli.kernel_order_gcstar(curve, marks)
     monkeypatch.undo()
+    f, reduced = seen
     points = 2 * len(curve.vertices)
+    transposed = [{} for _ in range(points)]
+    for j, row in enumerate(f):
+        for i, x in row.items():
+            transposed[i][j] = x
     system = assemble_system(curve)
-    return [("F", build_F(curve), points),
-            ("dual flag", seen[0], len(curve.edges)),
-            ("reduced F", seen[1], points),
+    return [("F", f, points),
+            ("dual flag", transposed, len(curve.edges)),
+            ("reduced F", reduced, points),
             ("prelog", system.exponents, len(system.flags))]
 
 

@@ -79,3 +79,18 @@ def test_generated_curves_are_valid():
     rng = random.Random(13)
     for _, curve, _marks in generated_curves(rng, 8, three_valent_only=True):
         assert all(curve.valence(v.id) != 2 for v in curve.vertices)
+
+
+def test_selftest_reports_a_failing_suite(monkeypatch, capsys):
+    # the FAIL line, at most three counterexamples and the tally
+    failures = [f"case {i}" for i in range(5)]
+    monkeypatch.setitem(SUITES, "kernel-oracle", (
+        lambda rng, cases: SuiteResult("kernel-oracle", 5, failures), 1))
+    assert main(["selftest", "--cases", "2"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    at = lines.index("FAIL kernel-oracle: case 0")
+    assert lines[at + 1:at + 4] == [
+        f"    counterexample: case {i}" for i in range(3)]
+    assert sum(line.startswith("    counterexample:") for line in lines) == 3
+    assert sum(line.startswith("PASS ") for line in lines) == 8
+    assert lines[-1] == "8/9 suites passed"
