@@ -507,7 +507,7 @@ def cmd_selftest(args) -> int:
     for result in results:
         sys.stdout.write(result.line() + "\n")
         if not result.passed:
-            for failure in result.failures[:3]:
+            for failure in result.failures[1:3]:
                 sys.stdout.write(f"    counterexample: {failure}\n")
     failed = [r for r in results if not r.passed]
     sys.stdout.write(

@@ -25,7 +25,7 @@ from functools import cached_property
 from .errors import (ConstraintError, DegeneracyError, ValidationError, clip,
                      clip_value)
 from .record import Record
-from .valuegroup import EqualityMode, MulValue
+from .valuegroup import EqualityMode, MulValue, mv_prod
 
 Vec2 = tuple[int, int]
 FracVec2 = tuple[Fraction, Fraction]
@@ -537,8 +537,8 @@ def transform(curve: TropicalCurve, a: list[list[int]]) -> TropicalCurve:
     new_mult = {}
     for i in (1, 2):
         row = (mult[f"alpha{i}1"], mult[f"alpha{i}2"])
-        new_mult[f"alpha{i}1"] = (row[0] ** a11) * (row[1] ** a12)
-        new_mult[f"alpha{i}2"] = (row[0] ** a21) * (row[1] ** a22)
+        new_mult[f"alpha{i}1"] = mv_prod(((row[0], a11), (row[1], a12)))
+        new_mult[f"alpha{i}2"] = mv_prod(((row[0], a21), (row[1], a22)))
     new_lat = PeriodLattice(
         period1=apply(lat.period1),
         period2=apply(lat.period2),

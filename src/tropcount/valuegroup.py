@@ -19,19 +19,21 @@ comparison modes:
             with an UNDECIDED band just above the tolerance.
 
 All exponent arithmetic is exact.  Powers use the principal branch: the
-stored phase representative lies in [0, 1) and mv_pow scales that
+stored phase representative lies in [0, 1) and a power scales that
 representative, so a k-th root has phase in [0, 1/k).
 
-Products of many powers go through mv_prod, which works in integers
-from its factors to its result.  Every value keeps its exponents as
-integer (kind, key, denominator, numerator) terms; mv_prod sums the
-scaled numerators per (component, denominator), combines each component
-over the lcm of its denominators, reduces the phase modulo that lcm, and
-builds one Fraction per component of the result, none per term.  A
-nested product such as (x^a * y^b)^n may be flattened into
-x^(a*n) * y^(b*n) only when the outer power n is an integer: an integer
-multiple of a phase reduced mod 1 is the reduced multiple, while a
-fractional power of the reduced phase picks a branch.
+Every product, quotient and power goes through mv_prod, the one routine
+that normalizes a result; the constructors build values that are
+already canonical.  mv_prod works in integers from its factors to its
+result.  Every value keeps its exponents as integer (kind, key,
+denominator, numerator) terms; mv_prod sums the scaled numerators per
+(component, denominator), combines each component over the lcm of its
+denominators, reduces the phase modulo that lcm, and builds one Fraction
+per component of the result, none per term.  A nested product such as
+(x^a * y^b)^n may be flattened into x^(a*n) * y^(b*n) only when the
+outer power n is an integer: an integer multiple of a phase reduced mod
+1 is the reduced multiple, while a fractional power of the reduced phase
+picks a branch.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping
 
 from .errors import ConstraintError
 from .record import Record
@@ -127,20 +128,14 @@ class MulValue(Record):
 
     # -- constructors ------------------------------------------------------
 
-    @staticmethod
-    def _make(symbols: Mapping[str, Fraction], primes: Mapping[int, Fraction],
-              phase: Fraction) -> "MulValue":
-        sym = tuple(sorted((k, v) for k, v in symbols.items() if v != 0))
-        pri = tuple(sorted((k, v) for k, v in primes.items() if v != 0))
-        return MulValue(sym, pri, phase % 1)
-
     @classmethod
     def identity(cls) -> "MulValue":
         return cls()
 
     @classmethod
     def symbol(cls, name: str, exponent=1) -> "MulValue":
-        return cls._make({name: Fraction(exponent)}, {}, Fraction(0))
+        e = Fraction(exponent)
+        return cls(((name, e),), (), _ZERO) if e else cls()
 
     @classmethod
     def scalar(cls, value, exponent=1) -> "MulValue":
@@ -153,12 +148,10 @@ class MulValue(Record):
         if q <= 0:
             raise ValueError("scalar part must be a positive rational")
         e = Fraction(exponent)
-        primes: dict[int, Fraction] = {}
-        for p, k in _factorize(q.numerator).items():
-            primes[p] = primes.get(p, Fraction(0)) + k * e
-        for p, k in _factorize(q.denominator).items():
-            primes[p] = primes.get(p, Fraction(0)) - k * e
-        return cls._make({}, primes, Fraction(0))
+        # numerator and denominator are coprime: no prime is met twice
+        primes = [(p, k * e) for p, k in _factorize(q.numerator).items()]
+        primes += [(p, -k * e) for p, k in _factorize(q.denominator).items()]
+        return cls((), tuple(sorted(primes)), _ZERO) if e else cls()
 
     @classmethod
     def phase_turns(cls, turns) -> "MulValue":
@@ -167,7 +160,7 @@ class MulValue(Record):
         >>> MulValue.phase_turns(Fraction(3, 2)).phase
         Fraction(1, 2)
         """
-        return cls._make({}, {}, Fraction(turns))
+        return cls((), (), Fraction(turns) % 1)
 
     @classmethod
     def minus_one(cls) -> "MulValue":
@@ -181,12 +174,12 @@ class MulValue(Record):
             raise ValueError("zero is not invertible")
         out = cls.scalar(abs(q)) if abs(q) != 1 else cls.identity()
         if q < 0:
-            out = mv_mul(out, cls.minus_one())
+            out = out * cls.minus_one()
         return out
 
     @classmethod
     def polar(cls, modulus, turns) -> "MulValue":
-        return mv_mul(cls.scalar(modulus), cls.phase_turns(turns))
+        return cls.scalar(modulus) * cls.phase_turns(turns)
 
     # -- predicates --------------------------------------------------------
 
@@ -212,10 +205,10 @@ class MulValue(Record):
     # -- operators ---------------------------------------------------------
 
     def __mul__(self, other: "MulValue") -> "MulValue":
-        return mv_mul(self, other)
+        return mv_prod(((self, 1), (other, 1)))
 
     def __truediv__(self, other: "MulValue") -> "MulValue":
-        return mv_mul(self, mv_inv(other))
+        return mv_prod(((self, 1), (other, -1)))
 
     def __pow__(self, exponent) -> "MulValue":
         return mv_pow(self, exponent)
@@ -240,16 +233,6 @@ class MulValue(Record):
         return out
 
 
-def mv_mul(a: MulValue, b: MulValue) -> MulValue:
-    symbols = dict(a.symbols)
-    for k, v in b.symbols:
-        symbols[k] = symbols.get(k, Fraction(0)) + v
-    primes = dict(a.primes)
-    for p, v in b.primes:
-        primes[p] = primes.get(p, Fraction(0)) + v
-    return MulValue._make(symbols, primes, a.phase + b.phase)
-
-
 def mv_prod(pairs) -> MulValue:
     """Product of a ** e over (a, e) pairs, normalized once.
 
@@ -261,14 +244,15 @@ def mv_prod(pairs) -> MulValue:
     one Fraction is built per nonzero component.  No Fraction is made
     per term.
 
-    Equal to chaining mv_mul and mv_pow for any rational exponents e,
-    because mv_pow scales the stored phase representative, mv_mul adds
-    phases, and reducing modulo 1 once at the end of an exact sum gives
-    the same representative as reducing after every step.
+    This is the one routine that normalizes a product: a * b, a / b and
+    mv_pow(a, e) are each one mv_prod call.  The phase of a power is the
+    stored representative in [0, 1) scaled by e, and reducing modulo 1
+    once at the end of an exact sum gives the same representative as
+    reducing after every factor.
 
     >>> a, b = MulValue.symbol("x"), MulValue.phase_turns(Fraction(1, 3))
-    >>> mv_prod([(a, 2), (b, 0), (b, -1)]) == mv_mul(mv_pow(a, 2), mv_inv(b))
-    True
+    >>> print(mv_prod([(a, 2), (b, 0), (b, -1)]))
+    x^2 * turn(2/3)
     """
     sums: dict[tuple, int] = {}
     for a, e in pairs:
@@ -303,10 +287,6 @@ def mv_prod(pairs) -> MulValue:
     return MulValue(tuple(symbols), tuple(primes), phase)
 
 
-def mv_inv(a: MulValue) -> MulValue:
-    return mv_pow(a, -1)
-
-
 def mv_pow(a: MulValue, exponent) -> MulValue:
     """Principal-branch power with a rational exponent.
 
@@ -317,12 +297,7 @@ def mv_pow(a: MulValue, exponent) -> MulValue:
     >>> mv_pow(MulValue.minus_one(), Fraction(1, 2)).phase
     Fraction(1, 4)
     """
-    q = Fraction(exponent)
-    return MulValue._make(
-        {k: v * q for k, v in a.symbols},
-        {p: v * q for p, v in a.primes},
-        a.phase * q,
-    )
+    return mv_prod(((a, Fraction(exponent)),))
 
 
 def mv_root(a: MulValue, k: int) -> MulValue:
@@ -332,7 +307,8 @@ def mv_root(a: MulValue, k: int) -> MulValue:
     return mv_pow(a, Fraction(1, k))
 
 
-def mv_eval_numeric(a: MulValue, values: Mapping[str, complex] | None = None) -> complex:
+def mv_eval_numeric(a: MulValue,
+                    values: dict[str, complex] | None = None) -> complex:
     """Evaluate to a complex number, principal branches throughout."""
     import cmath  # loaded here: exact and formal runs never evaluate
 
@@ -356,7 +332,7 @@ def mv_is_one(
     a: MulValue,
     mode: EqualityMode = EqualityMode.FORMAL,
     *,
-    numeric_values: Mapping[str, complex] | None = None,
+    numeric_values: dict[str, complex] | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> tuple[bool | None, str]:
     """Decide whether a MulValue is the identity, per mode.

@@ -15,14 +15,14 @@ from tropcount.prelog import (MonomialSystem, VertexModel, assemble_system,
 from tropcount.realize import (is_realizable, realizability_target,
                                sigma_cocycle)
 from tropcount.selftest import random_exact_curve, tuned_exact_curve
-from tropcount.valuegroup import (EqualityMode, MulValue, mv_inv, mv_is_one,
-                                  mv_mul, mv_pow, mv_prod, mv_root)
+from tropcount.valuegroup import (EqualityMode, MulValue, mv_is_one, mv_pow,
+                                  mv_prod, mv_root)
 
 
 def product(values):
     acc = MulValue.identity()
     for v in values:
-        acc = mv_mul(acc, v)
+        acc = acc * v
     return acc
 
 
@@ -60,8 +60,7 @@ def test_left_kernel_row_product_identity():
         assert len(combo) == len(system.rhs)
         lhs = product([mv_pow(rhs, c)
                        for rhs, c in zip(system.rhs, combo)])
-        expected = mv_mul(realizability_target(curve),
-                          mv_inv(sigma_cocycle(curve)))
+        expected = realizability_target(curve) / sigma_cocycle(curve)
         assert lhs == expected
         # the combination really kills every exponent column
         ncols = len(system.flags)
@@ -101,7 +100,7 @@ def test_verify_assignment_names_failing_rows():
     solution = solve_monomial(system, EqualityMode.EXACT)
     tweaked = list(solution.assignment)
     i = system.flags.index(("u", "e2"))
-    tweaked[i] = mv_mul(tweaked[i], MulValue.phase_turns(Fraction(1, 3)))
+    tweaked[i] = tweaked[i] * MulValue.phase_turns(Fraction(1, 3))
     failures = verify_assignment(system, tweaked, EqualityMode.EXACT)
     assert sorted(label for label, _ in failures) == ["edge e2", "vertex u"]
 
@@ -172,7 +171,7 @@ def test_vertex_model_rejects_inconsistent_mus():
     b2 = MulValue.rational(3)
     mu1, mu2, mu3 = model.mus_from_betas(b1, b2)
     # a phase that is not a w3/g-th root of unity cannot be absorbed
-    bad = mv_mul(mu3, MulValue.phase_turns(Fraction(1, 7)))
+    bad = mu3 * MulValue.phase_turns(Fraction(1, 7))
     with pytest.raises(ConstraintError):
         model.betas_from_mus(mu1, mu2, bad)
 
@@ -193,7 +192,7 @@ def test_solve_root_congruence():
 
 
 # --------------------------------------------------------------------------
-# one-pass products against the chained mv_mul / mv_pow they replaced
+# one-pass products against chained products and powers
 # --------------------------------------------------------------------------
 
 
@@ -209,7 +208,7 @@ def _chained(pairs):
     acc = MulValue.identity()
     for value, exponent in pairs:
         if exponent:
-            acc = mv_mul(acc, mv_pow(value, exponent))
+            acc = acc * mv_pow(value, exponent)
     return acc
 
 

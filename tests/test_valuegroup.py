@@ -10,8 +10,7 @@ from tropcount.curvefile import parse_group_element
 from tropcount.errors import ConstraintError
 from tropcount.valuegroup import (TRIAL_DIVISION_BOUND, EqualityMode, MulValue,
                                   _factorize, _is_prime, mv_eval_numeric,
-                                  mv_inv, mv_is_one, mv_mul, mv_pow, mv_prod,
-                                  mv_root)
+                                  mv_is_one, mv_pow, mv_prod, mv_root)
 
 
 def test_constructors_and_identity():
@@ -27,7 +26,7 @@ def test_rational_factorization():
     # -3/2 = (-1) * 2^-1 * 3
     assert v.to_dict() == {"primes": {"2": "-1", "3": "1"},
                            "turns": "1/2"}
-    assert mv_is_one(mv_mul(v, MulValue.rational(Fraction(-2, 3))))[0]
+    assert mv_is_one(v * MulValue.rational(Fraction(-2, 3)))[0]
 
 
 def test_rational_rejects_zero():
@@ -112,32 +111,33 @@ def test_group_laws():
     values = [MulValue.rational(Fraction(3, 7)),
               MulValue.polar(Fraction(5, 2), Fraction(1, 6)),
               MulValue.symbol("a"),
-              mv_mul(MulValue.symbol("b", -2), MulValue.minus_one())]
+              MulValue.symbol("b", -2) * MulValue.minus_one()]
     for _ in range(30):
         x = rng.choice(values)
         y = rng.choice(values)
         z = rng.choice(values)
-        assert mv_mul(mv_mul(x, y), z) == mv_mul(x, mv_mul(y, z))
-        assert mv_mul(x, y) == mv_mul(y, x)
-        assert mv_is_one(mv_mul(x, mv_inv(x)))[0]
+        assert (x * y) * z == x * (y * z)
+        assert x * y == y * x
+        assert mv_is_one(x * x ** -1)[0]
+        assert x * y / y == x
 
 
 def test_pow_laws():
     x = MulValue.polar(Fraction(2), Fraction(1, 3))
     assert mv_pow(x, 0) == MulValue.rational(1)
-    assert mv_pow(x, 3) == mv_mul(x, mv_mul(x, x))
+    assert mv_pow(x, 3) == x * (x * x)
     assert mv_pow(mv_pow(x, 2), 3) == mv_pow(x, 6)
-    assert mv_pow(x, -1) == mv_inv(x)
+    assert mv_pow(x, -1) == MulValue.identity() / x
     # fractional powers take the principal branch of the phase
     half = mv_pow(x, Fraction(1, 2))
-    assert mv_mul(half, half) == x
+    assert half * half == x
 
 
 def test_root_is_principal():
     assert mv_root(MulValue.rational(4), 2) == MulValue.rational(2)
     v = mv_root(MulValue.minus_one(), 2)
     assert v == MulValue.phase_turns(Fraction(1, 4))
-    assert mv_mul(v, v) == MulValue.minus_one()
+    assert v * v == MulValue.minus_one()
 
 
 def test_phase_normalized_to_unit_interval():
@@ -195,23 +195,21 @@ def test_serialization_round_trip():
     for _ in range(25):
         v = MulValue.rational(1)
         if rng.random() < 0.7:
-            v = mv_mul(v, MulValue.symbol(rng.choice("abc"),
-                                          rng.randrange(-3, 4)))
+            v = v * MulValue.symbol(rng.choice("abc"), rng.randrange(-3, 4))
         if rng.random() < 0.7:
             num = rng.randrange(1, 30)
             den = rng.randrange(1, 30)
-            v = mv_mul(v, MulValue.rational(Fraction(num, den)))
+            v = v * MulValue.rational(Fraction(num, den))
         if rng.random() < 0.7:
-            v = mv_mul(v, MulValue.phase_turns(
-                Fraction(rng.randrange(8), 8)))
+            v = v * MulValue.phase_turns(Fraction(rng.randrange(8), 8))
         assert parse_group_element(v.to_dict()) == v
 
 
 def _random_value(rng: random.Random) -> MulValue:
     v = MulValue.symbol(rng.choice("abc"), Fraction(rng.randrange(-6, 7), 2))
-    v = mv_mul(v, MulValue.rational(Fraction(rng.randrange(-20, 21) or 1,
-                                             rng.randrange(1, 20))))
-    return mv_mul(v, MulValue.phase_turns(Fraction(rng.randrange(12), 12)))
+    v = v * MulValue.rational(Fraction(rng.randrange(-20, 21) or 1,
+                                       rng.randrange(1, 20)))
+    return v * MulValue.phase_turns(Fraction(rng.randrange(12), 12))
 
 
 def _random_exponent(rng: random.Random):
@@ -220,16 +218,46 @@ def _random_exponent(rng: random.Random):
     return Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
 
 
+# The reference below builds the canonical form with dicts and Fractions,
+# one product or power at a time, and never calls mv_prod: it is the
+# independent oracle for mv_prod and for everything that goes through it.
+
+
+def _ref_make(symbols, primes, phase):
+    return MulValue(tuple(sorted((k, v) for k, v in symbols.items() if v)),
+                    tuple(sorted((p, v) for p, v in primes.items() if v)),
+                    phase % 1)
+
+
+def _ref_mul(a, b):
+    symbols, primes = dict(a.symbols), dict(a.primes)
+    for k, v in b.symbols:
+        symbols[k] = symbols.get(k, Fraction(0)) + v
+    for p, v in b.primes:
+        primes[p] = primes.get(p, Fraction(0)) + v
+    return _ref_make(symbols, primes, a.phase + b.phase)
+
+
+def _ref_pow(a, exponent):
+    q = Fraction(exponent)
+    return _ref_make({k: v * q for k, v in a.symbols},
+                     {p: v * q for p, v in a.primes}, a.phase * q)
+
+
+def _ref_chained(pairs):
+    acc = MulValue.identity()
+    for value, exponent in pairs:
+        acc = _ref_mul(acc, _ref_pow(value, exponent))
+    return acc
+
+
 def test_prod_equals_chained_mul_and_pow():
     # integer and Fraction exponents, mixed in one product
     rng = random.Random(17)
     for _ in range(400):
         pairs = [(_random_value(rng), _random_exponent(rng))
                  for _ in range(rng.randrange(0, 6))]
-        chained = MulValue.identity()
-        for value, exponent in pairs:
-            if exponent:
-                chained = chained * mv_pow(value, exponent)
+        chained = _ref_chained(pairs)
         product = mv_prod(pairs)
         assert product == chained
         assert repr(product) == repr(chained)
@@ -250,7 +278,7 @@ def test_prod_phases_wrap_and_terms_cancel():
         e = _random_exponent(rng) or 1
         for pairs in ([(value, e), (value, -e)],
                       [(value, e), (mv_pow(value, e), -1)],
-                      [(value, 2), (mv_inv(value), 1), (value, -1)]):
+                      [(value, 2), (value ** -1, 1), (value, -1)]):
             product = mv_prod(pairs)
             assert product.is_identity
             assert repr(product) == repr(MulValue.identity())
@@ -269,7 +297,7 @@ def _mixed_value(rng: random.Random) -> MulValue:
                                                             7, 12, 35)))
     symbols = {name: q() for name in rng.sample("abcd", rng.randrange(4))}
     primes = {p: q() for p in rng.sample((2, 3, 5, 7, 101), rng.randrange(4))}
-    return MulValue._make(symbols, primes, q())
+    return _ref_make(symbols, primes, q())
 
 
 def test_prod_with_mixed_denominators_equals_chained_mul_and_pow():
@@ -277,9 +305,7 @@ def test_prod_with_mixed_denominators_equals_chained_mul_and_pow():
     for _ in range(300):
         pairs = [(_mixed_value(rng), _random_exponent(rng))
                  for _ in range(rng.randrange(0, 8))]
-        chained = MulValue.identity()
-        for value, exponent in pairs:
-            chained = mv_mul(chained, mv_pow(value, exponent))
+        chained = _ref_chained(pairs)
         product = mv_prod(pairs)
         assert product == chained
         assert repr(product) == repr(chained)
@@ -311,3 +337,75 @@ def test_term_cache_is_not_part_of_the_value():
             **{(0, k): v for k, v in value.symbols},
             **{(1, p): v for p, v in value.primes},
             **({(2, None): value.phase} if value.phase else {})}
+
+
+def _assert_canonical(v):
+    for part in (v.symbols, v.primes):
+        keys = [k for k, _ in part]
+        assert keys == sorted(set(keys)), v
+        assert all(type(x) is Fraction and x != 0 for _, x in part), v
+    assert type(v.phase) is Fraction and 0 <= v.phase < 1, v
+
+
+def test_every_constructor_and_operation_is_canonical():
+    # the constructors build canonical values directly and every product,
+    # quotient, power and root normalizes through mv_prod; both must give
+    # what the dict-and-Fraction reference gives, representation included
+    rng = random.Random(31)
+
+    def exponent():
+        return rng.choice((0, rng.randrange(-5, 6), Fraction(
+            rng.randrange(-9, 10), rng.randrange(1, 7))))
+
+    def turns():
+        # negative and multi-turn phases
+        return Fraction(rng.randrange(-40, 41), rng.randrange(1, 13))
+
+    def positive():
+        # 1, and primes on both sides of a fraction
+        return rng.choice((1, Fraction(rng.randrange(1, 300),
+                                       rng.randrange(1, 300))))
+
+    for _ in range(300):
+        name, e, t, q = rng.choice("abc"), exponent(), turns(), positive()
+        sign = rng.choice((1, -1))
+        primes = {p: k * Fraction(e) for p, k in
+                  _factorize_reference(Fraction(q).numerator).items()}
+        primes.update({p: -k * Fraction(e) for p, k in
+                       _factorize_reference(Fraction(q).denominator).items()})
+        made = {
+            "identity": (MulValue.identity(), _ref_make({}, {}, Fraction(0))),
+            "symbol": (MulValue.symbol(name, e),
+                       _ref_make({name: Fraction(e)}, {}, Fraction(0))),
+            "scalar": (MulValue.scalar(q, e),
+                       _ref_make({}, primes, Fraction(0))),
+            "scalar(1)": (MulValue.scalar(1), MulValue.identity()),
+            "phase_turns": (MulValue.phase_turns(t), _ref_make({}, {}, t)),
+            "rational": (MulValue.rational(sign * q),
+                         _ref_mul(MulValue.scalar(q),
+                                  _ref_make({}, {}, Fraction(1 - sign, 4)))),
+            "polar": (MulValue.polar(q, t),
+                      _ref_mul(MulValue.scalar(q), _ref_make({}, {}, t))),
+        }
+        x, y = _mixed_value(rng), _random_value(rng)
+        f, k = exponent(), rng.randrange(1, 7)
+        pairs = [(x, exponent()), (y, exponent()), (made["polar"][0], f)]
+        made.update({
+            "*": (x * y, _ref_mul(x, y)),
+            "/": (x / y, _ref_mul(x, _ref_pow(y, -1))),
+            "**": (x ** f, _ref_pow(x, f)),
+            "mv_pow": (mv_pow(y, f), _ref_pow(y, f)),
+            "mv_root": (mv_root(x, k), _ref_pow(x, Fraction(1, k))),
+            "mv_prod": (mv_prod(pairs), _ref_chained(pairs)),
+        })
+        for label, (value, reference) in made.items():
+            _assert_canonical(value)
+            assert repr(value) == repr(reference), label
+    # the edge cases by name
+    assert repr(MulValue.symbol("a", 0)) == repr(MulValue.identity())
+    assert repr(MulValue.scalar(Fraction(6, 5), 0)) == repr(
+        MulValue.identity())
+    assert MulValue.scalar(Fraction(12, 35)).primes == (
+        (2, 2), (3, 1), (5, -1), (7, -1))
+    assert MulValue.phase_turns(Fraction(-7, 3)).phase == Fraction(2, 3)
+    assert MulValue.phase_turns(-2).phase == 0
