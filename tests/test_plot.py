@@ -1,3 +1,4 @@
+import os
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -6,10 +7,12 @@ import pytest
 from tropcount import catalog
 from tropcount.curve import Edge, PeriodLattice, TropicalCurve, Vertex, validate
 from tropcount import plot
+from tropcount.cli import main
 from tropcount.errors import ConstraintError, ValidationError
 from tropcount.plot import render_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def off_axis_cycle() -> TropicalCurve:
@@ -139,3 +142,21 @@ def test_ids_with_markup_characters_are_escaped():
     vertices = {g.get("id"): g for g in groups(root, "vertex")}
     assert set(vertices) == {f"vertex-{vid}", "vertex-v"}
     assert vertices[f"vertex-{vid}"].find(f"{SVG}text").text == vid
+
+
+#: the curve files whose drawings are pinned byte for byte: the three
+#: catalog curves, two genus-9 covers, and a curve whose edges cross
+#: several walls of both families from a vertex off the lattice points
+PINNED = ("theta_exact", "theta2_exact", "triple_exact",
+          "theta_cover9_exact", "triple_cover9_exact", "theta_walls")
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_plot_matches_golden(name, capsys):
+    path = os.path.join(GOLDEN, f"{name}.json")
+    assert main(["plot", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    with open(os.path.join(GOLDEN, f"{name}.plot.svg"),
+              encoding="utf-8") as handle:
+        assert captured.out == handle.read()
