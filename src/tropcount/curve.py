@@ -181,13 +181,14 @@ class TropicalCurve(Record):
 
     @cached_property
     def _lattice_points(self) -> tuple[
-            tuple[tuple[str, Vec2, int], ...], tuple[tuple[Vec2, int], ...]]:
+            tuple[tuple[str, Vec2, int], ...],
+            tuple[tuple[Vec2, Vec2, int], ...]]:
         # ((id, numerators, n) of each vertex lift's lattice coordinates,
-        #  (numerators, n) of each edge's length * weight vector), every
-        # point over its own denominator n: |det| times the lcm of the
-        # vertex's position denominators, or times the edge's length
-        # denominator; they do not depend on the offset, so every
-        # crossings pass reuses them
+        #  n = |det| times the lcm of its position denominators;
+        #  (start, disp, n) of each edge: the numerators of its tail lift
+        #  (the first vertex with that id, as in vertex) and of length *
+        #  weight vector over the lcm of the tail's n and |det| times the
+        #  length denominator); crossings and plot read them as they are
         scaled = self.lattice.lattice_numerators
         det = abs(self.lattice.det)
         coords = []
@@ -197,10 +198,17 @@ class TropicalCurve(Record):
             coords.append((v.id, scaled(x.numerator * (q // x.denominator),
                                         y.numerator * (q // y.denominator)),
                            q * det))
-        disps = tuple((scaled(e.length.numerator * e.weight_vector[0],
-                              e.length.numerator * e.weight_vector[1]),
-                       e.length.denominator * det) for e in self.edges)
-        return tuple(coords), disps
+        tails = {vid: (p, nv) for vid, p, nv in reversed(coords)}
+        segments = []
+        for e in self.edges:
+            (a, b), nv = tails[e.tail]
+            d1, d2 = scaled(e.length.numerator * e.weight_vector[0],
+                            e.length.numerator * e.weight_vector[1])
+            ne = e.length.denominator * det
+            n = math.lcm(nv, ne)
+            k, j = n // nv, n // ne
+            segments.append(((a * k, b * k), (d1 * j, d2 * j), n))
+        return tuple(coords), tuple(segments)
 
     @cached_property
     def _clean_pass(self) -> tuple[FracVec2, list[Crossing]]:
@@ -587,37 +595,30 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
     Lattice coordinates are exact rationals, each point over its own
     denominator (see TropicalCurve._lattice_points): a vertex is checked
     against the walls over its denominator times the offset's, and an
-    edge is walked over the lcm of that and its own denominator, so the
-    work is done on integer numerators.
+    edge's segment is walked over its denominator times the offset's, so
+    the work is done on integer numerators.
     """
     o1, o2 = Fraction(offset[0]), Fraction(offset[1])
-    coords, disps = curve._lattice_points
+    coords, segments = curve._lattice_points
     q = math.lcm(o1.denominator, o2.denominator)
     t1 = o1.numerator * (q // o1.denominator)
     t2 = o2.numerator * (q // o2.denominator)
-    # (n * (lattice coordinates - offset), n) per vertex, n = nv * q
-    starts = {}
     for vid, (s1, s2), nv in coords:
         n = nv * q
-        a1, a2 = s1 * q - t1 * nv, s2 * q - t2 * nv
-        if a1 % n == 0:
+        if (s1 * q - t1 * nv) % n == 0:
             raise DegeneracyError(
                 f"vertex {clip(vid)} lies on a B1 wall for offset "
                 f"{clip_value((o1, o2))}")
-        if a2 % n == 0:
+        if (s2 * q - t2 * nv) % n == 0:
             raise DegeneracyError(
                 f"vertex {clip(vid)} lies on a B2 wall for offset "
                 f"{clip_value((o1, o2))}")
-        starts[vid] = (a1, a2), n
     out: list[Crossing] = []
-    for e, ((d1, d2), ne) in zip(curve.edges, disps):
-        start, n = starts[e.tail]
-        if n % ne:
-            # the tail and the edge over the lcm of their denominators
-            k = math.lcm(n, ne) // n
-            start, n = (start[0] * k, start[1] * k), n * k
-        k = n // ne
-        disp = (d1 * k, d2 * k)
+    for e, ((s1, s2), (d1, d2), n) in zip(curve.edges, segments):
+        # n * (lattice coordinates - offset) of the tail, over n * q
+        start = (s1 * q - t1 * n, s2 * q - t2 * n)
+        disp = (d1 * q, d2 * q)
+        n *= q
         # start + disp is the head lift translated back by the deck shift,
         # so its fractional parts are the head's: no new degeneracy check
         # needed at the end of the segment.

@@ -12,9 +12,8 @@ pieces is refused, so a very long edge cannot make the output huge.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
-from .curve import FracVec2, TropicalCurve, ensure_valid
+from .curve import TropicalCurve, Vec2, ensure_valid
 from .errors import ConstraintError, clip
 
 _SCALE = 120.0
@@ -34,49 +33,47 @@ def _fmt(x: float) -> str:
     return "0.0000" if out == "-0.0000" else out
 
 
-def _point(lattice, s1: Fraction, s2: Fraction) -> tuple[float, float]:
+def _point(lattice, x: int, y: int, den: int) -> tuple[float, float]:
+    # the point with lattice coordinates (x, y) / den; int / int is
+    # correctly rounded, as float(Fraction) is
     l1, l2 = lattice.period1, lattice.period2
-    x = s1 * l1[0] + s2 * l2[0]
-    y = s1 * l1[1] + s2 * l2[1]
+    px = (x * l1[0] + y * l2[0]) / den
+    py = (x * l1[1] + y * l2[1]) / den
     # SVG y axis points down; flip so the plot is in standard orientation.
-    return float(x) * _SCALE, -float(y) * _SCALE
+    return px * _SCALE, -py * _SCALE
 
 
-def _walls_crossed(start: FracVec2, disp: FracVec2) -> int:
-    """Walls the segment crosses, counted per axis as the difference of
-    the floors of its end points (at least the number of cuts)."""
-    return sum(abs(math.floor(start[axis] + disp[axis])
-                   - math.floor(start[axis])) for axis in (0, 1))
+def _walls_crossed(start: Vec2, disp: Vec2, n: int) -> int:
+    """Walls the segment from start / n to (start + disp) / n crosses,
+    counted per axis as the difference of the floors of its end points
+    (at least the number of cuts)."""
+    return sum(abs((a + d) // n - a // n) for a, d in zip(start, disp))
 
 
-def _edge_pieces(start: FracVec2, disp: FracVec2):
-    """Pieces of the edge segment translated into the unit cell, in
-    lattice coordinates."""
-    cuts = {Fraction(0), Fraction(1)}
-    for axis in (0, 1):
-        d = disp[axis]
-        if d == 0:
-            continue
-        lo, hi = sorted((start[axis], start[axis] + d))
-        k = math.floor(lo) + 1
-        while k < hi:
-            t = (Fraction(k) - start[axis]) / d
-            if 0 < t < 1:
-                cuts.add(t)
-            k += 1
+def _edge_pieces(start: Vec2, disp: Vec2, n: int):
+    """Pieces of the segment from start / n to (start + disp) / n
+    translated into the unit cell, in lattice coordinates, and their
+    denominator n * m: the cuts are at parameters u / m with u integral,
+    m the lcm of the nonzero displacement numerators."""
+    m = math.lcm(*(d for d in disp if d))
+    cuts = {0, m}
+    for a, d in zip(start, disp):
+        if d:
+            lo, hi = sorted((a, a + d))
+            cuts.update((k * n - a) * m // d
+                        for k in range(lo // n + 1, (hi - 1) // n + 1))
     ordered = sorted(cuts)
+    den = n * m
+    s1, s2 = start[0] * m, start[1] * m
+    d1, d2 = disp
     pieces = []
-    for t0, t1 in zip(ordered, ordered[1:]):
-        mid = ((t0 + t1) / 2)
-        m1 = start[0] + mid * disp[0]
-        m2 = start[1] + mid * disp[1]
-        cell = (math.floor(m1), math.floor(m2))
-        a = (start[0] + t0 * disp[0] - cell[0],
-             start[1] + t0 * disp[1] - cell[1])
-        b = (start[0] + t1 * disp[0] - cell[0],
-             start[1] + t1 * disp[1] - cell[1])
-        pieces.append((a, b))
-    return pieces
+    for u0, u1 in zip(ordered, ordered[1:]):
+        # the cell of the piece's midpoint, over 2 * den
+        c1 = (2 * s1 + (u0 + u1) * d1) // (2 * den) * den
+        c2 = (2 * s2 + (u0 + u1) * d2) // (2 * den) * den
+        pieces.append(((s1 + u0 * d1 - c1, s2 + u0 * d2 - c2),
+                       (s1 + u1 * d1 - c1, s2 + u1 * d2 - c2)))
+    return pieces, den
 
 
 def render_svg(curve: TropicalCurve) -> str:
@@ -87,13 +84,7 @@ def render_svg(curve: TropicalCurve) -> str:
     """
     ensure_valid(curve)
     lattice = curve.lattice
-    # lattice coordinates of the lifts and of the edge displacements; the
-    # first vertex of a duplicated id wins, as in curve.vertex
-    coords, disps = curve._lattice_points
-    starts = {vid: (Fraction(a, n), Fraction(b, n))
-              for vid, (a, b), n in reversed(coords)}
-    segments = [(starts[e.tail], (Fraction(a, n), Fraction(b, n)))
-                for e, ((a, b), n) in zip(curve.edges, disps)]
+    coords, segments = curve._lattice_points
     walls = [_walls_crossed(*seg) for seg in segments]
     bound = len(walls) + sum(walls)
     if bound > MAX_PIECES:
@@ -104,7 +95,7 @@ def render_svg(curve: TropicalCurve) -> str:
             f"the limit of {MAX_PIECES}; edge {clip(eid)} alone crosses "
             f"{most} walls")
 
-    corners = [_point(lattice, Fraction(a), Fraction(b))
+    corners = [_point(lattice, a, b, 1)
                for a, b in ((0, 0), (1, 0), (1, 1), (0, 1))]
     xs = [p[0] for p in corners]
     ys = [p[1] for p in corners]
@@ -118,10 +109,10 @@ def render_svg(curve: TropicalCurve) -> str:
     for e, segment in zip(curve.edges, segments):
         eid = e.id.translate(_ESCAPE)
         group = [f'<g class="edge" id="edge-{eid}">']
-        pieces = _edge_pieces(*segment)
+        pieces, den = _edge_pieces(*segment)
         for a, b in pieces:
-            pa = _point(lattice, *a)
-            pb = _point(lattice, *b)
+            pa = _point(lattice, *a, den)
+            pb = _point(lattice, *b, den)
             xs += [pa[0], pb[0]]
             ys += [pa[1], pb[1]]
             group.append(
@@ -129,9 +120,8 @@ def render_svg(curve: TropicalCurve) -> str:
                 f'{_fmt(pb[0])},{_fmt(pb[1])}" fill="none" '
                 'stroke="#222222" stroke-width="2"/>')
         mid_a, mid_b = pieces[0]
-        label = _point(lattice,
-                       (mid_a[0] + mid_b[0]) / 2,
-                       (mid_a[1] + mid_b[1]) / 2)
+        label = _point(lattice, mid_a[0] + mid_b[0], mid_a[1] + mid_b[1],
+                       2 * den)
         group.append(
             f'<text class="weight" x="{_fmt(label[0] + 4)}" '
             f'y="{_fmt(label[1] - 4)}" font-size="11" '
@@ -141,7 +131,7 @@ def render_svg(curve: TropicalCurve) -> str:
 
     for vid, (a, b), n in coords:
         # the lift's lattice coordinates, less their integer parts
-        px, py = _point(lattice, Fraction(a % n, n), Fraction(b % n, n))
+        px, py = _point(lattice, a % n, b % n, n)
         vid = vid.translate(_ESCAPE)
         xs.append(px)
         ys.append(py)
