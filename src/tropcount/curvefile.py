@@ -21,7 +21,9 @@ are also accepted):
 All four multipliers must use the same form; the form selects the default
 equality mode (formal, exact polar, numeric).  A missing "multipliers" key
 means formal.  A missing edge "shift" is derived from the vertex positions
-through the lift relation and must come out integral.
+through the lift relation and must come out integral ((0, 0) over a
+degenerate lattice, which validation refuses).  Ids, edge ends and marked
+edges must be valid Unicode text: a lone surrogate is refused.
 
 Floats are rejected everywhere except the numeric multiplier form.
 """
@@ -174,6 +176,14 @@ def _require(mapping, key, what):
     return mapping[key]
 
 
+def _check_text(text: str, what: str) -> None:
+    """Refuse a string with a lone surrogate, which no output encodes."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ParseError(f"{what}: not valid Unicode text") from None
+
+
 def _optional_list(doc: dict, key: str) -> list:
     value = doc.get(key, [])
     if not isinstance(value, list):
@@ -244,6 +254,7 @@ def curve_from_dict(doc) -> tuple[TropicalCurve, list[MarkedPoint]]:
         vid = _require(vdoc, "id", f"vertices[{i}]")
         if not isinstance(vid, str):
             raise ParseError(f"vertices[{i}].id: expected a string")
+        _check_text(vid, f"vertices[{i}].id")
         pos = _rational_pair(_require(vdoc, "pos", f"vertices[{i}]"),
                              f"vertices[{i}].pos")
         vertices.append(Vertex(vid, pos))
@@ -257,6 +268,8 @@ def curve_from_dict(doc) -> tuple[TropicalCurve, list[MarkedPoint]]:
         head = _require(edoc, "head", what)
         if not all(isinstance(x, str) for x in (eid, tail, head)):
             raise ParseError(f"{what}: id/tail/head must be strings")
+        for key, text in (("id", eid), ("tail", tail), ("head", head)):
+            _check_text(text, f"{what}.{key}")
         wvec = _int_pair(_require(edoc, "weight_vector", what),
                          f"{what}.weight_vector")
         length = parse_rational(_require(edoc, "length", what),
@@ -274,6 +287,7 @@ def curve_from_dict(doc) -> tuple[TropicalCurve, list[MarkedPoint]]:
         edge = _require(mdoc, "edge", what)
         if not isinstance(edge, str):
             raise ParseError(f"{what}.edge: expected a string")
+        _check_text(edge, f"{what}.edge")
         t = parse_rational(_require(mdoc, "t", what), f"{what}.t")
         marks.append(MarkedPoint(edge, t))
 
@@ -281,11 +295,15 @@ def curve_from_dict(doc) -> tuple[TropicalCurve, list[MarkedPoint]]:
 
 
 def _derive_shift(lattice, positions, tail, head, wvec, length, what):
-    """Solve the lift relation for the deck shift; it must be integral."""
+    """Solve the lift relation for the deck shift; it must be integral.
+    Over a degenerate lattice the shift is (0, 0): validation refuses the
+    lattice and never reads a shift."""
     if tail not in positions or head not in positions:
         raise ParseError(
             f"{what}: cannot derive shift, unknown vertex "
             f"{clip(repr(tail if tail not in positions else head))}")
+    if lattice.det == 0:
+        return 0, 0
     ht = positions[head]
     tl = positions[tail]
     rhs = (ht[0] - tl[0] - length * wvec[0],

@@ -3,15 +3,20 @@
 The cell is the parallelogram spanned by the two periods.  Every edge
 segment is cut at the points where it crosses a wall (an integer value of
 either lattice coordinate) and each piece is translated back into the
-cell, so wrapped edges re-enter on the opposite side.  Output is SVG 1.1,
-byte-identical for identical input.  The walls each edge crosses are
-counted in closed form first, and a drawing of more than MAX_PIECES
-pieces is refused, so a very long edge cannot make the output huge.
+cell, so wrapped edges re-enter on the opposite side.  The segments are
+the integer ones crossings walks (TropicalCurve._lattice_points), and
+the cuts and pieces are worked out on their numerators; a coordinate
+becomes a float only when it is drawn.  Output is SVG 1.1, byte-identical
+for identical input.  The walls each edge crosses are counted in closed
+form first, and a drawing of more than MAX_PIECES pieces is refused, so
+a very long edge cannot make the output huge; so is an id with a
+character that XML does not allow, which no escape could write.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 from .curve import TropicalCurve, Vec2, ensure_valid
 from .errors import ConstraintError, clip
@@ -26,6 +31,10 @@ MAX_PIECES = 100_000
 #: the characters an id may not carry into SVG text or a quoted attribute
 _ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
                          '"': "&quot;"})
+
+#: a character outside XML 1.0's Char production, which no escape writes
+_NOT_XML = re.compile(
+    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 
 def _fmt(x: float) -> str:
@@ -79,10 +88,16 @@ def _edge_pieces(start: Vec2, disp: Vec2, n: int):
 def render_svg(curve: TropicalCurve) -> str:
     """The SVG document of the curve.
 
-    Raises ConstraintError before drawing anything when the edges would
-    be cut into more than MAX_PIECES pieces.
+    Raises ConstraintError before drawing anything when an id holds a
+    character XML does not allow, or when the edges would be cut into
+    more than MAX_PIECES pieces.
     """
     ensure_valid(curve)
+    for item in (*curve.vertices, *curve.edges):
+        if _NOT_XML.search(item.id):
+            raise ConstraintError(
+                f"plot cannot write id {clip(repr(item.id))}: it holds a "
+                "character that XML does not allow")
     lattice = curve.lattice
     coords, segments = curve._lattice_points
     walls = [_walls_crossed(*seg) for seg in segments]

@@ -315,6 +315,57 @@ def test_malformed_curve_file_exits_1(doc, message, tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+def _renamed_doc(old: str, new: str) -> dict:
+    """The golden theta_exact.json with vertex old renamed new."""
+    doc = _golden_doc()
+    for v in doc["vertices"]:
+        v["id"] = new if v["id"] == old else v["id"]
+    for e in doc["edges"]:
+        for end in ("tail", "head"):
+            e[end] = new if e[end] == old else e[end]
+    return doc
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["prelog"], ["plot"],
+                                  ["prelog", "--json"]], ids=" ".join)
+def test_lone_surrogate_in_an_id_is_refused_at_parse_time(argv, tmp_path):
+    # it used to reach the writer, which died with a traceback part way
+    # through the report (or plot, before writing anything)
+    proc, _ = _run_child(argv, tmp_path, _renamed_doc("u", "u\ud800"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "error: vertices[0].id: not valid Unicode text\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["validate", "--json"], ["analyze"], ["realizable"],
+    ["count", "--json"], ["prelog"], ["plot"]], ids=" ".join)
+def test_degenerate_lattice_reads_alike_with_shifts_omitted(
+        argv, tmp_path, monkeypatch, capsys):
+    # deriving the omitted shifts used to stop at the degenerate lattice
+    # with its own message, before validate could report it
+    doc = _golden_doc()
+    doc["lattice"]["lambda2"] = [-2, 2]
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for shift in (True, False):
+        for e in doc["edges"]:
+            if shift:
+                e["shift"] = [0, 0]
+            else:
+                e.pop("shift")
+        (tmp_path / "curve.json").write_text(json.dumps(doc),
+                                             encoding="utf-8")
+        runs.append((main(argv + ["curve.json"]), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    if argv[0] == "validate":
+        assert runs[0][0] == 2
+        assert "period lattice is degenerate (determinant 0)" in \
+            runs[0][1].out
+    else:
+        assert runs[0] == (2, ("", "error: period lattice is degenerate "
+                               "(determinant 0)\n"))
+
+
 def _run_timed(argv, tmp_path, doc=None, text=None):
     """Run the CLI in a child process (so that a hang is cut off) and
     return (exit code, stderr, seconds)."""

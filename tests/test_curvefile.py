@@ -232,6 +232,28 @@ def test_mixed_multiplier_forms_rejected():
         curve_from_dict(doc)
 
 
+@pytest.mark.parametrize("change,what", [
+    (lambda d: d["vertices"][0].update(id="u\ud800"), "vertices[0].id"),
+    (lambda d: d["edges"][1].update(id="e\udfff2"), "edges[1].id"),
+    (lambda d: d["edges"][2].update(tail="\udc80"), "edges[2].tail"),
+    (lambda d: d["edges"][0].update(head="v\ud83d"), "edges[0].head"),
+    (lambda d: d["marked_points"][1].update(edge="\ud800e2"),
+     "marked_points[1].edge"),
+])
+def test_ids_with_a_lone_surrogate_are_refused(change, what):
+    # no output stream can encode a lone surrogate, so every id, end and
+    # marked edge is refused where it is read
+    doc = json.loads(json.dumps(THETA_DOC))
+    change(doc)
+    with pytest.raises(ParseError) as caught:
+        loads_curve(json.dumps(doc))
+    assert str(caught.value) == f"{what}: not valid Unicode text"
+    # a surrogate pair written as two escapes is one character, and valid
+    text = json.dumps(THETA_DOC).replace('"u"', '"\\ud83d\\ude00"')
+    curve, _ = loads_curve(text)
+    assert curve.vertices[0].id == "\U0001f600"
+
+
 def test_parse_errors():
     with pytest.raises(ParseError):
         loads_curve("not json {")

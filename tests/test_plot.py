@@ -1,4 +1,7 @@
+import json
+import math
 import os
+import random
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -8,7 +11,8 @@ from tropcount import catalog
 from tropcount.curve import Edge, PeriodLattice, TropicalCurve, Vertex, validate
 from tropcount import plot
 from tropcount.cli import main
-from tropcount.errors import ConstraintError, ValidationError
+from tropcount.curvefile import curve_from_dict
+from tropcount.errors import ConstraintError, ValidationError, clip
 from tropcount.plot import render_svg
 
 SVG = "{http://www.w3.org/2000/svg}"
@@ -160,3 +164,118 @@ def test_plot_matches_golden(name, capsys):
     with open(os.path.join(GOLDEN, f"{name}.plot.svg"),
               encoding="utf-8") as handle:
         assert captured.out == handle.read()
+
+
+# -- the Fraction geometry the integer cuts replaced --------------------------
+
+
+def _walls_crossed_reference(start, disp):
+    return sum(abs(math.floor(start[axis] + disp[axis])
+                   - math.floor(start[axis])) for axis in (0, 1))
+
+
+def _edge_pieces_reference(start, disp):
+    cuts = {Fraction(0), Fraction(1)}
+    for axis in (0, 1):
+        d = disp[axis]
+        if d == 0:
+            continue
+        lo, hi = sorted((start[axis], start[axis] + d))
+        k = math.floor(lo) + 1
+        while k < hi:
+            t = (Fraction(k) - start[axis]) / d
+            if 0 < t < 1:
+                cuts.add(t)
+            k += 1
+    ordered = sorted(cuts)
+    pieces = []
+    for t0, t1 in zip(ordered, ordered[1:]):
+        mid = (t0 + t1) / 2
+        cell = (math.floor(start[0] + mid * disp[0]),
+                math.floor(start[1] + mid * disp[1]))
+        pieces.append(tuple(
+            (start[0] + t * disp[0] - cell[0],
+             start[1] + t * disp[1] - cell[1]) for t in (t0, t1)))
+    return pieces
+
+
+def _random_segment(rng):
+    """(start, disp, n): a start on a wall, a zero or a negative
+    displacement component each come up often."""
+    n = rng.randint(1, 60)
+    start = [rng.randint(-3 * n, 3 * n) for _ in range(2)]
+    disp = [rng.randint(-4 * n, 4 * n) for _ in range(2)]
+    if rng.random() < 0.3:
+        start[rng.randrange(2)] = n * rng.randint(-3, 3)
+    if rng.random() < 0.3:
+        disp[rng.randrange(2)] = 0
+    if disp == [0, 0]:
+        disp[rng.randrange(2)] = rng.choice((-1, 1)) * rng.randint(1, 4 * n)
+    return tuple(start), tuple(disp), n
+
+
+def test_integer_cuts_match_the_fraction_geometry():
+    rng = random.Random(20)
+    kinds = set()
+    for _ in range(2500):
+        start, disp, n = _random_segment(rng)
+        kinds.update(("wall" for a in start if a % n == 0),
+                     ("zero" for d in disp if d == 0),
+                     ("negative" for d in disp if d < 0))
+        kinds.add(n)
+        exact = (tuple(Fraction(a, n) for a in start),
+                 tuple(Fraction(d, n) for d in disp))
+        assert plot._walls_crossed(start, disp, n) == \
+            _walls_crossed_reference(*exact)
+        pieces, den = plot._edge_pieces(start, disp, n)
+        assert [tuple((Fraction(x, den), Fraction(y, den)) for x, y in piece)
+                for piece in pieces] == _edge_pieces_reference(*exact)
+    assert {"wall", "zero", "negative", 1, 60} <= kinds
+
+
+# -- ids that SVG cannot hold -----------------------------------------------
+
+
+def _theta_doc_with_ids(vertex="u", edge="e1") -> dict:
+    """The golden theta_exact.json with vertex u and edge e1 renamed."""
+    with open(os.path.join(GOLDEN, "theta_exact.json"),
+              encoding="utf-8") as handle:
+        doc = json.load(handle)
+    for v in doc["vertices"]:
+        v["id"] = vertex if v["id"] == "u" else v["id"]
+    for e in doc["edges"]:
+        e["id"] = edge if e["id"] == "e1" else e["id"]
+        for end in ("tail", "head"):
+            e[end] = vertex if e[end] == "u" else e[end]
+    return doc
+
+
+@pytest.mark.parametrize("vertex,edge,bad", [
+    ("u\u0001", "e1", "u\u0001"),
+    ("u", "e\x0b1", "e\x0b1"),
+    ("u", "e\ufffe", "e\ufffe"),
+    ("\x1f" * 100, "e1", "\x1f" * 100),
+], ids=["vertex-soh", "edge-vt", "edge-fffe", "long-vertex"])
+def test_plot_refuses_ids_that_xml_cannot_hold(vertex, edge, bad, tmp_path,
+                                              capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(_theta_doc_with_ids(vertex, edge)),
+                    encoding="utf-8")
+    out = tmp_path / "curve.svg"
+    for argv in (["plot", str(path)], ["plot", str(path), "--out", str(out)]):
+        assert main(argv) == 5
+        assert capsys.readouterr() == ("", (
+            f"error: plot cannot write id {clip(repr(bad))}: it holds a "
+            "character that XML does not allow\n"))
+    assert not out.exists()
+
+
+def test_ids_of_xml_characters_are_drawn():
+    # tab, DEL, the last BMP character XML allows and one past the BMP
+    vertex, edge = "u\tv\x7f", "e\ufffd\U0001f600"
+    doc = _theta_doc_with_ids(vertex, edge)
+    curve = curve_from_dict(doc)[0]
+    root = ET.fromstring(render_svg(curve))
+    assert {g.get("id") for g in groups(root, "vertex")} == \
+        {f"vertex-{vertex}".replace("\t", " "), "vertex-v"}
+    assert f"edge-{edge}" in {g.get("id") for g in groups(root, "edge")}
