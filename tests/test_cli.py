@@ -753,6 +753,26 @@ def test_prelog_of_genus_9_covers_matches_golden(name, code, as_json,
         assert capsys.readouterr().out == handle.read()
 
 
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "human"])
+@pytest.mark.parametrize("name,command", [
+    ("theta_cover9_exact", "realizable"), ("theta_cover9_exact", "count"),
+    ("triple_cover9_exact", "realizable"), ("triple_cover9_exact", "count"),
+    ("triple_cover9_formal", "realizable"),
+])
+def test_sigma_and_count_of_genus_9_covers_match_golden(
+        name, command, as_json, tmp_path, monkeypatch, capsys):
+    # the formal cover's sigma is a monomial with symbol exponents other
+    # than 1, and the exact covers' counts print 50 invariant factors
+    shutil.copy(os.path.join(GOLDEN, f"{name}.json"), tmp_path)
+    monkeypatch.chdir(tmp_path)
+    argv = [command, f"{name}.json"] + (["--json"] if as_json else [])
+    assert main(argv) == 0
+    suffix = "out" if as_json else "human.out"
+    with open(os.path.join(GOLDEN, f"{name}.{command}.{suffix}"),
+              encoding="utf-8") as handle:
+        assert capsys.readouterr().out == handle.read()
+
+
 #: the leaves a report holds: str, int, bool and None
 _LEAVES = [
     "", "plain", 'quote " and \\ backslash', "tab\t nl\n cr\r nul\x00",
