@@ -24,12 +24,9 @@ representative, so a k-th root has phase in [0, 1/k).
 
 Every product, quotient and power goes through mv_prod, the one routine
 that normalizes a result; the constructors build values that are
-already canonical.  mv_prod works in integers from its factors to its
-result.  Every value keeps its exponents as integer (kind, key,
-denominator, numerator) terms; mv_prod sums the scaled numerators per
-(component, denominator), combines each component over the lcm of its
-denominators, reduces the phase modulo that lcm, and builds one Fraction
-per component of the result, none per term.  A nested product such as
+already canonical.  A value is its exponents as integer (kind, key,
+numerator, denominator) terms, and mv_prod works in those integers from
+its factors to its result: it builds no Fraction.  A nested product such as
 (x^a * y^b)^n may be flattened into x^(a*n) * y^(b*n) only when the
 outer power n is an integer: an integer multiple of a phase reduced mod
 1 is the reduced multiple, while a fractional power of the reduced phase
@@ -41,7 +38,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import ConstraintError
 from .record import Record
@@ -52,8 +48,6 @@ class EqualityMode(Enum):
     EXACT = "exact"
     NUMERIC = "numeric"
 
-
-_ZERO = Fraction(0)
 
 UNDECIDED = None  # three-valued verdicts are True / False / UNDECIDED
 
@@ -120,11 +114,12 @@ def _factorize(n: int) -> dict[int, int]:
 
 
 class MulValue(Record):
-    """Canonical form: sorted tuples, no zero exponents, phase in [0, 1)."""
+    """One (kind, key, n, d) term per nonzero exponent n/d, sorted by kind
+    and key: kind 0 a symbol keyed by its name, 1 a prime, 2 the phase in
+    turns keyed by None, with 0 < n < d.  Each n/d is in lowest terms with
+    d > 0; symbols, primes and phase read the exponents as Fractions."""
 
-    symbols: tuple[tuple[str, Fraction], ...] = ()
-    primes: tuple[tuple[int, Fraction], ...] = ()
-    phase: Fraction = Fraction(0)
+    terms: tuple[tuple[int, object, int, int], ...] = ()
 
     # -- constructors ------------------------------------------------------
 
@@ -135,14 +130,14 @@ class MulValue(Record):
     @classmethod
     def symbol(cls, name: str, exponent=1) -> "MulValue":
         e = Fraction(exponent)
-        return cls(((name, e),), (), _ZERO) if e else cls()
+        return cls(((0, name, e.numerator, e.denominator),) if e else ())
 
     @classmethod
     def scalar(cls, value, exponent=1) -> "MulValue":
         """A positive rational, stored prime-wise.
 
-        >>> MulValue.scalar(Fraction(4, 9)).primes
-        ((2, Fraction(2, 1)), (3, Fraction(-2, 1)))
+        >>> MulValue.scalar(Fraction(4, 9)).terms
+        ((1, 2, 2, 1), (1, 3, -2, 1))
         """
         q = Fraction(value)
         if q <= 0:
@@ -151,7 +146,8 @@ class MulValue(Record):
         # numerator and denominator are coprime: no prime is met twice
         primes = [(p, k * e) for p, k in _factorize(q.numerator).items()]
         primes += [(p, -k * e) for p, k in _factorize(q.denominator).items()]
-        return cls((), tuple(sorted(primes)), _ZERO) if e else cls()
+        return cls(tuple(sorted((1, p, x.numerator, x.denominator)
+                                for p, x in primes)) if e else ())
 
     @classmethod
     def phase_turns(cls, turns) -> "MulValue":
@@ -160,7 +156,8 @@ class MulValue(Record):
         >>> MulValue.phase_turns(Fraction(3, 2)).phase
         Fraction(1, 2)
         """
-        return cls((), (), Fraction(turns) % 1)
+        t = Fraction(turns) % 1
+        return cls(((2, None, t.numerator, t.denominator),) if t else ())
 
     @classmethod
     def minus_one(cls) -> "MulValue":
@@ -185,22 +182,25 @@ class MulValue(Record):
 
     @property
     def is_identity(self) -> bool:
-        return not self.symbols and not self.primes and self.phase == 0
+        return not self.terms
 
     @property
     def has_symbols(self) -> bool:
-        return bool(self.symbols)
+        return bool(self.terms) and self.terms[0][0] == 0
 
-    @cached_property
-    def _terms(self) -> tuple[tuple[int, object, int, int], ...]:
-        # (kind, key, denominator, numerator) per exponent, kind 0 for a
-        # symbol, 1 for a prime and 2 for the phase; mv_prod reads these
-        # integers instead of the Fractions.  Cached, so not a field.
-        out = [(0, k, v.denominator, v.numerator) for k, v in self.symbols]
-        out += [(1, p, v.denominator, v.numerator) for p, v in self.primes]
-        if self.phase:
-            out.append((2, None, self.phase.denominator, self.phase.numerator))
-        return tuple(out)
+    @property
+    def symbols(self) -> tuple[tuple[str, Fraction], ...]:
+        return tuple((k, Fraction(n, d)) for c, k, n, d in self.terms if not c)
+
+    @property
+    def primes(self) -> tuple[tuple[int, Fraction], ...]:
+        return tuple((p, Fraction(n, d)) for c, p, n, d in self.terms
+                     if c == 1)
+
+    @property
+    def phase(self) -> Fraction:
+        c, _, n, d = self.terms[-1] if self.terms else (0, None, 0, 1)
+        return Fraction(n, d) if c == 2 else Fraction(0)
 
     # -- operators ---------------------------------------------------------
 
@@ -214,23 +214,25 @@ class MulValue(Record):
         return mv_pow(self, exponent)
 
     def __str__(self) -> str:
-        terms = [f"{name}^{exp}" for name, exp in self.symbols]
-        terms += [f"{p}^{exp}" for p, exp in self.primes]
-        if self.phase:
-            terms.append(f"turn({self.phase})")
-        return " * ".join(terms) if terms else "1"
+        t = [f"turn({_text(n, d)})" if kind == 2 else f"{key}^{_text(n, d)}"
+             for kind, key, n, d in self.terms]
+        return " * ".join(t) if t else "1"
 
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
         out: dict = {}
-        if self.symbols:
-            out["symbols"] = {k: str(v) for k, v in self.symbols}
-        if self.primes:
-            out["primes"] = {str(p): str(v) for p, v in self.primes}
-        if self.phase:
-            out["turns"] = str(self.phase)
+        for kind, key, n, d in self.terms:
+            if kind == 2:
+                out["turns"] = _text(n, d)
+            else:
+                table = out.setdefault("primes" if kind else "symbols", {})
+                table[str(key)] = _text(n, d)
         return out
+
+
+def _text(n: int, d: int) -> str:  # as str(Fraction(n, d)) writes it
+    return f"{n}/{d}" if d != 1 else str(n)
 
 
 def mv_prod(pairs) -> MulValue:
@@ -241,8 +243,8 @@ def mv_prod(pairs) -> MulValue:
     denominator d * e.denominator; the numerators are summed per
     (component, denominator).  Each component is then combined over the
     lcm of its denominators, the phase is reduced modulo that lcm, and
-    one Fraction is built per nonzero component.  No Fraction is made
-    per term.
+    each nonzero component is reduced to lowest terms by its gcd.  No
+    Fraction is made.
 
     This is the one routine that normalizes a product: a * b, a / b and
     mv_pow(a, e) are each one mv_prod call.  The phase of a power is the
@@ -259,7 +261,7 @@ def mv_prod(pairs) -> MulValue:
         if not e:
             continue
         en, ed = e.numerator, e.denominator
-        for kind, key, d, n in a._terms:
+        for kind, key, n, d in a.terms:
             k = (kind, key, d * ed)
             sums[k] = sums.get(k, 0) + n * en
     # {(kind, key): [denominator, numerator]}, over the lcm of the
@@ -274,17 +276,14 @@ def mv_prod(pairs) -> MulValue:
                 pd, pn = part
                 m = math.lcm(pd, d)
                 part[0], part[1] = m, pn * (m // pd) + n * (m // d)
-    symbols, primes, phase = [], [], _ZERO
+    terms = []
     for (kind, key), (d, n) in parts.items():
         if kind == 2:
             n %= d
-            if n:
-                phase = Fraction(n, d)
-        elif n:
-            (symbols if kind == 0 else primes).append((key, Fraction(n, d)))
-    symbols.sort()
-    primes.sort()
-    return MulValue(tuple(symbols), tuple(primes), phase)
+        if n:
+            g = math.gcd(n, d)
+            terms.append((kind, key, n // g, d // g))
+    return MulValue(tuple(sorted(terms)))
 
 
 def mv_pow(a: MulValue, exponent) -> MulValue:

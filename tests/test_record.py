@@ -71,9 +71,8 @@ def test_repr_matches_dataclass_style():
     assert repr(Pair(1, (2,))) == "Pair(left=Fraction(1, 1), right=(2,))"
     assert repr(Single(3)) == "Single(only=3)"
     assert Single(3).replace(only=4) == Single(4)
-    assert repr(MulValue.symbol("x")) == (
-        "MulValue(symbols=(('x', Fraction(1, 1)),), primes=(), "
-        "phase=Fraction(0, 1))")
+    assert repr(MulValue.symbol("x", Fraction(-1, 2))) == (
+        "MulValue(terms=((0, 'x', -1, 2),))")
 
 
 def test_frozen():

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -218,15 +219,29 @@ def _random_exponent(rng: random.Random):
     return Fraction(rng.randrange(-9, 10), rng.randrange(1, 7))
 
 
-# The reference below builds the canonical form with dicts and Fractions,
+# The reference below builds the canonical terms with dicts and Fractions,
 # one product or power at a time, and never calls mv_prod: it is the
 # independent oracle for mv_prod and for everything that goes through it.
 
 
 def _ref_make(symbols, primes, phase):
-    return MulValue(tuple(sorted((k, v) for k, v in symbols.items() if v)),
-                    tuple(sorted((p, v) for p, v in primes.items() if v)),
-                    phase % 1)
+    terms = []
+    for kind, table in ((0, symbols), (1, primes), (2, {None: phase % 1})):
+        for key, v in sorted(table.items()):
+            if v:
+                v = Fraction(v)
+                terms.append((kind, key, v.numerator, v.denominator))
+    return MulValue(tuple(terms))
+
+
+def _assert_same(value, reference):
+    """One value, compared through every form a reader sees."""
+    assert value == reference
+    assert repr(value) == repr(reference)
+    assert str(value) == str(reference)
+    assert value.to_dict() == reference.to_dict()
+    assert (value.symbols, value.primes, value.phase) == (
+        reference.symbols, reference.primes, reference.phase)
 
 
 def _ref_mul(a, b):
@@ -257,10 +272,7 @@ def test_prod_equals_chained_mul_and_pow():
     for _ in range(400):
         pairs = [(_random_value(rng), _random_exponent(rng))
                  for _ in range(rng.randrange(0, 6))]
-        chained = _ref_chained(pairs)
-        product = mv_prod(pairs)
-        assert product == chained
-        assert repr(product) == repr(chained)
+        _assert_same(mv_prod(pairs), _ref_chained(pairs))
 
 
 def test_prod_phases_wrap_and_terms_cancel():
@@ -281,7 +293,7 @@ def test_prod_phases_wrap_and_terms_cancel():
                       [(value, 2), (value ** -1, 1), (value, -1)]):
             product = mv_prod(pairs)
             assert product.is_identity
-            assert repr(product) == repr(MulValue.identity())
+            _assert_same(product, MulValue.identity())
     # exponents with different denominators on one symbol sum exactly
     x = MulValue.symbol("x", Fraction(1, 2))
     y = MulValue.symbol("x", Fraction(1, 3))
@@ -305,46 +317,48 @@ def test_prod_with_mixed_denominators_equals_chained_mul_and_pow():
     for _ in range(300):
         pairs = [(_mixed_value(rng), _random_exponent(rng))
                  for _ in range(rng.randrange(0, 8))]
-        chained = _ref_chained(pairs)
         product = mv_prod(pairs)
-        assert product == chained
-        assert repr(product) == repr(chained)
-        assert product.to_dict() == chained.to_dict()
-        assert all(type(x) is Fraction for _, x in
-                   product.symbols + product.primes + ((0, product.phase),))
-
-
-def test_term_cache_is_not_part_of_the_value():
-    rng = random.Random(29)
-    for _ in range(50):
-        value = _mixed_value(rng)
-        twin = MulValue(value.symbols, value.primes, value.phase)
-        before = (repr(value), hash(value), value.to_dict(), str(value))
-        terms = value._terms
-        assert (repr(value), hash(value), value.to_dict(),
-                str(value)) == before
-        assert "_terms" not in repr(value)
-        # the twin has no cache yet and is still equal, with one hash
-        assert "_terms" not in vars(twin)
-        assert value == twin and hash(value) == hash(twin)
-        assert twin._terms == terms
-        assert value.replace(phase=value.phase) == value
-        # the terms are the exponents as integers
-        rebuilt = {}
-        for kind, key, d, n in terms:
-            rebuilt[(kind, key)] = Fraction(n, d)
-        assert rebuilt == {
-            **{(0, k): v for k, v in value.symbols},
-            **{(1, p): v for p, v in value.primes},
-            **({(2, None): value.phase} if value.phase else {})}
+        _assert_same(product, _ref_chained(pairs))
+        _assert_canonical(product)
 
 
 def _assert_canonical(v):
-    for part in (v.symbols, v.primes):
-        keys = [k for k, _ in part]
-        assert keys == sorted(set(keys)), v
-        assert all(type(x) is Fraction and x != 0 for _, x in part), v
-    assert type(v.phase) is Fraction and 0 <= v.phase < 1, v
+    """Sorted by (kind, key), each kind and key once, every exponent a
+    nonzero n/d in lowest terms with d > 0, the phase in (0, 1), and the
+    views reading the same exponents as Fractions."""
+    keys = [(kind, key) for kind, key, _, _ in v.terms]
+    assert len(set(keys)) == len(keys) and keys == sorted(keys), v
+    for kind, key, n, d in v.terms:
+        assert type(n) is int and type(d) is int, v
+        assert n != 0 and d > 0 and math.gcd(n, d) == 1, v
+        assert type(key) is (str, int, type(None))[kind], v
+        if kind == 2:
+            assert 0 < n < d, v
+    assert v.symbols == tuple((key, Fraction(n, d))
+                              for kind, key, n, d in v.terms if kind == 0)
+    assert v.primes == tuple((key, Fraction(n, d))
+                             for kind, key, n, d in v.terms if kind == 1)
+    phase = [Fraction(n, d) for kind, _, n, d in v.terms if kind == 2]
+    assert v.phase == (phase[0] if phase else 0), v
+    assert all(type(x) is Fraction
+               for _, x in v.symbols + v.primes + ((0, v.phase),)), v
+    assert v.is_identity == (v.terms == ())
+    assert v.has_symbols == bool(v.symbols)
+
+
+def test_terms_are_the_value():
+    # terms is the one field: a value rebuilt from its terms is equal,
+    # hashes alike and reads the same, and no other state is kept
+    assert MulValue._fields == ("terms",)
+    rng = random.Random(29)
+    for _ in range(50):
+        value = _mixed_value(rng) * _random_value(rng)
+        _assert_canonical(value)
+        twin = MulValue(value.terms)
+        _assert_same(twin, value)
+        assert hash(twin) == hash(value)
+        assert value.replace(terms=value.terms) == value
+        assert vars(value) == {"terms": value.terms}
 
 
 def test_every_constructor_and_operation_is_canonical():
@@ -400,7 +414,7 @@ def test_every_constructor_and_operation_is_canonical():
         })
         for label, (value, reference) in made.items():
             _assert_canonical(value)
-            assert repr(value) == repr(reference), label
+            _assert_same(value, reference)
     # the edge cases by name
     assert repr(MulValue.symbol("a", 0)) == repr(MulValue.identity())
     assert repr(MulValue.scalar(Fraction(6, 5), 0)) == repr(
