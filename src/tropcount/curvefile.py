@@ -128,7 +128,8 @@ def parse_group_element(entry, what: str = "value") -> MulValue:
     Its optional keys are "symbols" ({name: rational}), "primes"
     ({integer: rational}) and "turns" (a rational), every rational as in
     parse_rational.  A prime key may be any positive integer: 1 and
-    composite numbers stand for their prime factors.
+    composite numbers stand for their prime factors.  A symbol name with a
+    lone surrogate is refused, as a curve file id is.
     """
     parts = []
     for key in ("symbols", "primes"):
@@ -136,6 +137,8 @@ def parse_group_element(entry, what: str = "value") -> MulValue:
         if not isinstance(table, dict):
             raise ParseError(f"{what}.{key}: expected an object")
         for name, raw in table.items():
+            if key == "symbols":
+                _check_text(name, f"{what}.symbols")
             exponent = parse_rational(raw, f"{what}.{key}.{clip(name)}")
             if key == "symbols":
                 parts.append(MulValue.symbol(name, exponent))

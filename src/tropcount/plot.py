@@ -32,9 +32,10 @@ MAX_PIECES = 100_000
 _ESCAPE = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;",
                          '"': "&quot;"})
 
-#: a character outside XML 1.0's Char production, which no escape writes
-_NOT_XML = re.compile(
-    "[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+#: a character outside XML 1.0's Char production, which no escape writes;
+#: the class lists those characters, so that it compiles in a tenth of the
+#: time of the negated class of Char, which reaches U+10FFFF
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 def _fmt(x: float) -> str:

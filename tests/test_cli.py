@@ -1267,6 +1267,22 @@ def test_prelog_check_symbol_never_binds_to_a_complex_flag(tmp_path,
         for symbol in ("zz", "check1")]
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["human", "json"])
+def test_prelog_check_refuses_a_lone_surrogate_in_a_symbol(as_json,
+                                                          tmp_path):
+    # the human writer used to die with a traceback part way through the
+    # report, and --json exited 4 with the name escaped
+    flags = {f"{v}|{e}": "1" for v in ("u", "v") for e in ("e1", "e2", "e3")}
+    flags["u|e1"] = {"symbols": {"a\ud800": "1"}}
+    check = tmp_path / "check.json"
+    check.write_text(json.dumps({"flags": flags}), encoding="utf-8")
+    argv = ["prelog", "--check", str(check)] + (["--json"] if as_json else [])
+    proc, _ = _run_child(argv, tmp_path,
+                         json.loads(dumps_curve(catalog.theta())))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", f"error: {check}: u|e1.symbols: not valid Unicode text\n")
+
+
 def test_prelog_check_refuses_complex_zero(tmp_path, capsys):
     code = _check_solved(tmp_path, capsys,
                          {"u|e1": lambda _: {"re": 0.0, "im": 0.0}})

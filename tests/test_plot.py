@@ -270,6 +270,24 @@ def test_plot_refuses_ids_that_xml_cannot_hold(vertex, edge, bad, tmp_path,
     assert not out.exists()
 
 
+def _xml_char(c: int) -> bool:
+    """XML 1.0's Char production, as the specification writes it."""
+    return (c in (0x9, 0xA, 0xD) or 0x20 <= c <= 0xD7FF
+            or 0xE000 <= c <= 0xFFFD or 0x10000 <= c <= 0x10FFFF)
+
+
+def test_refused_characters_are_those_outside_xml_char():
+    # plot lists the characters Char leaves out instead of negating Char;
+    # compare the two at every range boundary, one either side, and on a
+    # stride through all seventeen planes
+    bounds = (0x0, 0x9, 0xA, 0xD, 0x20, 0xD7FF, 0xE000, 0xFFFD, 0x10000,
+              0x10FFFF)
+    points = {b + d for b in bounds for d in (-1, 0, 1)}
+    points |= set(range(0, 0x110000, 251))
+    for c in sorted(c for c in points if 0 <= c <= 0x10FFFF):
+        assert (plot._NOT_XML.search(chr(c)) is None) == _xml_char(c), hex(c)
+
+
 def test_ids_of_xml_characters_are_drawn():
     # tab, DEL, the last BMP character XML allows and one past the BMP
     vertex, edge = "u\tv\x7f", "e\ufffd\U0001f600"
