@@ -190,12 +190,13 @@ class MulValue(Record):
 
     @property
     def symbols(self) -> tuple[tuple[str, Fraction], ...]:
-        return tuple((k, Fraction(n, d)) for c, k, n, d in self.terms if not c)
+        return tuple((key, Fraction(n, d)) for kind, key, n, d in self.terms
+                     if kind == 0)
 
     @property
     def primes(self) -> tuple[tuple[int, Fraction], ...]:
-        return tuple((p, Fraction(n, d)) for c, p, n, d in self.terms
-                     if c == 1)
+        return tuple((key, Fraction(n, d)) for kind, key, n, d in self.terms
+                     if kind == 1)
 
     @property
     def phase(self) -> Fraction:
