@@ -34,7 +34,8 @@ the code.
 
 A --json report is the text json.dumps(report, indent=2) would write, but
 built by a small writer (_json_text) that formats string and integer
-leaves with the C string encoder and int.__repr__ and joins each map or
+leaves with the C string encoder of json.dumps (taken from _json, so that
+the json package is never loaded) and int.__repr__ and joins each map or
 list in one pass; with an indent, json.dumps runs its pure-Python encoder.
 The report is written as it is formatted (_write_json): the items of the
 report and of each map or list in it go to sys.stdout.write one by one,
@@ -53,10 +54,11 @@ from __future__ import annotations
 
 import atexit
 import errno
-import json
 import math
 import os
 import sys
+# the C string encoder of json.dumps (json.encoder re-exports it)
+from _json import encode_basestring_ascii as _json_str
 from itertools import repeat
 from types import GeneratorType, SimpleNamespace
 
@@ -115,10 +117,6 @@ def _human_lines(obj, indent: str = ""):
             yield f"{indent}{key}: [{', '.join(str(x) for x in value)}]\n"
         else:
             yield f"{indent}{key}: {value}\n"
-
-
-#: the C string encoder behind json.dumps (ensure_ascii is on by default)
-_json_str = json.encoder.encode_basestring_ascii
 
 
 def _json_text(obj, pad: str = "") -> str:

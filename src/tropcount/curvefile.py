@@ -26,14 +26,21 @@ degenerate lattice, which validation refuses).  Ids, edge ends and marked
 edges must be valid Unicode text: a lone surrogate is refused.
 
 Floats are rejected everywhere except the numeric multiplier form.
+
+Documents are decoded by the C scanner json.loads runs (_json), so that
+reading a well-formed file does not load the json package; json is
+loaded to word the refusal of a malformed document, in json.loads's own
+message, and to write a curve file (dumps_curve).  This needs CPython,
+3.10 or newer, where _json is always built.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import re
+from _json import make_scanner
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .curve import (ALPHA_KEYS, Edge, MarkedPoint, PeriodLattice,
                     TropicalCurve, Vertex)
@@ -384,12 +391,44 @@ def _polar_modulus(value: MulValue) -> Fraction:
     return acc
 
 
+#: the C scanner json.loads runs, over the context json.loads gives it
+#: (strict, no hooks, float and int, the NaN and Infinity constants)
+_scan_json = make_scanner(SimpleNamespace(
+    strict=True, object_hook=None, object_pairs_hook=None,
+    parse_float=float, parse_int=int,
+    parse_constant={"NaN": math.nan, "Infinity": math.inf,
+                    "-Infinity": -math.inf}.__getitem__))
+
+#: the whitespace JSON allows around a value
+_JSON_SPACE = " \t\n\r"
+
+
 def _decode_json(source, what: str):
+    """The JSON document in the text source (a str or a text file), as
+    json.loads gives it.
+
+    The document is read by json.loads's own C scanner, with JSON
+    whitespace skipped on either side of the value, so that a well-formed
+    one does not load the json package.  A document the scanner does not
+    accept whole (an error, data after the value, a leading BOM) goes to
+    json.loads, whose exception words the ParseError; one nested deeper
+    than the scanner recurses is refused as "nested too deeply".
+    """
     prefix = f"{what}: " if what else ""
     try:
-        if isinstance(source, str):
-            return json.loads(source)
-        return json.load(source)
+        text = source if isinstance(source, str) else source.read()
+        try:
+            value, end = _scan_json(
+                text, len(text) - len(text.lstrip(_JSON_SPACE)))
+            if end == len(text.rstrip(_JSON_SPACE)):
+                return value
+        except (StopIteration, ValueError, SystemError):
+            # before 3.12 the scanner finds JSONDecodeError only in an
+            # already loaded json.decoder; failing that it raises
+            # SystemError ("returned NULL without setting an exception")
+            pass
+        import json
+        return json.loads(text)
     except ValueError as exc:  # not UTF-8, JSONDecodeError, over-long integer
         raise ParseError(f"{prefix}not valid JSON: {exc}") from exc
     except RecursionError as exc:  # nested deeper than the decoder recurses
@@ -422,6 +461,8 @@ def load_curve(path: str) -> tuple[TropicalCurve, list[MarkedPoint]]:
 def dumps_curve(
     curve: TropicalCurve, marks: list[MarkedPoint] | None = None
 ) -> str:
+    import json
+
     return json.dumps(curve_to_dict(curve, marks), indent=2) + "\n"
 
 

@@ -1,15 +1,21 @@
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import tropcount
 from tropcount import catalog, curvefile
-from tropcount.curvefile import (MAX_DECIMAL_EXPONENT, curve_from_dict,
-                                 curve_to_dict, dumps_curve, format_rational,
-                                 load_curve, loads_curve, parse_complex,
-                                 parse_rational, save_curve)
+from equivalence_cases import covers
+from tropcount.curvefile import (MAX_DECIMAL_EXPONENT, _decode_json,
+                                 curve_from_dict, curve_to_dict, dumps_curve,
+                                 format_rational, load_curve, loads_curve,
+                                 parse_complex, parse_rational, read_json,
+                                 save_curve)
 from tropcount.errors import ECHO_LIMIT, ParseError, clip
 from tropcount.selftest import generated_curves
 from tropcount.valuegroup import EqualityMode, MulValue
@@ -344,3 +350,127 @@ def test_file_that_is_not_utf8_is_a_parse_error(tmp_path):
 def test_deeply_nested_json_is_a_parse_error():
     with pytest.raises(ParseError, match="nested too deeply"):
         loads_curve("[" * 100000 + "]" * 100000)
+
+
+# --------------------------------------------------------------------------
+# the decoder: json's C scanner, with json.loads wording every refusal
+# --------------------------------------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _typed(value):
+    """value with the type of every node and the order of every map's
+    keys made part of it (NaN compares by its repr)."""
+    if isinstance(value, dict):
+        return ("dict", [(k, _typed(v)) for k, v in value.items()])
+    if isinstance(value, list):
+        return ("list", [_typed(v) for v in value])
+    return (type(value).__name__, repr(value))
+
+
+def _valid_documents():
+    texts = {}
+    for name in sorted(os.listdir(GOLDEN)):
+        if name.endswith(".json"):
+            with open(os.path.join(GOLDEN, name), encoding="utf-8") as f:
+                texts[name] = f.read()
+    for base in sorted(covers.BASES):
+        for k in (1, 9, 64):
+            texts[f"{base}-cover{k}"] = dumps_curve(
+                *covers.cover_instance(base, k, None))
+    return texts
+
+
+_VALID_DOCUMENTS = _valid_documents()
+
+
+@pytest.mark.parametrize("text", list(_VALID_DOCUMENTS.values()),
+                         ids=list(_VALID_DOCUMENTS))
+def test_decoder_gives_the_value_json_loads_gives(text, tmp_path):
+    expected = _typed(json.loads(text))
+    assert _typed(_decode_json(text, "")) == expected
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    assert _typed(read_json(str(path), "doc")) == expected
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": [1, -2.5e-3, true, false, null]} \t\n\r ',
+    ' \n["\\ud800", "x\\udfffy", "\\u00e9"]',
+    '[NaN, Infinity, -Infinity, 1e400, -1e400, -0.0]',
+    '{"a": 1, "b": 2, "a": {"c": 3, "c": [4]}}',
+], ids=["trailing-whitespace", "lone-surrogate", "constants", "duplicates"])
+def test_decoder_accepts_what_json_loads_accepts(text):
+    assert _typed(_decode_json(text, "")) == _typed(json.loads(text))
+
+
+def test_decoder_keeps_the_last_of_duplicate_keys():
+    assert _decode_json('{"a": 1, "b": 2, "a": 3}', "") == {"a": 3, "b": 2}
+
+
+def _json_loads_refusal(text) -> str:
+    """The ParseError text of a document json.loads refuses, as the
+    decoder that called json.loads on every document worded it."""
+    try:
+        json.loads(text)
+    except ValueError as exc:
+        return f"not valid JSON: {exc}"
+    except RecursionError:
+        return "not valid JSON: nested too deeply"
+    raise AssertionError("json.loads accepts the document")
+
+
+@pytest.mark.parametrize("text", [
+    "", " \t\n\r ", "\ufeff{}", '{"a": 1} x', "{} {}", "{,}", "[1,]",
+    '{"a" 1}', '["a\x01b"]', "1" * 5000, "[" * 100000,
+], ids=["empty", "whitespace", "bom", "trailing-data", "two-values",
+        "comma-object", "comma-list", "missing-colon", "control-character",
+        "integer-5000-digits", "deep"])
+def test_decoder_refuses_with_the_json_loads_message(text, tmp_path):
+    message = _json_loads_refusal(text)
+    with pytest.raises(ParseError) as refused:
+        loads_curve(text)
+    assert str(refused.value) == message
+    path = tmp_path / "doc.json"
+    path.write_text(text, encoding="utf-8")
+    # a file is read with universal newlines, so "\r" comes back as "\n"
+    message = _json_loads_refusal(path.read_text(encoding="utf-8"))
+    with pytest.raises(ParseError) as refused:
+        read_json(str(path), "doc.json")
+    assert str(refused.value) == f"doc.json: {message}"
+
+
+def test_decoder_loads_json_only_to_word_a_refusal():
+    # a document with whitespace around it is read without the json
+    # package; before Python 3.12 the scanner finds JSONDecodeError only
+    # in a loaded json.decoder, and raises SystemError without one
+    text = '{"a" 1}'
+    code = ("import sys\n"
+            "from tropcount.curvefile import _decode_json, loads_curve\n"
+            "from tropcount.errors import ParseError\n"
+            "assert _decode_json(' \\n{\"a\": [1]}\\r\\t', '') == "
+            "{'a': [1]}\n"
+            "assert 'json' not in sys.modules\n"
+            "try:\n"
+            f"    loads_curve({text!r})\n"
+            "except ParseError as exc:\n"
+            "    print(exc)\n")
+    src = os.path.dirname(os.path.dirname(tropcount.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == _json_loads_refusal(text) + "\n"
+
+
+def test_read_json_of_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(json.dumps(THETA_DOC).replace("u", "\u00e9").encode(
+        "latin-1"))
+    with open(path, encoding="utf-8") as handle:
+        with pytest.raises(UnicodeDecodeError) as undecoded:
+            json.load(handle)
+    with pytest.raises(ParseError) as refused:
+        read_json(str(path), "doc.json")
+    assert str(refused.value) == \
+        f"doc.json: not valid JSON: {undecoded.value}"

@@ -1,6 +1,10 @@
 """pyproject.toml claims requires-python >= 3.10: the CLI writes the same
 bytes under every python3.N (N >= 10) on PATH as under the interpreter
-running the tests."""
+running the tests.
+
+Curve files are read by the private C scanner of json (_json); the
+malformed file pins both its path and json.loads's error path, which
+words the refusal."""
 
 import os
 import re
@@ -14,8 +18,11 @@ import tropcount
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 SRC = os.path.dirname(os.path.dirname(tropcount.__file__))
-COMMANDS = (["count", "theta_exact.json"],
-            ["prelog", "theta_exact.json", "--json"])
+#: (argv, exit code) run in a directory holding theta_exact.json and
+#: malformed.json, the same curve file with the ':' after "edges" deleted
+COMMANDS = ((["count", "theta_exact.json"], 0),
+            (["prelog", "theta_exact.json", "--json"], 0),
+            (["validate", "malformed.json"], 1))
 
 
 def _other_interpreters() -> dict:
@@ -58,8 +65,18 @@ def test_other_interpreters_write_the_same_bytes(tmp_path):
     if not others:
         pytest.skip("no other python3.N (N >= 10) on PATH")
     shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
-    for argv in COMMANDS:
+    text = (tmp_path / "theta_exact.json").read_text(encoding="utf-8")
+    assert '"edges":' in text
+    (tmp_path / "malformed.json").write_text(
+        text.replace('"edges":', '"edges"', 1), encoding="utf-8")
+    for argv, code in COMMANDS:
         expected = _run(sys.executable, argv, tmp_path)
-        assert expected[0] == 0 and expected[1]
+        assert expected[0] == code
+        if code:  # one error line, no traceback
+            assert expected[2].startswith(
+                b"error: not valid JSON: Expecting ':' delimiter")
+            assert expected[2].count(b"\n") == 1
+        else:
+            assert expected[1]
         for minor, python in sorted(others.items()):
             assert _run(python, argv, tmp_path) == expected, (minor, argv)

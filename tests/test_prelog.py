@@ -7,7 +7,7 @@ import pytest
 from equivalence_cases import cases, chi_reference, covers, dense_snf
 from tropcount import catalog
 from tropcount.errors import ConstraintError
-from tropcount.exactmath import to_rows
+from tropcount.exactmath import det_int, to_rows
 from tropcount.prelog import (MonomialSystem, VertexModel, assemble_system,
                               edge_rhs, left_kernel_vector, prelog_exists,
                               solve_monomial, solve_root_congruence,
@@ -331,3 +331,49 @@ def test_cover_witnesses_eliminate_every_unknown(base, k):
                 total[j] += yi * x
         assert not any(total)
         assert w.value == mv_prod(zip(system.rhs, y))
+
+
+def _bfs_non_tree_edges(curve) -> list[int]:
+    """Indices, in curve order, of the edges outside the breadth-first
+    spanning tree grown from the first vertex, each vertex's edges taken
+    in curve order."""
+    incident = {v.id: [] for v in curve.vertices}
+    for i, e in enumerate(curve.edges):
+        incident[e.tail].append(i)
+        if e.head != e.tail:
+            incident[e.head].append(i)
+    seen = {curve.vertices[0].id}
+    queue = [curve.vertices[0].id]
+    tree = set()
+    for vid in queue:
+        for i in incident[vid]:
+            e = curve.edges[i]
+            other = e.head if e.tail == vid else e.tail
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+                tree.add(i)
+    assert len(seen) == len(curve.vertices)
+    return [i for i in range(len(curve.edges)) if i not in tree]
+
+
+@pytest.mark.parametrize("k", [16, 64])
+@pytest.mark.parametrize("base", sorted(covers.BASES))
+def test_free_kernel_spans_the_cycle_lattice(base, k):
+    # each edge row is x_tail * x_head = rhs on two flags no other edge
+    # row reads, so a free generator is a circulation, x_head = -x_tail;
+    # the generators span the cycle lattice (the edge weights are
+    # uniform on a cover) if and only if their values on the edges
+    # outside a spanning tree form a unimodular matrix.  The determinant
+    # is Bareiss's, which shares no code with snf.
+    curve, _ = covers.cover_instance(base, k, None)
+    solution = solve_monomial(assemble_system(curve))
+    free = solution.kernel_free
+    assert len(free) == curve.genus
+    for column in free:
+        for i in range(len(curve.edges)):
+            assert column.get(2 * i + 1, 0) == -column.get(2 * i, 0)
+    non_tree = _bfs_non_tree_edges(curve)
+    assert len(non_tree) == curve.genus
+    matrix = [[column.get(2 * i, 0) for i in non_tree] for column in free]
+    assert det_int(matrix) in (1, -1)

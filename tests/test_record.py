@@ -122,10 +122,11 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # -S keeps site (and any .pth imports) out of the measurement.  A bare
     # `import tropcount` loads no submodule, and tropcount.cli loads
     # neither cmath, which only numeric evaluation uses, nor typing
-    # (annotations are never evaluated); validate and plot
+    # (annotations are never evaluated), nor the json package (curve
+    # files are read by its C scanner, _json); validate and plot
     # load no algebra layer; a well-formed exact count loads neither
     # prelog nor argparse (with its gettext and locale) nor the selftest
-    # module nor cmath nor typing.
+    # module nor cmath nor typing nor json.
     src = os.path.dirname(os.path.dirname(tropcount.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     golden = os.path.join(os.path.dirname(__file__), "golden",
@@ -136,14 +137,16 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
             "file=sys.stderr)\n"
             "loaded(m for m in sys.modules if m.startswith('tropcount.'))\n"
             "import tropcount.cli\n"
-            "loaded({'cmath', 'dataclasses', 'inspect', 'typing'})\n"
+            "loaded({'cmath', 'dataclasses', 'inspect', 'json', "
+            "'json.decoder', 'json.encoder', 'typing'})\n"
             "for command in ('validate', 'plot'):\n"
             f"    tropcount.cli.main([command, {golden!r}])\n"
             f"loaded({_ALGEBRA!r})\n"
             f"code = tropcount.cli.main(['count', {golden!r}, '--json'])\n"
             "print(code, file=sys.stderr)\n"
-            "loaded({'argparse', 'cmath', 'gettext', 'locale', "
-            "'tropcount.prelog', 'tropcount.selftest', 'typing'})\n")
+            "loaded({'argparse', 'cmath', 'gettext', 'json', 'json.decoder', "
+            "'json.encoder', 'locale', 'tropcount.prelog', "
+            "'tropcount.selftest', 'typing'})\n")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stderr == "[]\n[]\n[]\n0\n[]\n"
