@@ -5,8 +5,6 @@ multipliers are the formal symbols; a caller that wants exact or
 numeric multipliers builds a new lattice around the same vertices and
 edges."""
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .curve import Edge, MarkedPoint, PeriodLattice, TropicalCurve, Vertex

@@ -50,8 +50,6 @@ integer a report would write, the generators' included, is checked
 against the interpreter's int-to-str limit before the first write.
 """
 
-from __future__ import annotations
-
 import atexit
 import errno
 import math
@@ -555,7 +553,7 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     import argparse
 
     class Parser(argparse.ArgumentParser):

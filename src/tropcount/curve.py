@@ -16,8 +16,6 @@ group (see valuegroup); they drive the realizability invariant but play no
 role in the purely combinatorial operations here.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from functools import cached_property
@@ -176,7 +174,7 @@ class TropicalCurve(Record):
         return {vid: tuple(edges) for vid, edges in flags.items()}
 
     @cached_property
-    def _report(self) -> ValidationReport:
+    def _report(self) -> "ValidationReport":
         return validate(self)
 
     @cached_property
@@ -211,7 +209,7 @@ class TropicalCurve(Record):
         return tuple(coords), tuple(segments)
 
     @cached_property
-    def _clean_pass(self) -> tuple[FracVec2, list[Crossing]]:
+    def _clean_pass(self) -> "tuple[FracVec2, list[Crossing]]":
         # the canonical offset and its crossings (see canonical_offset)
         last_error: DegeneracyError | None = None
         for offset in offset_sequence():
@@ -436,7 +434,8 @@ def marks_by_edge(
     per_edge: dict[str, list[MarkedPoint]] = {}
     for pt in points:
         if not 0 < pt.t < 1:
-            raise ValidationError(f"marked point t={pt.t} outside (0, 1)")
+            raise ValidationError(
+                f"marked point t={clip_value(pt.t)} outside (0, 1)")
         per_edge.setdefault(pt.edge, []).append(pt)
     for eid, pts in per_edge.items():
         ts = [p.t for p in pts]

@@ -34,8 +34,6 @@ message, and to write a curve file (dumps_curve).  This needs CPython,
 3.10 or newer, where _json is always built.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from _json import make_scanner
@@ -44,7 +42,7 @@ from types import SimpleNamespace
 
 from .curve import (ALPHA_KEYS, Edge, MarkedPoint, PeriodLattice,
                     TropicalCurve, Vertex)
-from .errors import ECHO_LIMIT, ParseError, clip
+from .errors import ECHO_LIMIT, ParseError, clip, clip_value
 from .valuegroup import EqualityMode, MulValue, mv_prod
 
 
@@ -321,8 +319,8 @@ def _derive_shift(lattice, positions, tail, head, wvec, length, what):
     g1, g2 = lattice.to_lattice_coords(rhs)
     if g1.denominator != 1 or g2.denominator != 1:
         raise ParseError(
-            f"{what}: derived shift ({g1}, {g2}) is not integral; the "
-            "vertex positions do not satisfy the lift relation")
+            f"{what}: derived shift {clip_value((g1, g2))} is not integral; "
+            "the vertex positions do not satisfy the lift relation")
     return int(g1), int(g2)
 
 

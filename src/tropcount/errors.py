@@ -9,9 +9,10 @@ Each class carries the CLI exit code it maps to:
 * 5 - ConstraintError: violated precondition, such as a wrong number of
   marked points.
 
-Messages that quote an input value pass its repr through clip, and
-those that quote a computed number pass it through clip_value, so that
-a huge value gives a short line.
+Messages that quote an input value pass its repr through clip, those
+that quote a computed value pass it through clip_value, and those that
+quote a certificate or a caught error's text pass it through clip too,
+mostly at ECHO_LIMIT + 40, so that a huge value gives a short line.
 """
 
 import sys
@@ -29,10 +30,10 @@ def clip(text: str, limit: int = ECHO_LIMIT) -> str:
 
 
 def clip_value(value) -> str:
-    """A computed number (an int or a Fraction) or a pair of them, as str
-    writes it, through clip at ECHO_LIMIT; a pair reads "(x, y)".  An
-    integer too long for str (past the interpreter's limit on
-    integer-to-string conversion) is not written out at all."""
+    """A computed value (an int, a Fraction or a MulValue) or a pair of
+    numbers, as str writes it, through clip at ECHO_LIMIT; a pair reads
+    "(x, y)".  An integer too long for str (past the interpreter's limit
+    on integer-to-string conversion) is not written out at all."""
     try:
         text = (f"({value[0]}, {value[1]})" if type(value) is tuple
                 else str(value))

@@ -31,8 +31,6 @@ every remaining row at each step, and skips the divisibility sweep for
 a pivot equal to one that passed it.
 """
 
-from __future__ import annotations
-
 from math import gcd, inf
 
 

@@ -26,14 +26,12 @@ The final count multiplies the kernel order by the product of the edge
 weights of the unsubdivided curve (maximal 2-valent chains count once).
 """
 
-from __future__ import annotations
-
 import itertools
 from fractions import Fraction
 
 from .curve import (MarkedPoint, TropicalCurve, ensure_valid, marks_by_edge,
                     subdivide)
-from .errors import ConstraintError, InfeasibleError
+from .errors import ECHO_LIMIT, ConstraintError, InfeasibleError, clip
 from .exactmath import IntMatrix, Rows, det_int, rank_rational, row_sum, snf
 from .realize import RealizabilityReport, is_realizable
 from .record import Record
@@ -347,10 +345,12 @@ def count_curves(
     report = is_realizable(curve, mode, tolerance)
     if report.verdict is False:
         raise InfeasibleError(
-            f"curve is not realizable: {report.certificate}")
+            f"curve is not realizable: "
+            f"{clip(report.certificate, ECHO_LIMIT + 40)}")
     if report.verdict is None:
         raise ConstraintError(
-            f"realizability undecided at this tolerance: {report.certificate}")
+            f"realizability undecided at this tolerance: "
+            f"{clip(report.certificate, ECHO_LIMIT + 40)}")
     if len(marks) != curve.genus:
         raise ConstraintError(
             f"need exactly genus={curve.genus} marked points, got {len(marks)}")

@@ -13,8 +13,6 @@ a very long edge cannot make the output huge; so is an id with a
 character that XML does not allow, which no escape could write.
 """
 
-from __future__ import annotations
-
 import math
 import re
 

@@ -28,8 +28,6 @@ this way, and the betas can be recovered from the mus by principal roots
 plus an explicit root-of-unity correction.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from itertools import chain

@@ -20,12 +20,9 @@ their ratio is a coboundary that balancing cancels; the test suite checks
 this exactly.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .curve import TropicalCurve, crossings, ensure_valid
-from .errors import ConstraintError
 from .record import Record
 from .valuegroup import (DEFAULT_TOLERANCE, EqualityMode, MulValue, mv_is_one,
                          mv_prod)
@@ -146,10 +143,6 @@ def is_realizable(
     sigma = sigma_cocycle(curve)
     target = realizability_target(curve)
     ratio = sigma / target
-    if mode is EqualityMode.EXACT and ratio.has_symbols:
-        raise ConstraintError(
-            "exact mode needs polar-rational multiplier values; this "
-            "curve carries formal symbols")
     verdict, certificate = mv_is_one(
         ratio, mode, numeric_values=lattice.numeric_values,
         tolerance=tolerance)

@@ -8,11 +8,15 @@ of the package's import time, paid again by every short invocation.
 This base defines the same methods once, for all records.
 
 A subclass lists its fields as class annotations, in order; a class
-attribute of the same name is that field's default.  A default is shared
-between instances, so a mutable default must be copied in __post_init__.
-__post_init__ may normalize fields through object.__setattr__.  Instances
-keep a __dict__, so functools.cached_property works on them; cached
-values are not fields and never enter equality, hashing or repr.
+attribute of the same name is that field's default.  The fields are the
+keys of cls.__annotations__, which from Python 3.10 on holds the class's
+own annotations only; from 3.14 on a class keeps them behind
+__annotate__, and its __dict__ need not hold __annotations__ at all.  A
+default is shared between instances, so a mutable default must be copied
+in __post_init__.  __post_init__ may normalize fields through
+object.__setattr__.  Instances keep a __dict__, so
+functools.cached_property works on them; cached values are not fields
+and never enter equality, hashing or repr.
 
 >>> class Point(Record):
 ...     x: int
@@ -21,8 +25,6 @@ values are not fields and never enter equality, hashing or repr.
 >>> p, p == Point(x=1, y=0), p.replace(y=2)
 (Point(x=1, y=0), True, Point(x=1, y=2))
 """
-
-from __future__ import annotations
 
 from operator import attrgetter
 
@@ -35,7 +37,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = tuple(cls.__dict__.get("__annotations__", ()))
+        own = tuple(cls.__annotations__)
         cls._fields = cls._fields + own
         cls._defaults = {**cls._defaults, **{
             name: cls.__dict__[name] for name in own if name in cls.__dict__}}

@@ -6,8 +6,6 @@ with pass/fail and counterexample text.  All generation is deterministic
 for a fixed seed.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import random

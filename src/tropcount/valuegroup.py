@@ -33,13 +33,11 @@ outer power n is an integer: an integer multiple of a phase reduced mod
 picks a branch.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from fractions import Fraction
 
-from .errors import ConstraintError
+from .errors import ConstraintError, clip, clip_value
 from .record import Record
 
 
@@ -106,7 +104,7 @@ def _factorize(n: int) -> dict[int, int]:
     if n > 1:
         if d * d <= n and not (n < _MILLER_RABIN_BOUND and _is_prime(n)):
             raise ValueError(
-                f"cannot factor {n}: no prime factor up to "
+                f"cannot factor {clip_value(n)}: no prime factor up to "
                 f"{TRIAL_DIVISION_BOUND}, and it is not a provable prime "
                 f"below {_MILLER_RABIN_BOUND}")
         out[n] = out.get(n, 0) + 1
@@ -316,11 +314,11 @@ def mv_eval_numeric(a: MulValue,
     for name, exp in a.symbols:
         if values is None or name not in values:
             raise ConstraintError(
-                f"no numeric value supplied for symbol {name}")
+                f"no numeric value supplied for symbol {clip(name)}")
         base = complex(values[name])
         if base == 0:
             raise ConstraintError(
-                f"symbol {name} must be a nonzero complex number")
+                f"symbol {clip(name)} must be a nonzero complex number")
         acc *= cmath.exp(float(exp) * cmath.log(base))
     for p, exp in a.primes:
         acc *= cmath.exp(float(exp) * cmath.log(p))
@@ -354,7 +352,7 @@ def mv_is_one(
         if a.has_symbols:
             raise ConstraintError(
                 f"exact comparison needs polar values for all symbols; "
-                f"left: {a}")
+                f"left: {clip_value(a)}")
         if a.is_identity:
             return True, "exact identity after substitution"
         return False, f"exact value differs from 1: {a}"

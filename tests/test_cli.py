@@ -534,6 +534,63 @@ def test_huge_input_value_gives_a_short_error_line(text, command, tmp_path):
     assert seconds < HOSTILE_SECONDS
 
 
+def _long_cycle_text() -> str:
+    """The genus-1 wrapping cycle with edge s2 wound 10**3000 more times
+    around the first period: valid, with a formal sigma whose exponent
+    has 3,001 digits."""
+    n = 10 ** 3000
+    cycle = catalog.wrapping_cycle(2)
+    s1, s2 = cycle.edges
+    curve = cycle.replace(edges=(s1, s2.replace(
+        length=Fraction(2 * n + 1, 2), shift=(-1 - n, 0))))
+    return dumps_curve(curve, [MarkedPoint("s1", Fraction(1, 2))])
+
+
+def _unshifted_doc(position: str) -> dict:
+    """The golden curve with every shift left out and vertex v at
+    (position, 0)."""
+    doc = _golden_doc()
+    for edge in doc["edges"]:
+        del edge["shift"]
+    doc["vertices"][1]["pos"][0] = position
+    return doc
+
+
+_UNFACTORED = str((2 ** 521 - 1) * (2 ** 607 - 1))
+_FORMAL_THETA = {key: value for key, value in _golden_doc().items()
+                 if key != "multipliers"}
+_THETA_CHECK = {"flags": {**_check_doc({"re": 1, "im": 0})["flags"],
+                          "v|e1": {"symbols": {"s" * 5000: "1"}}}}
+
+
+@pytest.mark.parametrize("argv, curve, check, code", [
+    (["prelog", "--mode", "exact"], _long_cycle_text(), None, 5),
+    (["count"], _long_cycle_text(), None, 4),
+    (["count"], json.dumps({**_golden_doc(), "marked_points": [
+        {"edge": "e1", "t": str(10 ** 3000)}, {"edge": "e2", "t": "1/2"}]}),
+     None, 2),
+    (["count"], json.dumps(_modulus_doc(_UNFACTORED)), None, 1),
+    (["validate"], json.dumps(_unshifted_doc("1/" + "7" * 3000)), None, 1),
+    (["prelog"], json.dumps(_FORMAL_THETA), _THETA_CHECK, 5),
+    (["prelog"], json.dumps(_golden_doc()), _check_doc(_UNFACTORED), 1),
+], ids=["exact-value-left", "formal-certificate", "mark-parameter",
+        "unfactored-modulus", "derived-shift", "symbol-name",
+        "unfactored-check-value"])
+def test_huge_computed_value_gives_a_short_error_line(argv, curve, check,
+                                                       code, tmp_path):
+    # each quoted a value computed from the input whole, in a line of
+    # 0.5 to 12 KB
+    if check is not None:
+        path = tmp_path / "theta.json"
+        path.write_text(curve, encoding="utf-8")
+        argv, curve = [*argv, str(path), "--check"], json.dumps(check)
+    code_seen, err, seconds = _run_timed(argv, tmp_path, text=curve)
+    assert (code_seen, err.count("\n")) == (code, 1), err[:300]
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.encode()) < 300, err
+    assert seconds < HOSTILE_SECONDS
+
+
 def test_huge_check_value_gives_a_short_error_line(tmp_path, capsys):
     shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
     check = tmp_path / "check.json"
@@ -1114,9 +1171,13 @@ def test_installed_script_runs_the_program():
 
 def test_mode_env_and_flag_precedence(theta_file, capsys, monkeypatch):
     monkeypatch.setenv("TROPCOUNT_MODE", "exact")
-    # exact comparison on a purely formal curve cannot be carried out
-    assert main(["count", theta_file]) == 5
-    capsys.readouterr()
+    # exact comparison on a purely formal curve cannot be carried out, and
+    # every command that compares says so in the same words
+    for command in ("realizable", "count", "prelog"):
+        assert main([command, theta_file]) == 5
+        assert capsys.readouterr().err == (
+            "error: exact comparison needs polar values for all symbols; "
+            "left: alpha12^1 * alpha21^-1 * alpha22^1\n")
     monkeypatch.setenv("TROPCOUNT_MODE", "bogus")
     assert main(["realizable", theta_file]) == 5
     assert "TROPCOUNT_MODE" in capsys.readouterr().err

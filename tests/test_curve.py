@@ -102,12 +102,16 @@ def test_validation_catches_structural_problems():
     assert validate(twin_vertex).problems == ("duplicate vertex ids",)
     twin_edge = theta.replace(edges=theta.edges + theta.edges[:1])
     assert validate(twin_edge).problems == ("duplicate edge ids",)
+    with pytest.raises(ValidationError, match="vertex u has valence 4"):
+        twin_edge.vertex_weight("u")
     empty = TropicalCurve(lat, (), ())
     assert validate(empty).problems == ("curve has no vertices",)
     curve = theta.replace(edges=tuple(
         e.replace(weight_vector=(0, 0)) if e.id == "e1" else e
         for e in theta.edges))
     assert validate(curve).problems[0] == "edge e1 has zero weight vector"
+    with pytest.raises(ValidationError, match="edge e1 has zero weight"):
+        curve.edge("e1").primitive
 
 
 def test_validation_catches_balancing_and_lift():
@@ -179,6 +183,8 @@ def test_indexed_lookups_match_linear_scans():
         dup.vertex("b")
     with pytest.raises(KeyError):
         dup.edge("f")
+    with pytest.raises(KeyError, match="edge e is not incident to b"):
+        dup.outgoing_vector("b", dup.edges[0])
 
 
 def test_validation_runs_once_per_curve(monkeypatch):

@@ -322,6 +322,20 @@ def test_round_trip_numeric():
     assert marks2 == marks
 
 
+@pytest.mark.parametrize("value, refusal", [
+    (MulValue.rational(2) ** Fraction(1, 2), "has a non-rational modulus"),
+    (MulValue.symbol("alpha11"), "is not a concrete value"),
+])
+def test_exact_writer_refuses_a_value_without_a_rational_modulus(value,
+                                                                 refusal):
+    theta = catalog.theta()
+    lattice = theta.lattice.replace(mode=EqualityMode.EXACT, multipliers={
+        key: value if key == "alpha11" else MulValue.rational(1)
+        for key in theta.lattice.multipliers})
+    with pytest.raises(ParseError, match=refusal):
+        dumps_curve(theta.replace(lattice=lattice))
+
+
 def test_serialized_document_has_no_floats():
     doc = curve_to_dict(catalog.theta(), catalog.theta_marks())
     text = json.dumps(doc)

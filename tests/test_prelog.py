@@ -103,6 +103,8 @@ def test_verify_assignment_names_failing_rows():
     tweaked[i] = tweaked[i] * MulValue.phase_turns(Fraction(1, 3))
     failures = verify_assignment(system, tweaked, EqualityMode.EXACT)
     assert sorted(label for label, _ in failures) == ["edge e2", "vertex u"]
+    with pytest.raises(ConstraintError, match="5 values for 6 flags"):
+        verify_assignment(system, tweaked[1:], EqualityMode.EXACT)
 
 
 def test_prelog_exists_matches_realizability():

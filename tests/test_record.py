@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,6 +10,7 @@ import pytest
 
 import tropcount
 from tropcount.curve import Edge, PeriodLattice
+from tropcount.errors import ValidationError
 from tropcount.record import Record
 from tropcount.selftest import SuiteResult
 from tropcount.valuegroup import MulValue
@@ -102,6 +105,11 @@ def test_replace_runs_post_init_and_keeps_the_original():
     assert f.replace() == f
     with pytest.raises(TypeError):
         e.replace(colour="red")
+    # an integral vector of other numbers becomes ints; any other refused
+    g = e.replace(weight_vector=(Fraction(2), 1))
+    assert g.weight_vector == (2, 1) and type(g.weight_vector[0]) is int
+    with pytest.raises(ValidationError):
+        e.replace(weight_vector=(Fraction(1, 2), 0))
 
 
 def test_mutable_defaults_are_per_instance():
@@ -113,6 +121,29 @@ def test_mutable_defaults_are_per_instance():
                          numeric_values=shared).numeric_values is not shared
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_fields_are_the_own_annotations_in_order():
+    for module in pkgutil.iter_modules(tropcount.__path__):
+        importlib.import_module(f"tropcount.{module.name}")
+    records = [cls for cls in _subclasses(Record)
+               if cls.__module__.startswith("tropcount.")]
+    assert len(records) >= 16
+    for cls in records:
+        base = cls.__mro__[1]
+        assert cls._fields == base._fields + tuple(cls.__annotations__), cls
+
+    class Bare(Single):
+        """Adds no annotation, so no field."""
+
+    assert Bare._fields == ("only",) and Bare._defaults == {}
+    assert Bare(4) == Bare(only=4) != Bare(5)
+
+
 #: layer modules that a command leaves unloaded when it does not use them
 _ALGEBRA = ("tropcount.exactmath", "tropcount.moduli", "tropcount.prelog",
             "tropcount.realize")
@@ -122,11 +153,12 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # -S keeps site (and any .pth imports) out of the measurement.  A bare
     # `import tropcount` loads no submodule, and tropcount.cli loads
     # neither cmath, which only numeric evaluation uses, nor typing
-    # (annotations are never evaluated), nor the json package (curve
-    # files are read by its C scanner, _json); validate and plot
-    # load no algebra layer; a well-formed exact count loads neither
-    # prelog nor argparse (with its gettext and locale) nor the selftest
-    # module nor cmath nor typing nor json.
+    # (annotations are evaluated, and name only builtin types and the
+    # package's own), nor __future__, nor the json package (curve files
+    # are read by its C scanner, _json); validate and plot load no
+    # algebra layer; a well-formed exact count loads neither prelog nor
+    # argparse (with its gettext and locale) nor the selftest module nor
+    # cmath nor typing nor __future__ nor json.
     src = os.path.dirname(os.path.dirname(tropcount.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     golden = os.path.join(os.path.dirname(__file__), "golden",
@@ -137,15 +169,15 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
             "file=sys.stderr)\n"
             "loaded(m for m in sys.modules if m.startswith('tropcount.'))\n"
             "import tropcount.cli\n"
-            "loaded({'cmath', 'dataclasses', 'inspect', 'json', "
-            "'json.decoder', 'json.encoder', 'typing'})\n"
+            "loaded({'__future__', 'cmath', 'dataclasses', 'inspect', "
+            "'json', 'json.decoder', 'json.encoder', 'typing'})\n"
             "for command in ('validate', 'plot'):\n"
             f"    tropcount.cli.main([command, {golden!r}])\n"
             f"loaded({_ALGEBRA!r})\n"
             f"code = tropcount.cli.main(['count', {golden!r}, '--json'])\n"
             "print(code, file=sys.stderr)\n"
-            "loaded({'argparse', 'cmath', 'gettext', 'json', 'json.decoder', "
-            "'json.encoder', 'locale', 'tropcount.prelog', "
+            "loaded({'__future__', 'argparse', 'cmath', 'gettext', 'json', "
+            "'json.decoder', 'json.encoder', 'locale', 'tropcount.prelog', "
             "'tropcount.selftest', 'typing'})\n")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)

@@ -68,8 +68,12 @@ def test_factorize_refuses_what_it_cannot_prove():
     assert TRIAL_DIVISION_BOUND < 1048583
     for n in (1048583 * 1048589, 1000000000000000003 ** 2,
               2 ** 89 - 1):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"cannot factor {n}: "):
             _factorize(n)
+    # a number past the quotation limit is clipped in the message
+    big = (2 ** 521 - 1) * (2 ** 607 - 1)
+    with pytest.raises(ValueError, match=r"\.\.\. \(340 characters\): "):
+        _factorize(big)
 
 
 #: psi_12 = 399165290221 * 798330580441, a strong pseudoprime to every
@@ -139,6 +143,8 @@ def test_root_is_principal():
     v = mv_root(MulValue.minus_one(), 2)
     assert v == MulValue.phase_turns(Fraction(1, 4))
     assert v * v == MulValue.minus_one()
+    with pytest.raises(ValueError):
+        mv_root(v, 0)
 
 
 def test_phase_normalized_to_unit_interval():
@@ -161,6 +167,8 @@ def test_is_one_modes():
     assert "formal" in cert
     ok, _ = mv_is_one(MulValue.rational(1), EqualityMode.FORMAL)
     assert ok is True
+    with pytest.raises(ValueError, match="unknown mode"):
+        mv_is_one(sym, "formal")
 
 
 def test_is_one_numeric_margins():
