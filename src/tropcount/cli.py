@@ -20,9 +20,16 @@ One command table (COMMANDS) holds the grammar.  A well-formed command
 line is read from it directly; argparse is loaded only for help and usage
 errors, so that their text and exit code are argparse's own.
 
-The module loads only the layers every command needs (errors, valuegroup,
-curve, curvefile); each handler imports the rest it uses when it runs, so
-validate and plot load no algebra and count does not load prelog.
+The module loads only the layers every command needs (errors, record,
+valuegroup, curve, curvefile) and, from the standard library, _json and
+small modules (os, re, enum, functools, math, ...) that an interpreter
+started with site has usually loaded already.  Each handler imports the
+rest it uses when it runs, so validate and plot load no algebra and
+count does not load prelog.  No command but selftest loads fractions
+(with decimal and numbers): rationals are read and kept as (numerator,
+denominator) pairs of ints.  A failing command may load json (to word a
+parse error) or argparse (for help and usage errors), and a numeric
+comparison loads cmath.
 
 The program runs through run() (`python -m tropcount.cli` and the
 installed `tropcount` script): main(), then the atexit handlers and the
@@ -61,11 +68,10 @@ from itertools import repeat
 from types import GeneratorType, SimpleNamespace
 
 from .curve import canonical_offset, ensure_valid, validate
-from .curvefile import (format_rational, load_curve, parse_complex,
-                        parse_group_element, parse_polar, parse_rational,
-                        read_json)
+from .curvefile import (load_curve, parse_complex, parse_group_element,
+                        parse_polar, parse_rational, read_json)
 from .errors import (ConstraintError, ParseError, TropcountError, clip,
-                     long_integer_text)
+                     format_rational, long_integer_text)
 from .valuegroup import (DEFAULT_TOLERANCE, UNDECIDED_FACTOR, EqualityMode,
                          MulValue)
 
@@ -243,7 +249,7 @@ def _header(command: str, args, curve, mode: EqualityMode) -> dict:
 
 
 def _marked_points(marks) -> list:
-    return [{"edge": m.edge, "t": format_rational(m.t)} for m in marks]
+    return [{"edge": m.edge, "t": format_rational(*m._t)} for m in marks]
 
 
 #: a three-valued verdict as a report writes it
@@ -309,7 +315,7 @@ def cmd_realizable(args) -> int:
             "tolerance or use exact multipliers")
     report = {
         **_header("realizable", args, curve, mode),
-        "offset": [format_rational(offset[0]), format_rational(offset[1])],
+        "offset": [format_rational(*offset[0]), format_rational(*offset[1])],
         "sigma_cocycle": str(cocycle),
         "sigma_geometric": str(geometric),
         "sigma_agreement": cocycle == geometric,
@@ -405,8 +411,8 @@ def cmd_prelog(args) -> int:
             assignment.append(_parse_check_value(
                 flags_doc[key], f"{args.check}: {clip(key)}"))
         # name each complex value past the symbols in use, so none binds it
-        taken = {name for x in assignment if isinstance(x, MulValue)
-                 for name, _ in x.symbols}
+        taken = {key for x in assignment if isinstance(x, MulValue)
+                 for kind, key, _, _ in x.terms if kind == 0}
         numeric_table = dict(curve.lattice.numeric_values)
         for i, x in enumerate(assignment):
             if isinstance(x, complex):

@@ -14,34 +14,43 @@ The lift convention, fixed once for the whole package:
 Multipliers attached to the two periods live in the formal multiplicative
 group (see valuegroup); they drive the realizability invariant but play no
 role in the purely combinatorial operations here.
+
+Every rational of the model (a position coordinate, a length, a marked
+point's t, an offset coordinate) is held as its lowest-terms (numerator,
+denominator) pair of ints, and the package works on those integers.
+Vertex.position, Edge.length and MarkedPoint.t are read-only views that
+build the Fractions on first read (loading fractions), and the
+constructors take a rational as an int, a (numerator, denominator) pair
+or anything Fraction takes (see valuegroup.as_ratio).
 """
 
 import math
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (ConstraintError, DegeneracyError, ValidationError, clip,
-                     clip_value)
+                     clip_rational, clip_value)
 from .record import Record
-from .valuegroup import EqualityMode, MulValue, mv_prod
+from .valuegroup import EqualityMode, MulValue, as_ratio, mv_prod
 
 Vec2 = tuple[int, int]
-FracVec2 = tuple[Fraction, Fraction]
+FracVec2 = tuple["Fraction", "Fraction"]
+#: a rational as its lowest-terms (numerator, denominator) pair, d > 0
+Ratio = tuple[int, int]
 
 ALPHA_KEYS = ("alpha11", "alpha12", "alpha21", "alpha22")
 
 
-def _frac(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
+def _fraction(value: Ratio) -> "Fraction":
+    from fractions import Fraction
 
-
-def _frac_pair(value) -> FracVec2:
-    return (_frac(value[0]), _frac(value[1]))
+    return Fraction(*value)
 
 
 def _int_pair(value) -> Vec2:
     if type(value[0]) is int and type(value[1]) is int:
         return (value[0], value[1])
+    from fractions import Fraction
+
     x, y = int(value[0]), int(value[1])
     if (x, y) != (Fraction(value[0]), Fraction(value[1])):
         raise ValidationError(f"expected an integer vector, got {value!r}")
@@ -78,6 +87,8 @@ class PeriodLattice(Record):
 
     def to_lattice_coords(self, point: FracVec2) -> FracVec2:
         """Coordinates (s1, s2) with point = s1*period1 + s2*period2."""
+        from fractions import Fraction
+
         x, y = Fraction(point[0]), Fraction(point[1])
         q = math.lcm(x.denominator, y.denominator)
         a, b = self.lattice_numerators(x.numerator * (q // x.denominator),
@@ -96,13 +107,37 @@ class PeriodLattice(Record):
             return (y * p2x - x * p2y, x * p1y - y * p1x)
         return (x * p2y - y * p2x, y * p1x - x * p1y)
 
+    def lift_gap(self, tail: tuple[Ratio, Ratio], head: tuple[Ratio, Ratio],
+                 length: Ratio, vector: Vec2,
+                 shift: Vec2) -> tuple[int, int, int]:
+        """(x, y, q) with (x/q, y/q) = head - tail - length * vector -
+        shift[0] * period1 - shift[1] * period2, for the positions tail
+        and head and the length as (numerator, denominator) pairs; q is
+        the lcm of their five denominators."""
+        (txn, txd), (tyn, tyd) = tail
+        (hxn, hxd), (hyn, hyd) = head
+        ln, ld = length
+        q = math.lcm(txd, tyd, hxd, hyd, ld)
+        ln *= q // ld
+        (wx, wy), (g1, g2) = vector, shift
+        (p1x, p1y), (p2x, p2y) = self.period1, self.period2
+        return (hxn * (q // hxd) - txn * (q // txd) - ln * wx
+                - q * (g1 * p1x + g2 * p2x),
+                hyn * (q // hyd) - tyn * (q // tyd) - ln * wy
+                - q * (g1 * p1y + g2 * p2y), q)
+
 
 class Vertex(Record):
     id: str
     position: FracVec2
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _frac_pair(self.position))
+        x, y = self._position
+        object.__setattr__(self, "_position", (as_ratio(x), as_ratio(y)))
+
+    @cached_property
+    def position(self) -> FracVec2:
+        return (_fraction(self._position[0]), _fraction(self._position[1]))
 
 
 class Edge(Record):
@@ -110,13 +145,17 @@ class Edge(Record):
     tail: str
     head: str
     weight_vector: Vec2
-    length: Fraction
+    length: "Fraction"
     shift: Vec2 = (0, 0)
 
     def __post_init__(self):
         object.__setattr__(self, "weight_vector", _int_pair(self.weight_vector))
-        object.__setattr__(self, "length", _frac(self.length))
+        object.__setattr__(self, "_length", as_ratio(self._length))
         object.__setattr__(self, "shift", _int_pair(self.shift))
+
+    @cached_property
+    def length(self) -> "Fraction":
+        return _fraction(self._length)
 
     @cached_property
     def weight(self) -> int:
@@ -139,10 +178,14 @@ class Edge(Record):
 
 class MarkedPoint(Record):
     edge: str
-    t: Fraction
+    t: "Fraction"
 
     def __post_init__(self):
-        object.__setattr__(self, "t", _frac(self.t))
+        object.__setattr__(self, "_t", as_ratio(self._t))
+
+    @cached_property
+    def t(self) -> "Fraction":
+        return _fraction(self._t)
 
 
 class TropicalCurve(Record):
@@ -191,25 +234,24 @@ class TropicalCurve(Record):
         det = abs(self.lattice.det)
         coords = []
         for v in self.vertices:
-            x, y = v.position
-            q = math.lcm(x.denominator, y.denominator)
-            coords.append((v.id, scaled(x.numerator * (q // x.denominator),
-                                        y.numerator * (q // y.denominator)),
+            (xn, xd), (yn, yd) = v._position
+            q = math.lcm(xd, yd)
+            coords.append((v.id, scaled(xn * (q // xd), yn * (q // yd)),
                            q * det))
         tails = {vid: (p, nv) for vid, p, nv in reversed(coords)}
         segments = []
         for e in self.edges:
             (a, b), nv = tails[e.tail]
-            d1, d2 = scaled(e.length.numerator * e.weight_vector[0],
-                            e.length.numerator * e.weight_vector[1])
-            ne = e.length.denominator * det
+            ln, ld = e._length
+            d1, d2 = scaled(ln * e.weight_vector[0], ln * e.weight_vector[1])
+            ne = ld * det
             n = math.lcm(nv, ne)
             k, j = n // nv, n // ne
             segments.append(((a * k, b * k), (d1 * j, d2 * j), n))
         return tuple(coords), tuple(segments)
 
     @cached_property
-    def _clean_pass(self) -> "tuple[FracVec2, list[Crossing]]":
+    def _clean_pass(self) -> "tuple[tuple[Ratio, Ratio], list[Crossing]]":
         # the canonical offset and its crossings (see canonical_offset)
         last_error: DegeneracyError | None = None
         for offset in offset_sequence():
@@ -279,21 +321,16 @@ class TropicalCurve(Record):
         appear twice)."""
         return self._flag_index.get(vid, ())
 
-    def lift_defect(self, e: Edge) -> FracVec2:
-        """lift(head) - lift(tail) - length*m - shift . periods (0 if valid).
+    def lift_defect(self, e: Edge) -> tuple[Ratio, Ratio]:
+        """lift(head) - lift(tail) - length*m - shift . periods, as two
+        (numerator, denominator) pairs: (0, 1) twice when e is valid.
 
-        Worked out on integer numerators over the lcm q of the five
-        denominators (q is 1 when positions and length are integers)."""
-        tail = self.vertex(e.tail).position
-        head = self.vertex(e.head).position
-        terms = (*tail, *head, e.length)
-        q = math.lcm(*(x.denominator for x in terms))
-        tx, ty, hx, hy, length = (x.numerator * (q // x.denominator)
-                                  for x in terms)
-        (wx, wy), (g1, g2) = e.weight_vector, e.shift
-        (p1x, p1y), (p2x, p2y) = self.lattice.period1, self.lattice.period2
-        return (Fraction(hx - tx - length * wx - q * (g1 * p1x + g2 * p2x), q),
-                Fraction(hy - ty - length * wy - q * (g1 * p1y + g2 * p2y), q))
+        Worked out on integer numerators over the lcm of the five
+        denominators (see PeriodLattice.lift_gap)."""
+        x, y, q = self.lattice.lift_gap(
+            self.vertex(e.tail)._position, self.vertex(e.head)._position,
+            e._length, e.weight_vector, e.shift)
+        return as_ratio((x, q)), as_ratio((y, q))
 
 
 class ValidationReport(Record):
@@ -380,22 +417,23 @@ def validate(curve: TropicalCurve) -> ValidationReport:
 
     if curve.lattice.det != 0:
         for e in curve.edges:
-            defect = curve.lift_defect(e)
-            if defect != (0, 0):
+            dx, dy = curve.lift_defect(e)
+            if dx[0] or dy[0]:
                 problems.append(
                     f"edge {clip(e.id)} violates the lift relation by "
-                    f"{clip_value(defect)}")
+                    f"{clip_rational(dx, dy)}")
 
     for e in curve.edges:
-        if e.length <= 0:
+        n, d = e._length
+        if n <= 0:
             problems.append(
                 f"edge {clip(e.id)} has non-positive length "
-                f"{clip_value(e.length)}")
-        elif e.length.denominator != 1:
+                f"{clip_rational(e._length)}")
+        elif d != 1:
             warnings.append(
                 f"edge {clip(e.id)}: lattice length "
-                f"{clip_value(e.length * e.weight)} is not an integral "
-                f"multiple of its weight {clip_value(e.weight)}")
+                f"{clip_rational(as_ratio((n * e.weight, d)))} is not an "
+                f"integral multiple of its weight {clip_value(e.weight)}")
 
     return ValidationReport(tuple(problems), tuple(warnings))
 
@@ -433,12 +471,13 @@ def marks_by_edge(
                 f"marked point on unknown edge {clip(repr(pt.edge))}")
     per_edge: dict[str, list[MarkedPoint]] = {}
     for pt in points:
-        if not 0 < pt.t < 1:
+        n, d = pt._t
+        if not 0 < n < d:
             raise ValidationError(
-                f"marked point t={clip_value(pt.t)} outside (0, 1)")
+                f"marked point t={clip_rational(pt._t)} outside (0, 1)")
         per_edge.setdefault(pt.edge, []).append(pt)
     for eid, pts in per_edge.items():
-        ts = [p.t for p in pts]
+        ts = [p._t for p in pts]
         if len(set(ts)) != len(ts):
             raise ValidationError(
                 f"duplicate marked points on edge {clip(eid)}")
@@ -462,22 +501,22 @@ def subdivide(
     per_edge = marks_by_edge(curve, points)
     new_vertices = list(curve.vertices)
     new_edges: list[Edge] = []
-    created: dict[tuple[str, Fraction], str] = {}
+    created: dict[tuple[str, Ratio], str] = {}
     for e in curve.edges:
         pts = sorted(per_edge.get(e.id, []), key=lambda p: p.t)
         if not pts:
             new_edges.append(e)
             continue
         tail_pos = curve.vertex(e.tail).position
-        chain = [(Fraction(0), e.tail)]
+        chain = [(0, e.tail)]
         for k, pt in enumerate(pts, start=1):
             vid = f"{e.id}@{k}"
             pos = (tail_pos[0] + pt.t * e.length * e.weight_vector[0],
                    tail_pos[1] + pt.t * e.length * e.weight_vector[1])
             new_vertices.append(Vertex(vid, pos))
-            created[(e.id, pt.t)] = vid
+            created[(e.id, pt._t)] = vid
             chain.append((pt.t, vid))
-        chain.append((Fraction(1), e.head))
+        chain.append((1, e.head))
         for k in range(len(chain) - 1):
             t0, a = chain[k]
             t1, b = chain[k + 1]
@@ -491,7 +530,7 @@ def subdivide(
                 shift=e.shift if last else (0, 0),
             ))
     out = TropicalCurve(curve.lattice, tuple(new_vertices), tuple(new_edges))
-    return out, [created[(p.edge, p.t)] for p in points]
+    return out, [created[(p.edge, p._t)] for p in points]
 
 
 def relift(curve: TropicalCurve, moves: dict[str, Vec2]) -> TropicalCurve:
@@ -582,7 +621,7 @@ class Crossing(Record):
     outward_vector: Vec2
 
 
-def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
+def crossings(curve: TropicalCurve, offset) -> list[Crossing]:
     """All wall crossings of the stored edge segment lifts.
 
     The fundamental cell is offset + [0,1)^2 in lattice coordinates; its
@@ -591,27 +630,28 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
     both families; a vertex lying on a wall or a crossing through a cell
     corner raises DegeneracyError (callers retry with another offset).
 
-    Lattice coordinates are exact rationals, each point over its own
-    denominator (see TropicalCurve._lattice_points): a vertex is checked
-    against the walls over its denominator times the offset's, and an
-    edge's segment is walked over its denominator times the offset's, so
-    the work is done on integer numerators.
+    The offset's two coordinates are rationals in any form as_ratio
+    takes.  Lattice coordinates are exact rationals, each point over its
+    own denominator (see TropicalCurve._lattice_points): a vertex is
+    checked against the walls over its denominator times the offset's,
+    and an edge's segment is walked over its denominator times the
+    offset's, so the work is done on integer numerators.
     """
-    o1, o2 = Fraction(offset[0]), Fraction(offset[1])
+    o1, o2 = as_ratio(offset[0]), as_ratio(offset[1])
+    q = math.lcm(o1[1], o2[1])
+    t1 = o1[0] * (q // o1[1])
+    t2 = o2[0] * (q // o2[1])
     coords, segments = curve._lattice_points
-    q = math.lcm(o1.denominator, o2.denominator)
-    t1 = o1.numerator * (q // o1.denominator)
-    t2 = o2.numerator * (q // o2.denominator)
     for vid, (s1, s2), nv in coords:
         n = nv * q
         if (s1 * q - t1 * nv) % n == 0:
             raise DegeneracyError(
                 f"vertex {clip(vid)} lies on a B1 wall for offset "
-                f"{clip_value((o1, o2))}")
+                f"{clip_rational(o1, o2)}")
         if (s2 * q - t2 * nv) % n == 0:
             raise DegeneracyError(
                 f"vertex {clip(vid)} lies on a B2 wall for offset "
-                f"{clip_value((o1, o2))}")
+                f"{clip_rational(o1, o2)}")
     out: list[Crossing] = []
     for e, ((s1, s2), (d1, d2), n) in zip(curve.edges, segments):
         # n * (lattice coordinates - offset) of the tail, over n * q
@@ -641,7 +681,7 @@ def crossings(curve: TropicalCurve, offset: FracVec2) -> list[Crossing]:
             if _integral_within(cn, rn, den, abs(net)):
                 raise DegeneracyError(
                     f"edge {clip(e.id)} crosses a cell corner for offset "
-                    f"{clip_value((o1, o2))}")
+                    f"{clip_rational(o1, o2)}")
             sign = 1 if net > 0 else -1
             out.append(Crossing(
                 edge=e.id,
@@ -673,19 +713,20 @@ def _integral_within(c: int, r: int, den: int, n: int) -> bool:
 
 
 def offset_sequence(limit: int = 25):
-    """Deterministic retry sequence of offsets (1/p, 1/p^2), p prime."""
+    """Deterministic retry sequence of offsets (1/p, 1/p^2), p prime,
+    each coordinate a (numerator, denominator) pair."""
     p, found = 2, 0
     while found < limit:
         for d in range(2, p):
             if p % d == 0:
                 break
         else:
-            yield (Fraction(1, p), Fraction(1, p * p))
+            yield ((1, p), (1, p * p))
             found += 1
         p += 1
 
 
-def canonical_offset(curve: TropicalCurve) -> FracVec2:
+def canonical_offset(curve: TropicalCurve) -> tuple[Ratio, Ratio]:
     """First offset in the retry sequence that avoids all degeneracies.
 
     The curve is immutable, so it keeps this offset together with its

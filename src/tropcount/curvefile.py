@@ -26,6 +26,8 @@ degenerate lattice, which validation refuses).  Ids, edge ends and marked
 edges must be valid Unicode text: a lone surrogate is refused.
 
 Floats are rejected everywhere except the numeric multiplier form.
+Rationals are read into lowest-terms (numerator, denominator) pairs of
+ints (parse_rational), which is the form the curve model holds them in.
 
 Documents are decoded by the C scanner json.loads runs (_json), so that
 reading a well-formed file does not load the json package; json is
@@ -35,46 +37,70 @@ message, and to write a curve file (dumps_curve).  This needs CPython,
 """
 
 import math
-import re
 from _json import make_scanner
-from fractions import Fraction
 from types import SimpleNamespace
 
-from .curve import (ALPHA_KEYS, Edge, MarkedPoint, PeriodLattice,
+from .curve import (ALPHA_KEYS, Edge, MarkedPoint, PeriodLattice, Ratio,
                     TropicalCurve, Vertex)
-from .errors import ECHO_LIMIT, ParseError, clip, clip_value
-from .valuegroup import EqualityMode, MulValue, mv_prod
+from .errors import (ECHO_LIMIT, ParseError, clip, clip_rational,
+                     format_rational)
+from .valuegroup import EqualityMode, MulValue, as_ratio, mv_prod
 
 
 #: largest decimal exponent accepted in a rational string such as "1e-5";
 #: Fraction would otherwise build 10**exponent, whatever its size
 MAX_DECIMAL_EXPONENT = 1000
 
-_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)")
+#: the exponent of a decimal string, compiled (by re's cache) only when a
+#: string goes to Fraction
+_EXPONENT = r"[eE]([-+]?[0-9_]+)"
 
 
-def parse_rational(value, what: str = "value") -> Fraction:
+def parse_rational(value, what: str = "value") -> Ratio:
+    """The rational a JSON int or string holds, as its lowest-terms
+    (numerator, denominator) pair, with the value and the refusal
+    fractions.Fraction gives that string.
+
+    A JSON int, an integer string and "n/d" (d a nonzero run of digits,
+    nothing between the digits and the slash) are read with int(); any
+    other string goes to Fraction, loaded there, which reads it or words
+    its refusal.
+    """
     if isinstance(value, bool):
         raise ParseError(f"{what}: expected a rational, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         try:
             if value.isascii() and "_" not in value:
-                # most rationals in a file are integers; a string int()
-                # refuses goes on to Fraction, which gives the refusal.
-                # Underscores are left to Fraction, which accepts them
-                # only from Python 3.11 on, while int() always does.
+                # a string int() refuses goes on to Fraction, which gives
+                # the refusal.  Underscores are left to Fraction, which
+                # accepts them only from Python 3.11 on, while int()
+                # always does; Fraction takes no space or sign around
+                # the slash, while int() would.
+                num, slash, den = value.partition("/")
                 try:
-                    return Fraction(int(value))
+                    n = int(num)
+                    if not slash:
+                        return n, 1
+                    if num[-1].isdigit() and den[:1].isdigit():
+                        d = int(den)
+                        if d:
+                            g = math.gcd(n, d)
+                            return n // g, d // g
                 except ValueError:
                     pass
-            exponent = _EXPONENT.search(value)
+            import re
+
+            exponent = re.search(_EXPONENT, value)
             if exponent and abs(int(exponent[1])) > MAX_DECIMAL_EXPONENT:
                 raise ParseError(
                     f"{what}: decimal exponent outside "
                     f"[-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]")
-            return Fraction(value)
+            from fractions import Fraction
+
+            q = Fraction(value)
+            return q.numerator, q.denominator
         except (ValueError, ZeroDivisionError) as exc:
             # the reason may quote the value (or its exponent) once more,
             # after at most 40 characters of its own
@@ -119,7 +145,7 @@ def parse_polar(entry, what: str = "value") -> MulValue:
     modulus = parse_rational(_require(entry, "modulus", what),
                              f"{what}.modulus")
     turns = parse_rational(_require(entry, "turns", what), f"{what}.turns")
-    if modulus <= 0:
+    if modulus[0] <= 0:
         raise ParseError(f"{what}: modulus must be positive")
     try:
         return MulValue.polar(modulus, turns)
@@ -149,17 +175,19 @@ def parse_group_element(entry, what: str = "value") -> MulValue:
                 parts.append(MulValue.symbol(name, exponent))
                 continue
             try:
-                parts.append(MulValue.scalar(int(name), exponent))
-            except ValueError as exc:  # not an integer, <= 0, or unfactored
+                prime = int(name)
+            except ValueError as exc:
                 raise ParseError(
                     f"{what}.primes.{clip(name)}: {clip(str(exc))}") from exc
+            try:
+                parts.append(MulValue.scalar(prime, exponent))
+            except ValueError as exc:  # <= 0, or unfactored
+                # the factoring refusal clips the number it quotes
+                raise ParseError(
+                    f"{what}.primes.{clip(name)}: {exc}") from exc
     turns = parse_rational(entry.get("turns", 0), f"{what}.turns")
     parts.append(MulValue.phase_turns(turns))
     return mv_prod((x, 1) for x in parts)
-
-
-def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
 
 
 def _int_pair(value, what: str) -> tuple[int, int]:
@@ -171,7 +199,7 @@ def _int_pair(value, what: str) -> tuple[int, int]:
     return value[0], value[1]
 
 
-def _rational_pair(value, what: str) -> tuple[Fraction, Fraction]:
+def _rational_pair(value, what: str) -> tuple[Ratio, Ratio]:
     if not isinstance(value, list) or len(value) != 2:
         raise ParseError(f"{what}: expected a pair, got {clip(repr(value))}")
     return (parse_rational(value[0], what),
@@ -266,7 +294,7 @@ def curve_from_dict(doc) -> tuple[TropicalCurve, list[MarkedPoint]]:
         pos = _rational_pair(_require(vdoc, "pos", f"vertices[{i}]"),
                              f"vertices[{i}].pos")
         vertices.append(Vertex(vid, pos))
-    positions = {v.id: v.position for v in vertices}
+    positions = {v.id: v._position for v in vertices}
 
     edges = []
     for i, edoc in enumerate(_optional_list(doc, "edges")):
@@ -312,16 +340,16 @@ def _derive_shift(lattice, positions, tail, head, wvec, length, what):
             f"{clip(repr(tail if tail not in positions else head))}")
     if lattice.det == 0:
         return 0, 0
-    ht = positions[head]
-    tl = positions[tail]
-    rhs = (ht[0] - tl[0] - length * wvec[0],
-           ht[1] - tl[1] - length * wvec[1])
-    g1, g2 = lattice.to_lattice_coords(rhs)
-    if g1.denominator != 1 or g2.denominator != 1:
+    x, y, q = lattice.lift_gap(positions[tail], positions[head], length,
+                               wvec, (0, 0))
+    a, b = lattice.lattice_numerators(x, y)
+    n = q * abs(lattice.det)
+    if a % n or b % n:
         raise ParseError(
-            f"{what}: derived shift {clip_value((g1, g2))} is not integral; "
-            "the vertex positions do not satisfy the lift relation")
-    return int(g1), int(g2)
+            f"{what}: derived shift "
+            f"{clip_rational(as_ratio((a, n)), as_ratio((b, n)))} is not "
+            "integral; the vertex positions do not satisfy the lift relation")
+    return a // n, b // n
 
 
 def curve_to_dict(
@@ -337,8 +365,8 @@ def curve_to_dict(
     if lattice.mode == EqualityMode.EXACT:
         doc["multipliers"] = {
             key: {
-                "modulus": format_rational(_polar_modulus(value)),
-                "turns": format_rational(value.phase),
+                "modulus": format_rational(*_polar_modulus(value)),
+                "turns": format_rational(*value.phase_ratio),
             }
             for key, value in lattice.multipliers.items()
         }
@@ -359,34 +387,40 @@ def curve_to_dict(
                 for key, z in lattice.numeric_values.items()
             }
     doc["vertices"] = [
-        {"id": v.id, "pos": [format_rational(v.position[0]),
-                             format_rational(v.position[1])]}
+        {"id": v.id, "pos": [format_rational(*v._position[0]),
+                             format_rational(*v._position[1])]}
         for v in curve.vertices
     ]
     doc["edges"] = [
         {"id": e.id, "tail": e.tail, "head": e.head,
          "weight_vector": list(e.weight_vector),
-         "length": format_rational(e.length),
+         "length": format_rational(*e._length),
          "shift": list(e.shift)}
         for e in curve.edges
     ]
     if marks:
         doc["marked_points"] = [
-            {"edge": m.edge, "t": format_rational(m.t)} for m in marks
+            {"edge": m.edge, "t": format_rational(*m._t)} for m in marks
         ]
     return doc
 
 
-def _polar_modulus(value: MulValue) -> Fraction:
-    acc = Fraction(1)
-    for prime, exponent in value.primes:
-        if exponent.denominator != 1:
-            raise ParseError(
-                f"multiplier {value} has a non-rational modulus")
-        acc *= Fraction(prime) ** exponent.numerator
-    if value.symbols:
+def _polar_modulus(value: MulValue) -> Ratio:
+    """The modulus of a symbol-free value with integer prime exponents,
+    as (numerator, denominator)."""
+    num = den = 1
+    for kind, prime, n, d in value.terms:
+        if kind == 1:
+            if d != 1:
+                raise ParseError(
+                    f"multiplier {value} has a non-rational modulus")
+            if n > 0:
+                num *= prime ** n
+            else:
+                den *= prime ** -n
+    if value.has_symbols:
         raise ParseError(f"multiplier {value} is not a concrete value")
-    return acc
+    return num, den
 
 
 #: the C scanner json.loads runs, over the context json.loads gives it

@@ -10,9 +10,11 @@ Each class carries the CLI exit code it maps to:
   marked points.
 
 Messages that quote an input value pass its repr through clip, those
-that quote a computed value pass it through clip_value, and those that
-quote a certificate or a caught error's text pass it through clip too,
-mostly at ECHO_LIMIT + 40, so that a huge value gives a short line.
+that quote a computed value pass it through clip_value (clip_rational
+for the package's rationals, held as (numerator, denominator) pairs of
+ints), and those that quote a certificate or a caught error's text pass
+it through clip too, mostly at ECHO_LIMIT + 40, so that a huge value
+gives a short line.
 """
 
 import sys
@@ -29,6 +31,12 @@ def clip(text: str, limit: int = ECHO_LIMIT) -> str:
     return f"{text[:limit]}... ({len(text)} characters)"
 
 
+def format_rational(n: int, d: int) -> str:
+    """The rational n/d (in lowest terms, d > 0) as str(Fraction(n, d))
+    writes it: "n/d", or "n" when d is 1."""
+    return f"{n}/{d}" if d != 1 else str(n)
+
+
 def clip_value(value) -> str:
     """A computed value (an int, a Fraction or a MulValue) or a pair of
     numbers, as str writes it, through clip at ECHO_LIMIT; a pair reads
@@ -40,6 +48,16 @@ def clip_value(value) -> str:
     except ValueError:
         return long_integer_text()
     return clip(text)
+
+
+def clip_rational(*values) -> str:
+    """clip_value of one rational or of a pair of them, each given as its
+    lowest-terms (numerator, denominator) pair."""
+    try:
+        texts = [format_rational(n, d) for n, d in values]
+    except ValueError:
+        return long_integer_text()
+    return clip(texts[0] if len(texts) == 1 else f"({texts[0]}, {texts[1]})")
 
 
 def long_integer_text() -> str:

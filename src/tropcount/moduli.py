@@ -27,7 +27,6 @@ weights of the unsubdivided curve (maximal 2-valent chains count once).
 """
 
 import itertools
-from fractions import Fraction
 
 from .curve import (MarkedPoint, TropicalCurve, ensure_valid, marks_by_edge,
                     subdivide)
@@ -100,6 +99,8 @@ def dual_flag_space(curve: TropicalCurve):
 
     Raises ValidationError for an invalid curve, balancing included.
     """
+    from fractions import Fraction
+
     ensure_valid(curve)
     dim = deformation_ranks(curve)[1]
     if dim != 1:

@@ -29,11 +29,10 @@ plus an explicit root-of-unity correction.
 """
 
 import math
-from fractions import Fraction
 from itertools import chain
 
 from .curve import TropicalCurve, ensure_valid
-from .errors import ConstraintError
+from .errors import ConstraintError, format_rational
 from .exactmath import Rows, ext_gcd, log_apply, log_row, row_sum, snf
 from .realize import chi_product
 from .record import Record
@@ -71,7 +70,7 @@ def vertex_rhs(curve: TropicalCurve, vertex_id: str) -> MulValue:
         return MulValue.identity()
     w = curve.vertex_weight(vertex_id)
     g = curve.vertex_gcd(vertex_id)
-    return MulValue.phase_turns(Fraction(w, 2 * g))
+    return MulValue.phase_turns((w, 2 * g))
 
 
 def assemble_system(curve: TropicalCurve) -> MonomialSystem:
@@ -200,7 +199,7 @@ def solve_monomial(
         assignment = [mv_prod(t) for t in terms]
 
     kernel_torsion = [
-        {j: MulValue.phase_turns(Fraction(x, diag[k]))
+        {j: MulValue.phase_turns((x, diag[k]))
          for j, x in v[k].items()}
         for k in range(rank) if diag[k] >= 2]
     return MonomialSolution(
@@ -288,7 +287,7 @@ class VertexModel(Record):
 
     def relation_rhs(self) -> MulValue:
         return MulValue.phase_turns(
-            Fraction(self.vertex_weight, 2 * self.weight_gcd))
+            (self.vertex_weight, 2 * self.weight_gcd))
 
     def mus_from_betas(
         self, beta1: MulValue, beta2: MulValue
@@ -297,9 +296,9 @@ class VertexModel(Record):
         exponents are integers, so this is exact in every mode."""
         d = self.det_l
         w1, w2, w3 = self.weights
-        mu1 = mv_pow(beta2, Fraction(-d, w1))
-        mu2 = mv_pow(beta1, Fraction(d, w2))
-        mu3 = mv_pow(MulValue.minus_one() * beta2 / beta1, Fraction(d, w3))
+        mu1 = mv_pow(beta2, (-d, w1))
+        mu2 = mv_pow(beta1, (d, w2))
+        mu3 = mv_pow(MulValue.minus_one() * beta2 / beta1, (d, w3))
         return mu1, mu2, mu3
 
     def betas_from_mus(
@@ -320,24 +319,25 @@ class VertexModel(Record):
         w1, w2, w3 = self.weights
         g = self.weight_gcd
         w = self.vertex_weight
-        beta2 = mv_pow(mu1, Fraction(-w1, d))
-        beta1 = mv_pow(mu2, Fraction(w2, d))
+        beta2 = mv_pow(mu1, (-w1, d))
+        beta1 = mv_pow(mu2, (w2, d))
         residual = mv_pow(
-            MulValue.minus_one() * beta2 / beta1, Fraction(d, w3)) / mu3
-        if residual.symbols or residual.primes:
+            MulValue.minus_one() * beta2 / beta1, (d, w3)) / mu3
+        pn, pd = residual.phase_ratio
+        if residual.terms and residual.terms[0][0] != 2:
             raise ConstraintError(
                 "branch parameters do not satisfy the vertex relation "
                 f"(residual {residual})")
-        n = residual.phase * Fraction(w3, g)
-        if n.denominator != 1:
+        if pn * w3 % (pd * g):
             raise ConstraintError(
                 "branch parameters do not satisfy the vertex relation "
-                f"(residual phase {residual.phase} is not a multiple of "
-                f"{g}/{w3})")
+                f"(residual phase {format_rational(pn, pd)} is not a "
+                f"multiple of {g}/{w3})")
         sign = 1 if d > 0 else -1
-        l, m = solve_root_congruence(w1, w2, w3, g, sign, int(n))
-        beta2 = beta2 * MulValue.phase_turns(Fraction(l * w1, w))
-        beta1 = beta1 * MulValue.phase_turns(Fraction(m * w2, w))
+        l, m = solve_root_congruence(w1, w2, w3, g, sign,
+                                     pn * w3 // (pd * g))
+        beta2 = beta2 * MulValue.phase_turns((l * w1, w))
+        beta1 = beta1 * MulValue.phase_turns((m * w2, w))
         check1, check2, check3 = self.mus_from_betas(beta1, beta2)
         if (check1, check2, check3) != (mu1, mu2, mu3):
             raise AssertionError("beta reconstruction failed to verify")

@@ -20,8 +20,6 @@ their ratio is a coboundary that balancing cancels; the test suite checks
 this exactly.
 """
 
-from fractions import Fraction
-
 from .curve import TropicalCurve, crossings, ensure_valid
 from .record import Record
 from .valuegroup import (DEFAULT_TOLERANCE, EqualityMode, MulValue, mv_is_one,
@@ -53,7 +51,7 @@ def chi_product(curve: TropicalCurve, terms, d: int) -> MulValue:
         else:
             raise ValueError("wall family must be 1 or 2")
     m = curve.lattice.multipliers
-    return mv_prod((m[key], Fraction(e, d) if e % d else e // d)
+    return mv_prod((m[key], (e, d))
                    for key, e in (("alpha11", e11), ("alpha12", e12),
                                   ("alpha21", e21), ("alpha22", e22)))
 
@@ -104,7 +102,7 @@ def parity_exponent(curve: TropicalCurve) -> int:
 
 def realizability_target(curve: TropicalCurve) -> MulValue:
     """(-1)^parity as a MulValue phase."""
-    return MulValue.phase_turns(Fraction(parity_exponent(curve), 2))
+    return MulValue.phase_turns((parity_exponent(curve), 2))
 
 
 class RealizabilityReport(Record):

@@ -18,6 +18,13 @@ object.__setattr__.  Instances keep a __dict__, so
 functools.cached_property works on them; cached values are not fields
 and never enter equality, hashing or repr.
 
+A field may be kept in another form than the one it is read in: when
+the class also binds the field's name to a property or a
+cached_property (a view), the field's value is stored at "_" + name,
+where __post_init__ may normalize it, and the view reads it from there.
+Equality, hashing and replace work on the stored values, so a stored
+form must be one the constructor takes; repr shows the views.
+
 >>> class Point(Record):
 ...     x: int
 ...     y: int = 0
@@ -26,6 +33,7 @@ and never enter equality, hashing or repr.
 (Point(x=1, y=0), True, Point(x=1, y=2))
 """
 
+from functools import cached_property
 from operator import attrgetter
 
 _MISSING = object()
@@ -33,27 +41,32 @@ _MISSING = object()
 
 class Record:
     _fields: tuple[str, ...] = ()
+    _slots: tuple[str, ...] = ()
     _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = tuple(cls.__annotations__)
+        views = {name for name in own if isinstance(
+            cls.__dict__.get(name), (property, cached_property))}
         cls._fields = cls._fields + own
+        cls._slots = cls._slots + tuple(
+            "_" + name if name in views else name for name in own)
         cls._defaults = {**cls._defaults, **{
-            name: cls.__dict__[name] for name in own if name in cls.__dict__}}
-        # the tuple of field values, at C speed (attrgetter of one name
-        # returns the bare value)
-        getter = attrgetter(*cls._fields)
-        cls._values = staticmethod(getter if len(cls._fields) > 1
+            name: cls.__dict__[name] for name in own
+            if name in cls.__dict__ and name not in views}}
+        # the tuple of stored field values, at C speed (attrgetter of one
+        # name returns the bare value)
+        getter = attrgetter(*cls._slots)
+        cls._values = staticmethod(getter if len(cls._slots) > 1
                                    else lambda record: (getter(record),))
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
+        if kwargs or len(args) != len(self._fields):
             args = self._complete(args, kwargs)
         d = self.__dict__
-        for field, value in zip(fields, args):
-            d[field] = value
+        for slot, value in zip(self._slots, args):
+            d[slot] = value
         self.__post_init__()
 
     def _complete(self, args: tuple, kwargs: dict) -> list:
@@ -95,8 +108,8 @@ class Record:
         return hash(self._values(self))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{field}={value!r}" for field, value
-                          in zip(self._fields, self._values(self)))
+        inner = ", ".join(f"{field}={getattr(self, field)!r}"
+                          for field in self._fields)
         return f"{type(self).__qualname__}({inner})"
 
     def replace(self, **changes):

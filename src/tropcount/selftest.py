@@ -427,9 +427,38 @@ def suite_kernel_oracle(rng: random.Random, cases: int) -> SuiteResult:
     return SuiteResult("kernel-oracle", checks, failures)
 
 
+def closed_form_total(curve: TropicalCurve,
+                      marks: list[MarkedPoint]) -> tuple[int, int]:
+    """count's total in closed form, as (numerator, denominator): delta
+    times the product of the vertex weights of the 3-valent vertices
+    over the product of the weights of the marked edges, or delta when
+    no vertex is 3-valent (a cycle).  An identity count_curves has been
+    seen to follow, checked here; it shares no code with snf."""
+    three_valent = [v.id for v in curve.vertices if curve.valence(v.id) == 3]
+    if not three_valent:
+        return curve.delta, 1
+    numerator, denominator = curve.delta, 1
+    for vid in three_valent:
+        numerator *= curve.vertex_weight(vid)
+    for m in marks:
+        denominator *= curve.edge(m.edge).weight
+    g = math.gcd(numerator, denominator)
+    return numerator // g, denominator // g
+
+
 def suite_count_invariance(rng: random.Random, cases: int) -> SuiteResult:
     failures = []
     checks = 0
+
+    def closed_form(name, curve, marks, total):
+        nonlocal checks
+        checks += 1
+        want = closed_form_total(curve, marks)
+        if (total, 1) != want:
+            failures.append(
+                f"count {total} != closed form {want[0]}/{want[1]} on "
+                f"{_describe(name, curve)}")
+
     goldens = [("theta", catalog.theta(), catalog.theta_marks(), 1),
                ("theta2", catalog.theta_double(), catalog.theta_marks(), 8)]
     for name, curve, marks, expected in goldens:
@@ -439,6 +468,7 @@ def suite_count_invariance(rng: random.Random, cases: int) -> SuiteResult:
         if report.total != expected:
             failures.append(
                 f"golden count {report.total} != {expected} for {name}")
+        closed_form(name, tuned, marks, report.total)
 
     for name, curve, marks in generated_curves(rng, cases,
                                                three_valent_only=True):
@@ -447,6 +477,7 @@ def suite_count_invariance(rng: random.Random, cases: int) -> SuiteResult:
             continue
         base_report = count_curves(tuned, marks)
         checks += 1
+        closed_form(name, tuned, marks, base_report.total)
 
         avoid = {m.edge for m in marks}
         points = random_subdivision_points(rng, tuned, avoid)
@@ -454,6 +485,7 @@ def suite_count_invariance(rng: random.Random, cases: int) -> SuiteResult:
             sub, _ = subdivide(tuned, points)
             sub_report = count_curves(sub, marks)
             checks += 1
+            closed_form(name, sub, marks, sub_report.total)
             if sub_report.total != base_report.total:
                 failures.append(
                     f"count changed {base_report.total} -> "
@@ -468,6 +500,7 @@ def suite_count_invariance(rng: random.Random, cases: int) -> SuiteResult:
             failures.append(
                 f"count changed {base_report.total} -> {mapped_report.total} "
                 f"under transform {a} on {_describe(name, tuned)}")
+        closed_form(name, mapped, marks, mapped_report.total)
     return SuiteResult("count-invariance", checks, failures)
 
 

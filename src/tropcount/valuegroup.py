@@ -26,7 +26,11 @@ Every product, quotient and power goes through mv_prod, the one routine
 that normalizes a result; the constructors build values that are
 already canonical.  A value is its exponents as integer (kind, key,
 numerator, denominator) terms, and mv_prod works in those integers from
-its factors to its result: it builds no Fraction.  A nested product such as
+its factors to its result: it builds no Fraction.  A rational argument
+(a modulus, an exponent, turns) may be an int, a lowest-terms
+(numerator, denominator) pair of ints, or anything fractions.Fraction
+takes (see as_ratio); only the last loads fractions, which the views
+symbols, primes and phase load too.  A nested product such as
 (x^a * y^b)^n may be flattened into x^(a*n) * y^(b*n) only when the
 outer power n is an integer: an integer multiple of a phase reduced mod
 1 is the reduced multiple, while a fractional power of the reduced phase
@@ -35,9 +39,8 @@ picks a branch.
 
 import math
 from enum import Enum
-from fractions import Fraction
 
-from .errors import ConstraintError, clip, clip_value
+from .errors import ConstraintError, clip, clip_value, format_rational
 from .record import Record
 
 
@@ -111,6 +114,35 @@ def _factorize(n: int) -> dict[int, int]:
     return out
 
 
+def as_ratio(value) -> tuple[int, int]:
+    """value as a lowest-terms (numerator, denominator) pair of ints with
+    a positive denominator.
+
+    value is an int, a (numerator, denominator) pair of ints with a
+    nonzero denominator, or anything fractions.Fraction takes (a
+    Fraction, a string such as "1/3", a float), which loads fractions.
+
+    >>> as_ratio(3), as_ratio((6, -8))
+    ((3, 1), (-3, 4))
+    """
+    kind = type(value)
+    if kind is int:
+        return value, 1
+    if kind is tuple:
+        n, d = value
+        if d == 0:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        g = math.gcd(n, d)
+        if d < 0:
+            g = -g
+        return n // g, d // g
+    from fractions import Fraction
+
+    if kind is not Fraction:
+        value = Fraction(value)
+    return value.numerator, value.denominator
+
+
 class MulValue(Record):
     """One (kind, key, n, d) term per nonzero exponent n/d, sorted by kind
     and key: kind 0 a symbol keyed by its name, 1 a prime, 2 the phase in
@@ -127,48 +159,52 @@ class MulValue(Record):
 
     @classmethod
     def symbol(cls, name: str, exponent=1) -> "MulValue":
-        e = Fraction(exponent)
-        return cls(((0, name, e.numerator, e.denominator),) if e else ())
+        n, d = as_ratio(exponent)
+        return cls(((0, name, n, d),) if n else ())
 
     @classmethod
     def scalar(cls, value, exponent=1) -> "MulValue":
         """A positive rational, stored prime-wise.
 
-        >>> MulValue.scalar(Fraction(4, 9)).terms
+        >>> MulValue.scalar((4, 9)).terms
         ((1, 2, 2, 1), (1, 3, -2, 1))
         """
-        q = Fraction(value)
-        if q <= 0:
+        qn, qd = as_ratio(value)
+        if qn <= 0:
             raise ValueError("scalar part must be a positive rational")
-        e = Fraction(exponent)
+        en, ed = as_ratio(exponent)
         # numerator and denominator are coprime: no prime is met twice
-        primes = [(p, k * e) for p, k in _factorize(q.numerator).items()]
-        primes += [(p, -k * e) for p, k in _factorize(q.denominator).items()]
-        return cls(tuple(sorted((1, p, x.numerator, x.denominator)
-                                for p, x in primes)) if e else ())
+        primes = [(p, k * en) for p, k in _factorize(qn).items()]
+        primes += [(p, -k * en) for p, k in _factorize(qd).items()]
+        terms = []
+        for p, n in primes if en else ():
+            g = math.gcd(n, ed)
+            terms.append((1, p, n // g, ed // g))
+        return cls(tuple(sorted(terms)))
 
     @classmethod
     def phase_turns(cls, turns) -> "MulValue":
         """e^(2*pi*i*turns) for a rational number of turns.
 
-        >>> MulValue.phase_turns(Fraction(3, 2)).phase
+        >>> MulValue.phase_turns((3, 2)).phase
         Fraction(1, 2)
         """
-        t = Fraction(turns) % 1
-        return cls(((2, None, t.numerator, t.denominator),) if t else ())
+        n, d = as_ratio(turns)
+        n %= d
+        return cls(((2, None, n, d),) if n else ())
 
     @classmethod
     def minus_one(cls) -> "MulValue":
-        return cls.phase_turns(Fraction(1, 2))
+        return cls(((2, None, 1, 2),))
 
     @classmethod
     def rational(cls, value) -> "MulValue":
         """Any nonzero rational: sign becomes a half-turn phase."""
-        q = Fraction(value)
-        if q == 0:
+        n, d = as_ratio(value)
+        if n == 0:
             raise ValueError("zero is not invertible")
-        out = cls.scalar(abs(q)) if abs(q) != 1 else cls.identity()
-        if q < 0:
+        out = cls.scalar((abs(n), d))
+        if n < 0:
             out = out * cls.minus_one()
         return out
 
@@ -187,19 +223,30 @@ class MulValue(Record):
         return bool(self.terms) and self.terms[0][0] == 0
 
     @property
-    def symbols(self) -> tuple[tuple[str, Fraction], ...]:
+    def symbols(self) -> "tuple[tuple[str, Fraction], ...]":
+        from fractions import Fraction
+
         return tuple((key, Fraction(n, d)) for kind, key, n, d in self.terms
                      if kind == 0)
 
     @property
-    def primes(self) -> tuple[tuple[int, Fraction], ...]:
+    def primes(self) -> "tuple[tuple[int, Fraction], ...]":
+        from fractions import Fraction
+
         return tuple((key, Fraction(n, d)) for kind, key, n, d in self.terms
                      if kind == 1)
 
     @property
-    def phase(self) -> Fraction:
+    def phase(self) -> "Fraction":
+        from fractions import Fraction
+
+        return Fraction(*self.phase_ratio)
+
+    @property
+    def phase_ratio(self) -> tuple[int, int]:
+        """The phase in turns, in [0, 1), as (numerator, denominator)."""
         c, _, n, d = self.terms[-1] if self.terms else (0, None, 0, 1)
-        return Fraction(n, d) if c == 2 else Fraction(0)
+        return (n, d) if c == 2 else (0, 1)
 
     # -- operators ---------------------------------------------------------
 
@@ -213,7 +260,8 @@ class MulValue(Record):
         return mv_pow(self, exponent)
 
     def __str__(self) -> str:
-        t = [f"turn({_text(n, d)})" if kind == 2 else f"{key}^{_text(n, d)}"
+        t = [f"turn({format_rational(n, d)})" if kind == 2
+             else f"{key}^{format_rational(n, d)}"
              for kind, key, n, d in self.terms]
         return " * ".join(t) if t else "1"
 
@@ -223,23 +271,20 @@ class MulValue(Record):
         out: dict = {}
         for kind, key, n, d in self.terms:
             if kind == 2:
-                out["turns"] = _text(n, d)
+                out["turns"] = format_rational(n, d)
             else:
                 table = out.setdefault("primes" if kind else "symbols", {})
-                table[str(key)] = _text(n, d)
+                table[str(key)] = format_rational(n, d)
         return out
-
-
-def _text(n: int, d: int) -> str:  # as str(Fraction(n, d)) writes it
-    return f"{n}/{d}" if d != 1 else str(n)
 
 
 def mv_prod(pairs) -> MulValue:
     """Product of a ** e over (a, e) pairs, normalized once.
 
-    Each exponent e (an int or a Fraction) scales a stored exponent
-    n/d of a factor to the integer numerator n * e.numerator over the
-    denominator d * e.denominator; the numerators are summed per
+    Each exponent e (an int, a Fraction, or an (en, ed) pair of ints with
+    ed > 0) scales a stored exponent n/d of a factor to the integer
+    numerator n * en over the denominator d * ed; the numerators are
+    summed per
     (component, denominator).  Each component is then combined over the
     lcm of its denominators, the phase is reduced modulo that lcm, and
     each nonzero component is reduced to lowest terms by its gcd.  No
@@ -251,15 +296,15 @@ def mv_prod(pairs) -> MulValue:
     once at the end of an exact sum gives the same representative as
     reducing after every factor.
 
-    >>> a, b = MulValue.symbol("x"), MulValue.phase_turns(Fraction(1, 3))
+    >>> a, b = MulValue.symbol("x"), MulValue.phase_turns((1, 3))
     >>> print(mv_prod([(a, 2), (b, 0), (b, -1)]))
     x^2 * turn(2/3)
     """
     sums: dict[tuple, int] = {}
     for a, e in pairs:
-        if not e:
+        en, ed = e if type(e) is tuple else (e.numerator, e.denominator)
+        if not en:
             continue
-        en, ed = e.numerator, e.denominator
         for kind, key, n, d in a.terms:
             k = (kind, key, d * ed)
             sums[k] = sums.get(k, 0) + n * en
@@ -292,17 +337,17 @@ def mv_pow(a: MulValue, exponent) -> MulValue:
     so integer powers are exact group powers and mv_pow(x, 1/k) is the
     principal k-th root.
 
-    >>> mv_pow(MulValue.minus_one(), Fraction(1, 2)).phase
+    >>> mv_pow(MulValue.minus_one(), (1, 2)).phase
     Fraction(1, 4)
     """
-    return mv_prod(((a, Fraction(exponent)),))
+    return mv_prod(((a, as_ratio(exponent)),))
 
 
 def mv_root(a: MulValue, k: int) -> MulValue:
     """Principal k-th root (k >= 1); result phase lies in [0, 1/k)."""
     if k < 1:
         raise ValueError("root order must be a positive integer")
-    return mv_pow(a, Fraction(1, k))
+    return mv_prod(((a, (1, k)),))
 
 
 def mv_eval_numeric(a: MulValue,
@@ -310,19 +355,23 @@ def mv_eval_numeric(a: MulValue,
     """Evaluate to a complex number, principal branches throughout."""
     import cmath  # loaded here: exact and formal runs never evaluate
 
+    # each exponent n/d as float(Fraction(n, d)) gives it: n / d,
+    # correctly rounded
     acc = complex(1.0)
-    for name, exp in a.symbols:
-        if values is None or name not in values:
-            raise ConstraintError(
-                f"no numeric value supplied for symbol {clip(name)}")
-        base = complex(values[name])
-        if base == 0:
-            raise ConstraintError(
-                f"symbol {clip(name)} must be a nonzero complex number")
-        acc *= cmath.exp(float(exp) * cmath.log(base))
-    for p, exp in a.primes:
-        acc *= cmath.exp(float(exp) * cmath.log(p))
-    acc *= cmath.exp(2j * cmath.pi * float(a.phase))
+    for kind, key, n, d in a.terms:
+        if kind == 0:
+            if values is None or key not in values:
+                raise ConstraintError(
+                    f"no numeric value supplied for symbol {clip(key)}")
+            base = complex(values[key])
+            if base == 0:
+                raise ConstraintError(
+                    f"symbol {clip(key)} must be a nonzero complex number")
+            acc *= cmath.exp(n / d * cmath.log(base))
+        elif kind == 1:
+            acc *= cmath.exp(n / d * cmath.log(key))
+    n, d = a.phase_ratio
+    acc *= cmath.exp(2j * cmath.pi * (n / d))
     return acc
 
 

@@ -1313,6 +1313,25 @@ def test_prelog_check_refuses_prime_zero(tmp_path, capsys):
     _assert_one_error_line(code, capsys)
 
 
+def test_prelog_check_quotes_a_prime_keys_factoring_refusal_whole(
+        tmp_path, capsys):
+    # the refusal was clipped at 80 characters, while it is never shorter
+    # than 122: its reason was cut; now only the number in it is clipped
+    check = str(tmp_path / "check.json")
+    reason = ("no prime factor up to 1048576, and it is not a provable "
+              "prime below 3317044064679887385961981")
+    # 1099532599387 = 1048583 * 1048589, two primes past the trial bound
+    big = str(1099532599387 ** 7)
+    for key, quoted in (("1099532599387", "1099532599387"),
+                        (big, f"{big[:80]}... ({len(big)} characters)")):
+        code = _check_solved(tmp_path, capsys,
+                             {"u|e1": _with_prime(key, "1")})
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            f"error: {check}: u|e1.primes.{quoted}: cannot factor "
+            f"{quoted}: {reason}\n"))
+
+
 def test_prelog_check_symbol_never_binds_to_a_complex_flag(tmp_path,
                                                           capsys):
     # v|e1's re/im value is check1 in the table of numeric values; a

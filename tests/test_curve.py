@@ -290,12 +290,13 @@ def test_transform_rejects_non_unimodular():
 
 
 def canonicalize_lifts(curve, offset):
-    """Relift every vertex into the cell offset + [0,1)^2."""
+    """Relift every vertex into the cell offset + [0,1)^2 (its two
+    coordinates (numerator, denominator) pairs)."""
     moves = {}
     for v in curve.vertices:
         s1, s2 = curve.lattice.to_lattice_coords(v.position)
-        k1 = math.floor(s1 - offset[0])
-        k2 = math.floor(s2 - offset[1])
+        k1 = math.floor(s1 - Fraction(*offset[0]))
+        k2 = math.floor(s2 - Fraction(*offset[1]))
         if (k1, k2) != (0, 0):
             moves[v.id] = (-k1, -k2)
     return relift(curve, moves)
@@ -350,11 +351,18 @@ def test_degeneracy_errors_clip_the_offset():
         assert len(message) <= 3 * ECHO_LIMIT
 
 
+def _offset_fraction(x):
+    """An offset coordinate, given in a form crossings takes: a Fraction,
+    an int, or a (numerator, denominator) pair, as offset_sequence
+    yields."""
+    return Fraction(*x) if type(x) is tuple else Fraction(x)
+
+
 def _crossings_reference(curve, offset):
     """crossings with its per-wall corner loop: the version the closed-form
     congruence test replaced, kept as its reference."""
     lat = curve.lattice
-    o1, o2 = Fraction(offset[0]), Fraction(offset[1])
+    o1, o2 = map(_offset_fraction, offset)
     scoords = {}
     for v in curve.vertices:
         s1, s2 = lat.to_lattice_coords(v.position)
@@ -470,7 +478,7 @@ def _fraction_crossings_reference(curve, offset):
     """crossings on Fraction lattice coordinates: the version the integer
     one replaced, kept as its reference."""
     lat = curve.lattice
-    o1, o2 = Fraction(offset[0]), Fraction(offset[1])
+    o1, o2 = map(_offset_fraction, offset)
     scoords = {}
     for v in curve.vertices:
         s1, s2 = lat.to_lattice_coords(v.position)
@@ -550,7 +558,10 @@ def test_integer_lift_defect_and_crossings_match_fraction_versions():
             for e in curve.edges:
                 got = curve.lift_defect(e)
                 want = _lift_defect_reference(curve, e)
-                assert got == want and repr(got) == repr(want)
+                # lowest-terms (numerator, denominator) pairs of ints
+                assert got == tuple((x.numerator, x.denominator)
+                                    for x in want)
+                assert all(type(n) is int for pair in got for n in pair)
                 terms = (*curve.vertex(e.tail).position,
                          *curve.vertex(e.head).position, e.length)
                 kinds["integral" if all(x.denominator == 1 for x in terms)

@@ -1,3 +1,4 @@
+import fractions
 import json
 import os
 import random
@@ -13,10 +14,9 @@ from tropcount import catalog, curvefile
 from equivalence_cases import covers
 from tropcount.curvefile import (MAX_DECIMAL_EXPONENT, _decode_json,
                                  curve_from_dict, curve_to_dict, dumps_curve,
-                                 format_rational, load_curve, loads_curve,
-                                 parse_complex, parse_rational, read_json,
-                                 save_curve)
-from tropcount.errors import ECHO_LIMIT, ParseError, clip
+                                 load_curve, loads_curve, parse_complex,
+                                 parse_rational, read_json, save_curve)
+from tropcount.errors import ECHO_LIMIT, ParseError, clip, format_rational
 from tropcount.selftest import generated_curves
 from tropcount.valuegroup import EqualityMode, MulValue
 
@@ -39,11 +39,13 @@ THETA_DOC = {
 
 
 def test_parse_rational():
-    assert parse_rational("1/3") == Fraction(1, 3)
-    assert parse_rational("-2") == Fraction(-2)
-    assert parse_rational(7) == Fraction(7)
-    assert format_rational(Fraction(1, 3)) == "1/3"
-    assert format_rational(Fraction(4, 2)) == "2"
+    # a lowest-terms (numerator, denominator) pair of ints
+    assert parse_rational("1/3") == (1, 3)
+    assert parse_rational("-2") == (-2, 1)
+    assert parse_rational(7) == (7, 1)
+    assert parse_rational("-6/8") == (-3, 4)
+    assert format_rational(1, 3) == "1/3"
+    assert format_rational(2, 1) == "2"
     with pytest.raises(ParseError):
         parse_rational(0.5)
     with pytest.raises(ParseError):
@@ -52,13 +54,14 @@ def test_parse_rational():
         parse_rational("abc")
 
 
-def _parse_rational_reference(value, what: str = "value") -> Fraction:
-    """parse_rational before its int() path, kept as its reference; its
-    messages quote the value through clip, as parse_rational's do."""
+def _parse_rational_reference(value, what: str = "value"):
+    """parse_rational before its int() path, kept as its reference, with
+    the Fraction it read given as (numerator, denominator); its messages
+    quote the value through clip, as parse_rational's do."""
     if isinstance(value, bool):
         raise ParseError(f"{what}: expected a rational, got {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return value, 1
     if isinstance(value, str):
         try:
             exponent = re.search(r"[eE]([-+]?[0-9_]+)", value)
@@ -66,7 +69,8 @@ def _parse_rational_reference(value, what: str = "value") -> Fraction:
                 raise ParseError(
                     f"{what}: decimal exponent outside "
                     f"[-{MAX_DECIMAL_EXPONENT}, {MAX_DECIMAL_EXPONENT}]")
-            return Fraction(value)
+            q = Fraction(value)
+            return q.numerator, q.denominator
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"{what}: bad rational {clip(repr(value))}: "
                              f"{clip(str(exc), ECHO_LIMIT + 40)}") from exc
@@ -88,14 +92,20 @@ def _parsed(parse, value):
     "1__000", "_1", "", "-", "3.0", "1e3", "1/3", " -4/6 ", "1/0", "0x10",
     "5" * 5000, "-" + "5" * 4300, "5" * 4301, "\x1c3", "\u00a07", "3 4",
     12, -7, True, 0.5, None,
+    # the int() paths for "n" and "n/d", and the strings next to them that
+    # only Fraction reads or refuses
+    0, False, "0", " 7 ", "3/4", "-6/8", "6/-8", "0/0", "3/", "/4", "3 /4",
+    "3/ 4", "3/+4", "+3/4 ", "3/4/5", "1/2_0", "0.5", "1e-3", "1e1001",
+    "\u0661\u0662", "7" * 4400, "7/" + "3" * 4400,
 ], ids=repr)
 def test_parse_rational_returns_or_refuses_as_before(value):
-    # int() takes the integer strings; every other string, and every
-    # refusal with its message, is still Fraction's
+    # int() takes the integer strings and "n/d"; every other string, and
+    # every refusal with its message, is still Fraction's
     got = _parsed(parse_rational, value)
     assert got == _parsed(_parse_rational_reference, value)
     if got[0] != "refused":
-        assert got[0] is Fraction
+        assert got[0] is tuple
+        assert all(type(x) is int for x in got[1])
 
 
 def test_parse_rational_leaves_underscores_to_fraction(monkeypatch):
@@ -108,8 +118,8 @@ def test_parse_rational_leaves_underscores_to_fraction(monkeypatch):
                 raise ValueError(f"Invalid literal for Fraction: {value!r}")
             return Fraction(value, denominator)
 
-    monkeypatch.setattr(curvefile, "Fraction", NoUnderscores)
-    assert parse_rational("1000") == 1000
+    monkeypatch.setattr(fractions, "Fraction", NoUnderscores)
+    assert parse_rational("1000") == (1000, 1)
     with pytest.raises(ParseError, match="bad rational '1_000'"):
         parse_rational("1_000")
 
@@ -150,10 +160,10 @@ def test_huge_integer_numeric_value_is_refused():
 
 
 def test_parse_rational_bounds_decimal_exponents():
-    assert parse_rational("1e3") == 1000
-    assert parse_rational("25E-1") == Fraction(5, 2)
-    assert parse_rational("1e1000") == 10 ** 1000
-    assert parse_rational("-1.5e-1_000") == Fraction(-3, 2 * 10 ** 1000)
+    assert parse_rational("1e3") == (1000, 1)
+    assert parse_rational("25E-1") == (5, 2)
+    assert parse_rational("1e1000") == (10 ** 1000, 1)
+    assert parse_rational("-1.5e-1_000") == (-3, 2 * 10 ** 1000)
     for text in ("1e1001", "1e-1001", "2.5E+100000000", "1e" + "9" * 5000):
         with pytest.raises(ParseError):
             parse_rational(text)

@@ -500,3 +500,83 @@ def test_count_errors():
         count_curves(tuned(catalog.theta()),
                      [MarkedPoint("e1", Fraction(1, 3)),
                       MarkedPoint("e1", Fraction(2, 3))])
+
+
+def _closed_form_reference(curve, marks):
+    """delta * prod m_v / prod w_e over the 3-valent vertices v and the
+    marked edges e; delta on a cycle with no 3-valent vertex."""
+    weights = [curve.vertex_weight(v.id) for v in curve.vertices
+               if curve.valence(v.id) == 3]
+    if not weights:
+        return Fraction(curve.delta)
+    total = Fraction(curve.delta)
+    for w in weights:
+        total *= w
+    for m in marks:
+        total /= curve.edge(m.edge).weight
+    return total
+
+
+def _linear_image(curve, a):
+    """The curve with periods, positions and weight vectors mapped by the
+    integer matrix a (any nonzero determinant); lengths and shifts stay,
+    so the lift relation and balancing still hold."""
+    (a11, a12), (a21, a22) = a
+
+    def apply(vec):
+        return (a11 * vec[0] + a12 * vec[1], a21 * vec[0] + a22 * vec[1])
+
+    lat = curve.lattice
+    return TropicalCurve(
+        PeriodLattice(apply(lat.period1), apply(lat.period2)),
+        [Vertex(v.id, apply(v.position)) for v in curve.vertices],
+        [e.replace(weight_vector=apply(e.weight_vector))
+         for e in curve.edges])
+
+
+#: integer matrices with |det| from 1 to 5
+_LINEAR_MAPS = ([[1, 1], [0, 1]], [[0, -1], [1, 0]], [[2, 0], [0, 1]],
+                [[1, 2], [3, 4]], [[1, 1], [-1, 2]], [[2, 1], [0, 2]],
+                [[2, 1], [1, 3]])
+
+
+@pytest.mark.parametrize("base", sorted(covers.BASES))
+def test_count_follows_the_closed_form_on_covers(base):
+    # count's total = delta * prod m_v / prod w_e, an identity that
+    # shares no code with snf, on covers with greedy marks up to genus 257
+    rng = random.Random(11)
+    for k in (1, 2, 3, 5, 8, 64, 256):
+        curve, marks = covers.cover_instance(base, k, rng)
+        report = count_curves(curve, marks)
+        assert report.total == _closed_form_reference(curve, marks), k
+
+
+def test_count_follows_the_closed_form_on_linear_images():
+    # the images have edge weights and vertex weights above 1, which the
+    # covers lack; the multipliers are tuned anew so each is realizable
+    rng = random.Random(12)
+    dets, seen = set(), 0
+    for base in sorted(covers.BASES):
+        for k in (1, 2, 3):
+            cover, marks = covers.cover_instance(base, k, None)
+            for a in _LINEAR_MAPS:
+                image = tuned_exact_curve(rng, _linear_image(cover, a),
+                                          Fraction(0))
+                assert validate(image).ok
+                report = count_curves(image, marks)
+                assert report.total == _closed_form_reference(image, marks)
+                dets.add(abs(a[0][0] * a[1][1] - a[0][1] * a[1][0]))
+                seen += max(e.weight for e in image.edges) > 1
+    assert dets == {1, 2, 3, 4, 5} and seen
+
+
+def test_count_of_a_cycle_is_delta():
+    # a genus-1 cycle has no 3-valent vertex: the total is delta
+    for curve, marks in ((catalog.wrapping_cycle(2),
+                          [MarkedPoint("s1", Fraction(1, 2))]),
+                         (catalog.wrapping_cycle(3, 2),
+                          [MarkedPoint("s2", Fraction(1, 2))])):
+        curve = tuned(curve)
+        report = count_curves(curve, marks)
+        assert report.total == curve.delta == \
+            _closed_form_reference(curve, marks)
