@@ -41,7 +41,8 @@ _MISSING = object()
 
 class Record:
     _fields: tuple[str, ...] = ()
-    _slots: tuple[str, ...] = ()
+    #: the name each field's value is stored under ("_" + a view's name)
+    _stored: tuple[str, ...] = ()
     _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
@@ -50,23 +51,23 @@ class Record:
         views = {name for name in own if isinstance(
             cls.__dict__.get(name), (property, cached_property))}
         cls._fields = cls._fields + own
-        cls._slots = cls._slots + tuple(
+        cls._stored = cls._stored + tuple(
             "_" + name if name in views else name for name in own)
         cls._defaults = {**cls._defaults, **{
             name: cls.__dict__[name] for name in own
             if name in cls.__dict__ and name not in views}}
         # the tuple of stored field values, at C speed (attrgetter of one
         # name returns the bare value)
-        getter = attrgetter(*cls._slots)
-        cls._values = staticmethod(getter if len(cls._slots) > 1
+        getter = attrgetter(*cls._stored)
+        cls._values = staticmethod(getter if len(cls._stored) > 1
                                    else lambda record: (getter(record),))
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self._fields):
             args = self._complete(args, kwargs)
         d = self.__dict__
-        for slot, value in zip(self._slots, args):
-            d[slot] = value
+        for name, value in zip(self._stored, args):
+            d[name] = value
         self.__post_init__()
 
     def _complete(self, args: tuple, kwargs: dict) -> list:

@@ -176,8 +176,10 @@ class MulValue(Record):
         # numerator and denominator are coprime: no prime is met twice
         primes = [(p, k * en) for p, k in _factorize(qn).items()]
         primes += [(p, -k * en) for p, k in _factorize(qd).items()]
+        if not en:
+            return cls()
         terms = []
-        for p, n in primes if en else ():
+        for p, n in primes:
             g = math.gcd(n, ed)
             terms.append((1, p, n // g, ed // g))
         return cls(tuple(sorted(terms)))
