@@ -14,8 +14,8 @@ import pytest
 import tropcount
 from tropcount.curve import Edge, MarkedPoint, PeriodLattice, Vertex
 from tropcount.curvefile import load_curve
-from tropcount.prelog import prelog_exists
 from tropcount.errors import ValidationError
+from tropcount.prelog import prelog_exists
 from tropcount.record import Record
 from tropcount.selftest import SuiteResult
 from tropcount.valuegroup import MulValue
