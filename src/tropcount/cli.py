@@ -68,8 +68,9 @@ from itertools import repeat
 from types import GeneratorType, SimpleNamespace
 
 from .curve import canonical_offset, ensure_valid, validate
-from .curvefile import (load_curve, parse_complex, parse_group_element,
-                        parse_polar, parse_rational, read_json)
+from .curvefile import (check_one_form, load_curve, parse_complex,
+                        parse_group_element, parse_polar, parse_rational,
+                        read_json)
 from .errors import (ConstraintError, ParseError, TropcountError, clip,
                      format_rational, long_integer_text)
 from .valuegroup import (DEFAULT_TOLERANCE, UNDECIDED_FACTOR, EqualityMode,
@@ -374,6 +375,8 @@ def _parse_check_value(raw, what: str) -> MulValue | complex:
         except ValueError as exc:
             raise ParseError(f"{what}: {exc}") from exc
     if isinstance(raw, dict):
+        check_one_form(raw, ({"modulus", "turns"}, {"re", "im"},
+                             {"symbols", "primes", "turns"}), what)
         if "modulus" in raw:
             return parse_polar(raw, what)
         if "re" in raw:

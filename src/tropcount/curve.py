@@ -21,7 +21,9 @@ denominator) pair of ints, and the package works on those integers.
 Vertex.position, Edge.length and MarkedPoint.t are read-only views that
 build the Fractions on first read (loading fractions), and the
 constructors take a rational as an int, a (numerator, denominator) pair
-or anything Fraction takes (see valuegroup.as_ratio).
+or anything Fraction takes (see valuegroup.as_ratio).  Lattice
+coordinates come only from PeriodLattice.lattice_numerators and the lift
+relation's gap only from PeriodLattice.lift_gap, both in integers.
 """
 
 import math
@@ -84,17 +86,6 @@ class PeriodLattice(Record):
     def det(self) -> int:
         return (self.period1[0] * self.period2[1]
                 - self.period1[1] * self.period2[0])
-
-    def to_lattice_coords(self, point: FracVec2) -> FracVec2:
-        """Coordinates (s1, s2) with point = s1*period1 + s2*period2."""
-        from fractions import Fraction
-
-        x, y = Fraction(point[0]), Fraction(point[1])
-        q = math.lcm(x.denominator, y.denominator)
-        a, b = self.lattice_numerators(x.numerator * (q // x.denominator),
-                                       y.numerator * (q // y.denominator))
-        n = q * abs(self.det)
-        return (Fraction(a, n), Fraction(b, n))
 
     def lattice_numerators(self, x: int, y: int) -> Vec2:
         """|det| * (s1, s2) for the integer point (x, y) = s1*period1 +
@@ -321,17 +312,6 @@ class TropicalCurve(Record):
         appear twice)."""
         return self._flag_index.get(vid, ())
 
-    def lift_defect(self, e: Edge) -> tuple[Ratio, Ratio]:
-        """lift(head) - lift(tail) - length*m - shift . periods, as two
-        (numerator, denominator) pairs: (0, 1) twice when e is valid.
-
-        Worked out on integer numerators over the lcm of the five
-        denominators (see PeriodLattice.lift_gap)."""
-        x, y, q = self.lattice.lift_gap(
-            self.vertex(e.tail)._position, self.vertex(e.head)._position,
-            e._length, e.weight_vector, e.shift)
-        return as_ratio((x, q)), as_ratio((y, q))
-
 
 class ValidationReport(Record):
     problems: tuple[str, ...]
@@ -416,12 +396,15 @@ def validate(curve: TropicalCurve) -> ValidationReport:
                 f"{clip_value((sx, sy))}")
 
     if curve.lattice.det != 0:
+        index = curve._vertex_index
         for e in curve.edges:
-            dx, dy = curve.lift_defect(e)
-            if dx[0] or dy[0]:
+            x, y, q = curve.lattice.lift_gap(
+                index[e.tail]._position, index[e.head]._position, e._length,
+                e.weight_vector, e.shift)
+            if x or y:
                 problems.append(
                     f"edge {clip(e.id)} violates the lift relation by "
-                    f"{clip_rational(dx, dy)}")
+                    f"{clip_rational(as_ratio((x, q)), as_ratio((y, q)))}")
 
     for e in curve.edges:
         n, d = e._length

@@ -19,7 +19,8 @@ are also accepted):
     }
 
 All four multipliers must use the same form; the form selects the default
-equality mode (formal, exact polar, numeric).  A missing "multipliers" key
+equality mode (formal, exact polar, numeric); an entry with keys of two
+forms, or a "formal" other than true, is refused.  A missing "multipliers" key
 means formal.  A missing edge "shift" is derived from the vertex positions
 through the lift relation and must come out integral ((0, 0) over a
 degenerate lattice, which validation refuses).  Ids, edge ends and marked
@@ -228,6 +229,14 @@ def _optional_list(doc: dict, key: str) -> list:
     return value
 
 
+def check_one_form(entry: dict, forms, what: str) -> None:
+    """Refuse keys of two of forms (sets of keys); keys of none pass."""
+    held = entry.keys() & set().union(*forms)
+    if not any(held <= form for form in forms):
+        raise ParseError(
+            f"{what}: mixes the keys of two forms ({', '.join(sorted(held))})")
+
+
 def _parse_multipliers(doc) -> tuple[EqualityMode, dict, dict]:
     """Returns (mode, multipliers, numeric_values) for PeriodLattice."""
     table = doc.get("multipliers")
@@ -244,7 +253,11 @@ def _parse_multipliers(doc) -> tuple[EqualityMode, dict, dict]:
         entry = _require(table, key, "multipliers")
         if not isinstance(entry, dict):
             raise ParseError(f"multipliers.{key}: expected an object")
+        check_one_form(entry, ({"formal"}, {"modulus", "turns"}, {"re", "im"}),
+                       f"multipliers.{key}")
         if "formal" in entry:
+            if entry["formal"] is not True:
+                raise ParseError(f"multipliers.{key}: formal must be true")
             forms.add("formal")
         elif "modulus" in entry:
             forms.add("polar")

@@ -203,8 +203,12 @@ def test_hostile_curve_exits_1(doc, command, tmp_path, capsys):
 @pytest.mark.parametrize("value", [
     "abc", "0", {"modulus": "0"}, {"modulus": "0", "turns": "0"},
     {"re": float("nan")}, {"turns": "x/0"}, {"primes": []},
+    {"modulus": "1", "turns": "1/2", "primes": {"7": "1"}},
+    {"re": 1.0, "symbols": {"x": "1"}},
+    {"modulus": "1", "turns": "0", "im": 0.0},
 ], ids=["abc", "zero", "no-turns", "zero-modulus", "nan", "bad-element",
-        "prime-list"])
+        "prime-list", "polar-and-primes", "numeric-and-symbols",
+        "polar-and-numeric"])
 def test_hostile_check_value_exits_1(value, tmp_path, capsys):
     shutil.copy(os.path.join(GOLDEN, "theta_exact.json"), tmp_path)
     check = tmp_path / "check.json"
@@ -298,6 +302,21 @@ def _changed_doc(change) -> dict:
     pytest.param(_changed_doc(lambda d: d["multipliers"].update(alpha11={})),
                  "multipliers.alpha11: need formal, modulus/turns, or re/im",
                  id="entry-empty"),
+    pytest.param(_changed_doc(lambda d: [
+        entry.update(formal=False) for entry in d["multipliers"].values()]),
+                 "multipliers.alpha11: mixes the keys of two forms "
+                 "(formal, modulus, turns)", id="polar-and-formal"),
+    pytest.param(_changed_doc(lambda d: d["multipliers"]["alpha12"].update(
+        re=0.5)),
+                 "multipliers.alpha12: mixes the keys of two forms "
+                 "(modulus, re, turns)", id="polar-and-numeric"),
+    pytest.param(_changed_doc(lambda d: d.update(multipliers={
+        key: {"formal": False} for key in d["multipliers"]})),
+                 "multipliers.alpha11: formal must be true",
+                 id="formal-false"),
+    pytest.param(_changed_doc(lambda d: d.update(multipliers={
+        key: {"formal": 1} for key in d["multipliers"]})),
+                 "multipliers.alpha11: formal must be true", id="formal-1"),
     pytest.param(_changed_doc(lambda d: d["vertices"][0].update(id=5)),
                  "vertices[0].id: expected a string", id="vertex-id"),
     pytest.param(_golden_doc(id=5),

@@ -53,19 +53,46 @@ def test_triple_vertex_invariants():
     assert curve.vertex_gcd("u") == 1
 
 
+def _lattice_coords(lat, point):
+    """(s1, s2) with point = s1*period1 + s2*period2, by Cramer's rule in
+    Fraction arithmetic."""
+    (p1x, p1y), (p2x, p2y) = lat.period1, lat.period2
+    x, y = Fraction(point[0]), Fraction(point[1])
+    det = p1x * p2y - p1y * p2x
+    return ((x * p2y - y * p2x) / det, (y * p1x - x * p1y) / det)
+
+
 def test_lattice_coordinate_round_trip():
-    lat = PeriodLattice((1, -1), (1, 2))
-    for point in [(0, 0), (1, 0), (Fraction(1, 2), Fraction(3, 7))]:
-        s1, s2 = lat.to_lattice_coords(point)
-        back = tuple(s1 * x + s2 * y for x, y in zip(lat.period1, lat.period2))
-        assert back == (Fraction(point[0]), Fraction(point[1]))
-    assert lat.det == 3
+    # lattice_numerators gives |det| * (s1, s2) for an integer point; a
+    # rational one goes in scaled by the lcm q of its denominators
+    rng = random.Random(5)
+    lattices = [PeriodLattice((1, -1), (1, 2)), PeriodLattice((1, 2), (1, -1))]
+    while len(lattices) < 12:
+        lat = PeriodLattice(*[(rng.randrange(-6, 7), rng.randrange(-6, 7))
+                              for _ in range(2)])
+        if lat.det:
+            lattices.append(lat)
+    assert [lat.det for lat in lattices[:2]] == [3, -3]
+    for lat in lattices:
+        for point in [(0, 0), (1, 0), (Fraction(1, 2), Fraction(3, 7)),
+                      (_rational(rng), _rational(rng))]:
+            q = math.lcm(Fraction(point[0]).denominator,
+                         Fraction(point[1]).denominator)
+            a, b = lat.lattice_numerators(int(point[0] * q),
+                                          int(point[1] * q))
+            assert type(a) is int and type(b) is int
+            n = q * abs(lat.det)
+            s1, s2 = Fraction(a, n), Fraction(b, n)
+            back = tuple(s1 * x + s2 * y
+                         for x, y in zip(lat.period1, lat.period2))
+            assert back == (Fraction(point[0]), Fraction(point[1]))
+            assert (s1, s2) == _lattice_coords(lat, point)
 
 
 def test_degenerate_lattice_rejected():
     lat = PeriodLattice((1, 2), (2, 4))
-    with pytest.raises(ValidationError):
-        lat.to_lattice_coords((1, 1))
+    with pytest.raises(ValidationError, match="degenerate period lattice"):
+        lat.lattice_numerators(1, 1)
     curve = TropicalCurve(lat, (Vertex("a", (0, 0)), Vertex("b", (1, 0))),
                           (Edge("e", "a", "b", (1, 0), 1),
                            Edge("f", "b", "a", (1, 0), 1, (-1, 0))))
@@ -263,7 +290,7 @@ def test_relift_preserves_validity_and_projection():
             w = out.vertex(v.id)
             diff = (Fraction(w.position[0]) - Fraction(v.position[0]),
                     Fraction(w.position[1]) - Fraction(v.position[1]))
-            coords = lat.to_lattice_coords(diff)
+            coords = _lattice_coords(lat, diff)
             assert coords[0].denominator == 1
             assert coords[1].denominator == 1
 
@@ -294,7 +321,7 @@ def canonicalize_lifts(curve, offset):
     coordinates (numerator, denominator) pairs)."""
     moves = {}
     for v in curve.vertices:
-        s1, s2 = curve.lattice.to_lattice_coords(v.position)
+        s1, s2 = _lattice_coords(curve.lattice, v.position)
         k1 = math.floor(s1 - Fraction(*offset[0]))
         k2 = math.floor(s2 - Fraction(*offset[1]))
         if (k1, k2) != (0, 0):
@@ -335,9 +362,9 @@ def test_degeneracy_errors_clip_the_offset():
     # an offset with a 101-digit denominator was quoted whole
     curve = catalog.theta()
     lattice, e1 = curve.lattice, curve.edge("e1")
-    s1, s2 = lattice.to_lattice_coords(curve.vertex("u").position)
-    d1, d2 = lattice.to_lattice_coords(
-        (e1.length * e1.weight_vector[0], e1.length * e1.weight_vector[1]))
+    s1, s2 = _lattice_coords(lattice, curve.vertex("u").position)
+    d1, d2 = _lattice_coords(lattice, (e1.length * e1.weight_vector[0],
+                                       e1.length * e1.weight_vector[1]))
     t = Fraction(1, 10 ** 100 + 7)
     for offset, text in (((s1, t), "vertex u lies on a B1 wall"),
                          ((t, s2), "vertex u lies on a B2 wall"),
@@ -365,7 +392,7 @@ def _crossings_reference(curve, offset):
     o1, o2 = map(_offset_fraction, offset)
     scoords = {}
     for v in curve.vertices:
-        s1, s2 = lat.to_lattice_coords(v.position)
+        s1, s2 = _lattice_coords(lat, v.position)
         if (s1 - o1).denominator == 1:
             raise DegeneracyError(
                 f"vertex {v.id} lies on a B1 wall for offset ({o1}, {o2})")
@@ -376,8 +403,8 @@ def _crossings_reference(curve, offset):
     out = []
     for e in curve.edges:
         start = scoords[e.tail]
-        disp = lat.to_lattice_coords(
-            (e.length * e.weight_vector[0], e.length * e.weight_vector[1]))
+        disp = _lattice_coords(lat, (e.length * e.weight_vector[0],
+                                     e.length * e.weight_vector[1]))
         end = (start[0] + disp[0], start[1] + disp[1])
         for axis, side in ((0, "B1"), (1, "B2")):
             lo = (start[axis] - (o1, o2)[axis])
@@ -408,9 +435,8 @@ def _lengthen(curve, rng):
     e = rng.choice(curve.edges)
     lat = curve.lattice
     extra = rng.randrange(1, 12) * abs(lat.det) * e.length.denominator
-    g1, g2 = lat.to_lattice_coords(
-        (extra * e.length * e.weight_vector[0],
-         extra * e.length * e.weight_vector[1]))
+    g1, g2 = _lattice_coords(lat, (extra * e.length * e.weight_vector[0],
+                                   extra * e.length * e.weight_vector[1]))
     longer = e.replace(length=(1 + extra) * e.length,
                        shift=(e.shift[0] - int(g1), e.shift[1] - int(g2)))
     edges = tuple(longer if x.id == e.id else x for x in curve.edges)
@@ -449,8 +475,9 @@ def test_crossings_match_per_wall_reference():
 
 
 
-def _lift_defect_reference(curve, e):
-    """lift_defect in Fraction arithmetic: the version the integer one
+def _lift_gap_reference(curve, e):
+    """The lift relation's gap lift(head) - lift(tail) - length*m -
+    shift . periods in Fraction arithmetic: the version the integer one
     replaced, kept as its reference."""
     tail = curve.vertex(e.tail).position
     head = curve.vertex(e.head).position
@@ -481,7 +508,7 @@ def _fraction_crossings_reference(curve, offset):
     o1, o2 = map(_offset_fraction, offset)
     scoords = {}
     for v in curve.vertices:
-        s1, s2 = lat.to_lattice_coords(v.position)
+        s1, s2 = _lattice_coords(lat, v.position)
         if (s1 - o1).denominator == 1:
             raise DegeneracyError(
                 f"vertex {v.id} lies on a B1 wall for offset ({o1}, {o2})")
@@ -492,8 +519,8 @@ def _fraction_crossings_reference(curve, offset):
     out = []
     for e in curve.edges:
         start = scoords[e.tail]
-        disp = lat.to_lattice_coords((e.length * e.weight_vector[0],
-                                      e.length * e.weight_vector[1]))
+        disp = _lattice_coords(lat, (e.length * e.weight_vector[0],
+                                     e.length * e.weight_vector[1]))
         for axis, side in ((0, "B1"), (1, "B2")):
             lo = start[axis] - (o1, o2)[axis]
             hi = lo + disp[axis]
@@ -540,7 +567,7 @@ def _moved_curves(rng, curve):
     return out
 
 
-def test_integer_lift_defect_and_crossings_match_fraction_versions():
+def test_integer_lift_gap_and_crossings_match_fraction_versions():
     rng = random.Random(71)
     bases = [curve for _, curve, _ in generated_curves(rng, 12)]
     bases += [catalog.theta_double(), catalog.triple_vertex(),
@@ -555,16 +582,23 @@ def test_integer_lift_defect_and_crossings_match_fraction_versions():
              "corner": 0}
     for base in bases:
         for curve in _moved_curves(rng, base):
+            problems = validate(curve).problems
             for e in curve.edges:
-                got = curve.lift_defect(e)
-                want = _lift_defect_reference(curve, e)
-                # lowest-terms (numerator, denominator) pairs of ints
-                assert got == tuple((x.numerator, x.denominator)
-                                    for x in want)
-                assert all(type(n) is int for pair in got for n in pair)
-                terms = (*curve.vertex(e.tail).position,
-                         *curve.vertex(e.head).position, e.length)
-                kinds["integral" if all(x.denominator == 1 for x in terms)
+                tail, head = curve.vertex(e.tail), curve.vertex(e.head)
+                x, y, q = curve.lattice.lift_gap(
+                    tail._position, head._position, e._length,
+                    e.weight_vector, e.shift)
+                want = _lift_gap_reference(curve, e)
+                # integer numerators over the lcm of the five denominators
+                assert all(type(n) is int for n in (x, y, q))
+                assert (Fraction(x, q), Fraction(y, q)) == want
+                terms = (*tail.position, *head.position, e.length)
+                assert q == math.lcm(*(t.denominator for t in terms))
+                # validate words a broken relation with the reduced gap
+                message = (f"edge {e.id} violates the lift relation by "
+                           f"({want[0]}, {want[1]})")
+                assert (message in problems) == (want != (0, 0))
+                kinds["integral" if all(t.denominator == 1 for t in terms)
                       else "fractional"] += 1
                 kinds["defect"] += want != (0, 0)
             for offset in offsets:

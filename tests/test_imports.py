@@ -6,8 +6,10 @@ module under src/tropcount, tests and tropbench (read, never imported): a
 name bound by an import must appear somewhere else in the module, as a
 name, as the root of an attribute chain, or in the module's __all__ (a
 list or tuple of strings; a computed __all__ uses its names as names).
-A top-level def, class or assigned name of src/tropcount (dunders aside)
-must appear as a word in one of those files outside its own definition.
+A top-level def, class or assigned name of src/tropcount, and a method or
+property of one of its classes (dunders aside), must appear as a word
+outside its own definition in a file of src/tropcount or tropbench: code
+that only the tests call is dead.
 A defaulted parameter of a function of src/tropcount must be passed, by
 keyword or by position, by some call in those files to a function of
 that name; a call with *args or **kwargs passes every parameter.
@@ -65,20 +67,48 @@ def _top_level_names(tree):
                 yield name, node.lineno, node.end_lineno
 
 
-def dead_names(package: dict[str, str], others: dict[str, str]) -> list[str]:
-    """The top-level names of the package's modules ({file: source}) that
-    no file of package or others names as a word outside the name's own
-    definition."""
-    texts = {**others, **package}
+def _methods(node, prefix: str = ""):
+    """(qualified name, first line, last line) of each method and property
+    of each class under node (nested classes and classes in functions
+    included), dunders aside."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            for item in child.body:
+                if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (item.name.startswith("__")
+                                 and item.name.endswith("__"))):
+                    yield (f"{prefix}{child.name}.{item.name}", item.lineno,
+                           item.end_lineno)
+            yield from _methods(child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _methods(child, f"{prefix}{child.name}.")
+        else:
+            yield from _methods(child, prefix)
+
+
+def dead_names(sources: dict[str, str], exempt=()) -> list[str]:
+    """The top-level names, methods and properties of the package's
+    modules (the files of sources, {file: source}, under src/), by
+    qualified name outside exempt, that no file of sources under src/ or
+    tropbench/ names as a word outside the name's own definition."""
+    users = {path: text for path, text in sources.items()
+             if path.startswith(("src/", "tropbench/"))}
     dead = []
-    for path, source in package.items():
+    for path, source in users.items():
+        if not path.startswith("src/"):
+            continue
         lines = source.splitlines()
-        rest = [text for other, text in texts.items() if other != path]
-        for name, first, last in _top_level_names(ast.parse(source)):
+        rest = [text for other, text in users.items() if other != path]
+        tree = ast.parse(source)
+        for qualname, first, last in [*_top_level_names(tree),
+                                      *_methods(tree)]:
+            if qualname in exempt:
+                continue
+            name = qualname.rpartition(".")[2]
             word = re.compile(rf"(?<!\w){re.escape(name)}(?!\w)")
             own = "\n".join(lines[:first - 1] + lines[last:])
             if not any(map(word.search, [own, *rest])):
-                dead.append(f"{path}: {name} (line {first})")
+                dead.append(f"{path}: {qualname} (line {first})")
     return dead
 
 
@@ -149,11 +179,42 @@ def test_checker_flags_an_unused_import():
 
 
 def test_checker_flags_a_dead_name():
-    package = {"a.py": "def f():\n    return f()\n\nX = 1\n__all__ = []\n",
-               "b.py": "class C:\n    pass\n\nY, Z = C(), 2\n"}
-    assert dead_names(package, {"t.py": "from a import X as Z_\n"}) == [
-        "a.py: f (line 1)", "b.py: Y (line 4)", "b.py: Z (line 4)"]
-    assert dead_names(package, {"t.py": "f(X, Y)\nZ\n"}) == []
+    package = {"src/a.py": "def f():\n    return f()\n\nX = 1\n"
+                           "__all__ = []\n",
+               "src/b.py": "class C:\n    pass\n\nY, Z = C(), 2\n"}
+    assert dead_names({**package,
+                       "tropbench/t.py": "from a import X as Z_\n"}) == [
+        "src/a.py: f (line 1)", "src/b.py: Y (line 4)", "src/b.py: Z (line 4)"]
+    assert dead_names({**package, "tropbench/t.py": "f(X, Y)\nZ\n"}) == []
+
+
+def test_checker_flags_a_method_only_tests_call():
+    package = {"src/a.py": "class C:\n"
+                           "    def m(self):\n"
+                           "        return self.m()\n"
+                           "\n"
+                           "    @property\n"
+                           "    def p(self):\n"
+                           "        return 1\n"
+                           "\n"
+                           "    def __len__(self):\n"
+                           "        return 0\n"
+                           "\n"
+                           "\n"
+                           "def f():\n"
+                           "    class D:\n"
+                           "        def n(self):\n"
+                           "            pass\n"
+                           "    return C, D\n"}
+    tests = {"tests/t.py": "f()\nC().m()\nC().p\nD().n()\n"}
+    assert dead_names({**package, **tests}) == [
+        "src/a.py: f (line 13)", "src/a.py: C.m (line 2)",
+        "src/a.py: C.p (line 6)", "src/a.py: f.D.n (line 15)"]
+    # a use in src or tropbench counts, and an exempt name is not flagged
+    users = {"src/b.py": "f()\nC().m()\n", "tropbench/w.py": "C().p\n"}
+    assert dead_names({**package, **tests, **users}) == [
+        "src/a.py: f.D.n (line 15)"]
+    assert dead_names({**package, **users}, exempt=("f.D.n",)) == []
 
 
 def test_checker_flags_a_dead_parameter():
@@ -180,7 +241,9 @@ def _package_and_sources():
 
 
 def test_no_dead_names():
-    assert dead_names(*_package_and_sources()) == []
+    # _print_message overrides argparse's, which argparse calls
+    assert dead_names(_package_and_sources()[1],
+                      exempt=("build_parser.Parser._print_message",)) == []
 
 
 def test_no_dead_parameters():

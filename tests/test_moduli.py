@@ -551,6 +551,15 @@ def test_count_follows_the_closed_form_on_covers(base):
         assert report.total == _closed_form_reference(curve, marks), k
 
 
+def test_count_follows_the_closed_form_at_genus_2049():
+    # the closed form at real size, on one base only: the triple cover at
+    # k = 2048 takes about a second to generate and count
+    curve, marks = covers.cover_instance("triple", 2048, random.Random(1))
+    assert curve.genus == 2049
+    report = count_curves(curve, marks)
+    assert report.total == _closed_form_reference(curve, marks)
+
+
 def test_count_follows_the_closed_form_on_linear_images():
     # the images have edge weights and vertex weights above 1, which the
     # covers lack; the multipliers are tuned anew so each is realizable

@@ -269,8 +269,9 @@ def test_solve_and_verify_match_chained_products():
 
 def test_solve_takes_roots_only_of_non_unit_invariant_factors():
     # A unit diagonal entry keeps the value itself as its first root;
-    # every other entry still takes the principal root.  Curve systems
-    # have unit invariant factors only, so these systems are random.
+    # every other entry still takes the principal root.  The systems of
+    # the cyclic covers have unit invariant factors only (other curves
+    # can have torsion, but none at hand does), so these are random.
     rng = random.Random(37)
     non_unit = free = torsion = 0
     for _ in range(80):
